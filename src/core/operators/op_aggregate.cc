@@ -16,6 +16,18 @@ bool IsNumericAggregate(const std::string& op_name) {
          op_name == "Max" || op_name == "Median" || op_name == "Percentile";
 }
 
+/// The pre-programmed values of `attribute` over `docs`, in order,
+/// skipping documents without one; charges the per-document CPU.
+std::vector<double> ReadValues(const internal::AttributeReader& attribute,
+                               const DocList& docs, OpStats& stats) {
+  std::vector<double> values;
+  for (uint64_t id : docs) {
+    if (auto v = attribute.Read(id)) values.push_back(*v);
+  }
+  stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
+  return values;
+}
+
 StatusOr<OpOutput> ExecCount(PhysicalImpl impl, const OpArgs& args,
                              const std::vector<Value>& inputs,
                              ExecContext& ctx) {
@@ -147,19 +159,16 @@ StatusOr<OpOutput> ExecAggregate(const std::string& op_name,
       out.value = Value::Number(v);
       return out;
     }
-    std::vector<double> values;
-    for (uint64_t id : docs) {
-      auto v = internal::RegexExtractValue(ctx.corpus->doc(id),
-                                           ArgStr(args, "attribute"));
-      if (v.has_value()) values.push_back(*v);
-    }
-    out.stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
-    UNIFY_ASSIGN_OR_RETURN(double v,
-                           internal::AggregateValues(values, op_name, args));
+    const internal::AttributeReader attribute(ctx, ArgStr(args, "attribute"));
+    UNIFY_ASSIGN_OR_RETURN(
+        double v,
+        internal::AggregateValues(ReadValues(attribute, docs, out.stats),
+                                  op_name, args));
     out.value = Value::Number(v);
     return out;
   }
   if (input.is<GroupedDocs>()) {
+    const internal::AttributeReader attribute(ctx, ArgStr(args, "attribute"));
     GroupedNumbers result;
     for (const auto& [label, docs] : input.get<GroupedDocs>().groups) {
       if (docs.empty()) continue;
@@ -168,13 +177,7 @@ StatusOr<OpOutput> ExecAggregate(const std::string& op_name,
         UNIFY_ASSIGN_OR_RETURN(
             v, LlmAggregateDocs(docs, op_name, args, ctx, out.stats));
       } else {
-        std::vector<double> values;
-        for (uint64_t id : docs) {
-          auto ev = internal::RegexExtractValue(ctx.corpus->doc(id),
-                                                ArgStr(args, "attribute"));
-          if (ev.has_value()) values.push_back(*ev);
-        }
-        out.stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
+        std::vector<double> values = ReadValues(attribute, docs, out.stats);
         if (values.empty()) continue;
         UNIFY_ASSIGN_OR_RETURN(
             v, internal::AggregateValues(values, op_name, args));
@@ -196,6 +199,7 @@ StatusOr<OpOutput> ExecExtract(PhysicalImpl impl, const OpArgs& args,
   if (inputs.empty()) return WrongInput("Extract", "one");
   OpOutput out;
   const std::string attr = ArgStr(args, "attribute");
+  const internal::AttributeReader attribute(ctx, attr);
   auto extract = [&](const DocList& docs) -> StatusOr<NumberList> {
     NumberList values;
     if (impl == PhysicalImpl::kLlmExtract) {
@@ -203,11 +207,7 @@ StatusOr<OpOutput> ExecExtract(PhysicalImpl impl, const OpArgs& args,
           values.values,
           internal::LlmExtractValues(docs, attr, ctx, out.stats));
     } else {
-      for (uint64_t id : docs) {
-        auto v = internal::RegexExtractValue(ctx.corpus->doc(id), attr);
-        if (v.has_value()) values.values.push_back(*v);
-      }
-      out.stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
+      values.values = ReadValues(attribute, docs, out.stats);
     }
     return values;
   };

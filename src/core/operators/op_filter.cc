@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <set>
+#include <cstdint>
 
 #include "core/operators/op_families.h"
 #include "core/operators/physical_common.h"
@@ -30,12 +30,19 @@ StatusOr<DocList> IndexScanCandidates(const DocList& docs, const OpArgs& args,
   auto query_vec = ctx.doc_embedder->Embed(phrase);
   auto hits = ctx.doc_index->Search(query_vec, candidates);
   stats.cpu_seconds += kCpuFlat + 2e-6 * static_cast<double>(candidates);
-  std::set<uint64_t> scope(docs.begin(), docs.end());
-  DocList in_scope;
-  for (const auto& hit : hits) {
-    if (scope.count(hit.id) > 0) in_scope.push_back(hit.id);
+  // One mark per corpus id: 1 = in the input scope, 2 = also a hit. Walking
+  // the marks in id order yields the intersection sorted and deduplicated.
+  std::vector<uint8_t> marks(ctx.corpus->size(), 0);
+  for (uint64_t id : docs) {
+    if (id < marks.size()) marks[id] = 1;
   }
-  std::sort(in_scope.begin(), in_scope.end());
+  for (const auto& hit : hits) {
+    if (hit.id < marks.size() && marks[hit.id] != 0) marks[hit.id] = 2;
+  }
+  DocList in_scope;
+  for (uint64_t id = 0; id < marks.size(); ++id) {
+    if (marks[id] == 2) in_scope.push_back(id);
+  }
   return in_scope;
 }
 
@@ -49,16 +56,6 @@ class FilterOperator : public PhysicalOperator {
                              ExecContext& ctx) const override {
     if (inputs.empty()) return WrongInput("Filter", "one");
     OpOutput out;
-    auto surface = [&](const DocList& docs) -> StatusOr<DocList> {
-      DocList kept;
-      for (uint64_t id : docs) {
-        if (internal::SurfaceConditionMatch(ctx.corpus->doc(id), args)) {
-          kept.push_back(id);
-        }
-      }
-      out.stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
-      return kept;
-    };
     auto llm = [&](const DocList& docs) -> StatusOr<DocList> {
       return internal::LlmFilterDocs(docs, args, ctx, out.stats);
     };
@@ -66,6 +63,16 @@ class FilterOperator : public PhysicalOperator {
     switch (impl) {
       case PhysicalImpl::kExactFilter:
       case PhysicalImpl::kKeywordFilter: {
+        const internal::SurfaceCondition condition(ctx, args);
+        auto surface = [&](const DocList& docs) -> StatusOr<DocList> {
+          DocList kept;
+          for (uint64_t id : docs) {
+            if (condition.Matches(id)) kept.push_back(id);
+          }
+          out.stats.cpu_seconds +=
+              kCpuPerDoc * static_cast<double>(docs.size());
+          return kept;
+        };
         UNIFY_ASSIGN_OR_RETURN(out.value,
                                internal::BroadcastDocs("Filter", inputs[0],
                                                        surface));

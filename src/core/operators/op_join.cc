@@ -25,6 +25,7 @@ StatusOr<OpOutput> ExecJoin(PhysicalImpl impl, const OpArgs& args,
   const DocList& left = inputs[0].get<DocList>();
   const DocList& right = inputs[1].get<DocList>();
   const std::string on = ArgStr(args, "on", "category");
+  const internal::AttributeReader attribute(ctx, on);
   OpOutput out;
 
   auto keys_of = [&](const DocList& docs)
@@ -51,7 +52,7 @@ StatusOr<OpOutput> ExecJoin(PhysicalImpl impl, const OpArgs& args,
       return keys;
     }
     for (uint64_t id : docs) {
-      auto v = internal::RegexExtractValue(ctx.corpus->doc(id), on);
+      auto v = attribute.Read(id);
       keys.push_back(v.has_value() ? FormatDouble(*v, 6) : "");
     }
     out.stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());

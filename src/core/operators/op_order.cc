@@ -25,9 +25,10 @@ StatusOr<std::vector<std::pair<uint64_t, double>>> KeyedDocs(
       keyed.emplace_back(docs[i], values[i]);
     }
   } else {
+    const internal::AttributeReader attribute(ctx, attr);
+    keyed.reserve(docs.size());
     for (uint64_t id : docs) {
-      auto v = internal::RegexExtractValue(ctx.corpus->doc(id), attr);
-      keyed.emplace_back(id, v.value_or(0.0));
+      keyed.emplace_back(id, attribute.Read(id).value_or(0.0));
     }
     stats.cpu_seconds += kCpuPerDoc * static_cast<double>(docs.size());
   }

@@ -67,10 +67,15 @@ bool ImplSemanticCapable(PhysicalImpl impl);
 
 /// Everything a physical operator needs at execution time.
 class CustomOpRegistry;  // custom_ops.h
+class NumericStats;      // core/physical/numeric_stats.h
 
 struct ExecContext {
   const corpus::Corpus* corpus = nullptr;
   llm::LlmClient* llm = nullptr;
+  /// Per-document values of the known numeric attributes, extracted once
+  /// at Setup over `corpus`. Null makes the pre-programmed operators
+  /// extract every value from the document text instead.
+  const NumericStats* numeric_stats = nullptr;
   /// Optional user-registered operators (Section IV-B3 extensibility).
   const CustomOpRegistry* custom_ops = nullptr;
   /// Document embedder + prebuilt ANN index (for IndexScanFilter).

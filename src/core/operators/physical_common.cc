@@ -6,7 +6,6 @@
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "text/field_extractor.h"
-#include "text/keyword_matcher.h"
 #include "text/tokenizer.h"
 
 namespace unify::core::internal {
@@ -56,38 +55,70 @@ std::vector<DocList> BatchDocs(const DocList& docs, const ExecContext& ctx) {
   return batches;
 }
 
-bool SurfaceConditionMatch(const corpus::Document& doc, const OpArgs& args) {
-  auto kind = args.find("kind");
-  if (kind != args.end() && kind->second == "numeric") {
-    auto attr = args.find("attribute");
-    if (attr == args.end()) return false;
-    auto extracted = RegexExtractValue(doc, attr->second);
-    if (!extracted.has_value()) return false;
-    int64_t v = static_cast<int64_t>(*extracted);
-    auto get = [&](const char* key) -> int64_t {
-      auto it = args.find(key);
-      if (it == args.end()) return 0;
-      return ParseInt64(it->second).value_or(0);
-    };
-    int64_t value = get("value");
-    int64_t value2 = get("value2");
-    auto cmp_it = args.find("cmp");
-    const std::string cmp = cmp_it == args.end() ? "gt" : cmp_it->second;
-    if (cmp == "gt") return v > value;
-    if (cmp == "ge") return v >= value;
-    if (cmp == "lt") return v < value;
-    if (cmp == "le") return v <= value;
-    if (cmp == "eq") return v == value;
-    if (cmp == "between") return v >= value && v <= value2;
-    return false;
+AttributeReader::AttributeReader(const corpus::Corpus* corpus,
+                                 const NumericStats* stats,
+                                 std::string attribute)
+    : corpus_(corpus),
+      attribute_(std::move(attribute)),
+      column_(stats == nullptr ? nullptr : stats->Column(attribute_)) {}
+
+NumericComparison NumericComparison::Parse(const OpArgs& args) {
+  NumericComparison c;
+  c.value = ArgInt(args, "value", 0);
+  c.value2 = ArgInt(args, "value2", 0);
+  const std::string cmp = ArgStr(args, "cmp", "gt");
+  if (cmp == "gt") c.cmp = Cmp::kGt;
+  else if (cmp == "ge") c.cmp = Cmp::kGe;
+  else if (cmp == "lt") c.cmp = Cmp::kLt;
+  else if (cmp == "le") c.cmp = Cmp::kLe;
+  else if (cmp == "eq") c.cmp = Cmp::kEq;
+  else if (cmp == "between") c.cmp = Cmp::kBetween;
+  else c.cmp = Cmp::kUnknown;
+  return c;
+}
+
+bool NumericComparison::Holds(int64_t v) const {
+  switch (cmp) {
+    case Cmp::kGt:
+      return v > value;
+    case Cmp::kGe:
+      return v >= value;
+    case Cmp::kLt:
+      return v < value;
+    case Cmp::kLe:
+      return v <= value;
+    case Cmp::kEq:
+      return v == value;
+    case Cmp::kBetween:
+      return v >= value && v <= value2;
+    case Cmp::kUnknown:
+      break;
+  }
+  return false;
+}
+
+SurfaceCondition::SurfaceCondition(const corpus::Corpus* corpus,
+                                   const NumericStats* stats,
+                                   const OpArgs& args)
+    : corpus_(corpus) {
+  if (ArgStr(args, "kind") == "numeric") {
+    if (auto attr = args.find("attribute"); attr != args.end()) {
+      attribute_.emplace(corpus, stats, attr->second);
+    }
+    comparison_ = NumericComparison::Parse(args);
+    return;
   }
   // Semantic phrase via surface keywords.
-  auto phrase = args.find("phrase");
-  std::string text_phrase =
-      phrase != args.end() ? phrase->second
-                           : (args.count("condition") ? args.at("condition")
-                                                      : "");
-  return text::KeywordMatcher(text_phrase).MatchesAny(doc.text);
+  keywords_.emplace(ArgStr(args, "phrase", ArgStr(args, "condition")));
+}
+
+bool SurfaceCondition::Matches(uint64_t id) const {
+  if (keywords_.has_value()) {
+    return keywords_->MatchesAny(corpus_->doc(id).text);
+  }
+  if (!attribute_.has_value()) return false;
+  std::optional<double> v = attribute_->Read(id);
+  return v.has_value() && comparison_.Holds(static_cast<int64_t>(*v));
 }
 
 StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/operators/physical.h"
+#include "core/physical/numeric_stats.h"
+#include "text/keyword_matcher.h"
 
 namespace unify::core::internal {
 
@@ -18,10 +20,68 @@ inline constexpr double kCpuPerDoc = 5e-6;
 inline constexpr double kCpuPerValue = 5e-8;
 inline constexpr double kCpuFlat = 1e-4;
 
-/// Evaluates the plan-node condition args on one document via surface
-/// text only (regex field extraction for numeric conditions, stemmed
-/// keyword matching for semantic phrases).
-bool SurfaceConditionMatch(const corpus::Document& doc, const OpArgs& args);
+/// Pre-programmed attribute extraction from surface text. nullopt when the
+/// pattern is absent.
+std::optional<double> RegexExtractValue(const corpus::Document& doc,
+                                        const std::string& attribute);
+
+/// Reads one numeric attribute per document. A known attribute comes from
+/// the column NumericStats extracted at Setup; any other attribute, and
+/// every attribute when `stats` is null, is extracted from the text with
+/// RegexExtractValue. Either way Read(id) returns the same value, and an
+/// id outside the corpus throws std::out_of_range like Corpus::doc.
+class AttributeReader {
+ public:
+  AttributeReader(const corpus::Corpus* corpus, const NumericStats* stats,
+                  std::string attribute);
+  AttributeReader(const ExecContext& ctx, std::string attribute)
+      : AttributeReader(ctx.corpus, ctx.numeric_stats, std::move(attribute)) {}
+
+  std::optional<double> Read(uint64_t id) const {
+    if (column_ != nullptr) return column_->at(id);
+    return RegexExtractValue(corpus_->doc(id), attribute_);
+  }
+
+ private:
+  const corpus::Corpus* corpus_;
+  std::string attribute_;
+  const AttributeColumn* column_;
+};
+
+/// The comparison of a numeric condition (args cmp/value[/value2]). A
+/// missing or malformed number reads as 0 and a missing cmp as "gt".
+struct NumericComparison {
+  enum class Cmp { kGt, kGe, kLt, kLe, kEq, kBetween, kUnknown };
+  Cmp cmp = Cmp::kGt;
+  int64_t value = 0;
+  int64_t value2 = 0;
+
+  static NumericComparison Parse(const OpArgs& args);
+  /// False for an unknown cmp.
+  bool Holds(int64_t v) const;
+};
+
+/// A plan-node condition, parsed once per operator call and evaluated per
+/// document on surface signals only: a numeric condition compares the
+/// attribute's value (via AttributeReader), any other condition matches
+/// its phrase's stemmed keywords against the document text.
+class SurfaceCondition {
+ public:
+  SurfaceCondition(const corpus::Corpus* corpus, const NumericStats* stats,
+                   const OpArgs& args);
+  SurfaceCondition(const ExecContext& ctx, const OpArgs& args)
+      : SurfaceCondition(ctx.corpus, ctx.numeric_stats, args) {}
+
+  bool Matches(uint64_t id) const;
+
+ private:
+  const corpus::Corpus* corpus_;
+  /// Set for a numeric condition that names an attribute.
+  std::optional<AttributeReader> attribute_;
+  NumericComparison comparison_;
+  /// Set for a non-numeric condition.
+  std::optional<text::KeywordMatcher> keywords_;
+};
 
 /// LLM-evaluates the condition on `docs`, batched; returns the kept ids
 /// and accumulates cost into `stats`.
@@ -38,11 +98,6 @@ StatusOr<std::vector<std::string>> LlmClassifyDocs(const DocList& docs,
                                                    const std::string& by,
                                                    ExecContext& ctx,
                                                    OpStats& stats);
-
-/// Pre-programmed attribute extraction from surface text. nullopt when the
-/// pattern is absent.
-std::optional<double> RegexExtractValue(const corpus::Document& doc,
-                                        const std::string& attribute);
 
 /// LLM attribute extraction (batched); one value per doc.
 StatusOr<std::vector<double>> LlmExtractValues(const DocList& docs,

@@ -2,21 +2,23 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
 #include "core/operators/physical_common.h"
 #include "nlq/ast.h"
 
 namespace unify::core {
 
 void NumericStats::Build(const corpus::Corpus& corpus) {
+  columns_.clear();
   histograms_.clear();
   total_ = corpus.size();
   for (const auto& attr : nlq::KnownAttributes()) {
+    AttributeColumn& column = columns_[attr];
+    column.reserve(corpus.size());
     std::vector<double> values;
     values.reserve(corpus.size());
     for (const auto& doc : corpus.docs()) {
-      auto v = internal::RegexExtractValue(doc, attr);
-      if (v.has_value()) values.push_back(*v);
+      column.push_back(internal::RegexExtractValue(doc, attr));
+      if (column.back().has_value()) values.push_back(*column.back());
     }
     if (values.empty()) continue;
     std::sort(values.begin(), values.end());
@@ -62,29 +64,35 @@ double NumericStats::EstimateCardinality(const OpArgs& args) const {
   if (hist_it == histograms_.end()) return -1;
   const Histogram& hist = hist_it->second;
 
-  auto get = [&](const char* key) -> double {
-    auto it = args.find(key);
-    if (it == args.end()) return 0;
-    return static_cast<double>(ParseInt64(it->second).value_or(0));
-  };
-  double value = get("value");
-  double value2 = get("value2");
-  auto cmp_it = args.find("cmp");
-  const std::string cmp = cmp_it == args.end() ? "gt" : cmp_it->second;
+  using Cmp = internal::NumericComparison::Cmp;
+  const auto comparison = internal::NumericComparison::Parse(args);
+  double value = static_cast<double>(comparison.value);
+  double value2 = static_cast<double>(comparison.value2);
   double n = static_cast<double>(hist.n);
-  if (cmp == "gt") return n - hist.CumulativeAtMost(value);
-  if (cmp == "ge") return n - hist.CumulativeAtMost(value - 1);
-  if (cmp == "lt") return hist.CumulativeAtMost(value - 1);
-  if (cmp == "le") return hist.CumulativeAtMost(value);
-  if (cmp == "eq") {
-    return std::max(0.0, hist.CumulativeAtMost(value) -
-                             hist.CumulativeAtMost(value - 1));
-  }
-  if (cmp == "between") {
-    return std::max(0.0, hist.CumulativeAtMost(value2) -
-                             hist.CumulativeAtMost(value - 1));
+  switch (comparison.cmp) {
+    case Cmp::kGt:
+      return n - hist.CumulativeAtMost(value);
+    case Cmp::kGe:
+      return n - hist.CumulativeAtMost(value - 1);
+    case Cmp::kLt:
+      return hist.CumulativeAtMost(value - 1);
+    case Cmp::kLe:
+      return hist.CumulativeAtMost(value);
+    case Cmp::kEq:
+      return std::max(0.0, hist.CumulativeAtMost(value) -
+                               hist.CumulativeAtMost(value - 1));
+    case Cmp::kBetween:
+      return std::max(0.0, hist.CumulativeAtMost(value2) -
+                               hist.CumulativeAtMost(value - 1));
+    case Cmp::kUnknown:
+      break;
   }
   return -1;
+}
+
+const AttributeColumn* NumericStats::Column(const std::string& attr) const {
+  auto it = columns_.find(attr);
+  return it == columns_.end() ? nullptr : &it->second;
 }
 
 size_t NumericStats::ValueCount(const std::string& attr) const {

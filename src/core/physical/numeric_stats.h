@@ -2,6 +2,7 @@
 #define UNIFY_CORE_PHYSICAL_NUMERIC_STATS_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,14 +11,21 @@
 
 namespace unify::core {
 
-/// Equi-depth histograms over the numeric attributes that pre-programmed
-/// extraction can pull out of document text.
+/// One attribute's surface-extracted value per document, indexed by
+/// document id; nullopt where the text carries no value.
+using AttributeColumn = std::vector<std::optional<double>>;
+
+/// The numeric attributes that pre-programmed extraction can pull out of
+/// document text: their per-document values and equi-depth histograms.
 ///
 /// The paper notes that classical histograms are infeasible for *semantic*
 /// predicates over unstructured data (Section VI-B) — but once an
 /// attribute is surface-extractable ("It has been viewed 523 times."), the
-/// familiar machinery applies. Built once during preprocessing, these give
-/// numeric filter selectivities without any sampling at planning time.
+/// familiar machinery applies. Built once during preprocessing, the
+/// histograms give numeric filter selectivities without any sampling at
+/// planning time, and the columns let the pre-programmed operators
+/// (ExactFilter, PreAggregate, RegexExtract, NumericSort/TopK, HashJoin on
+/// an attribute) read a value instead of re-scanning the prose per query.
 class NumericStats {
  public:
   /// Number of equi-depth buckets per attribute.
@@ -26,8 +34,14 @@ class NumericStats {
   NumericStats() = default;
 
   /// Extracts every known attribute from every document (pre-programmed,
-  /// no LLM) and builds the histograms.
+  /// no LLM), keeps the values as one column per attribute and builds the
+  /// histograms.
   void Build(const corpus::Corpus& corpus);
+
+  /// The values Build extracted for `attr`: entry i is exactly
+  /// internal::RegexExtractValue(document i, attr). nullptr when `attr` is
+  /// not an nlq::KnownAttributes() entry or Build was not called.
+  const AttributeColumn* Column(const std::string& attr) const;
 
   /// Estimated number of documents satisfying the numeric condition in
   /// `args` (attribute/cmp/value[/value2]). Returns < 0 when the attribute
@@ -53,6 +67,7 @@ class NumericStats {
     double CumulativeAtMost(double x) const;
   };
 
+  std::map<std::string, AttributeColumn> columns_;
   std::map<std::string, Histogram> histograms_;
   size_t total_ = 0;
 };

@@ -42,6 +42,17 @@ std::string PhraseOf(const OpArgs& condition) {
   return it == condition.end() ? "" : it->second;
 }
 
+/// The latent field behind a known numeric attribute; nullptr for any
+/// other attribute (whose latent value reads as 0).
+int64_t corpus::DocAttrs::*LatentField(const std::string& attr) {
+  if (attr == "views") return &corpus::DocAttrs::views;
+  if (attr == "score") return &corpus::DocAttrs::score;
+  if (attr == "answers") return &corpus::DocAttrs::answers;
+  if (attr == "comments") return &corpus::DocAttrs::comments;
+  if (attr == "words") return &corpus::DocAttrs::words;
+  return nullptr;
+}
+
 }  // namespace
 
 const char* SceMethodName(SceMethod method) {
@@ -90,6 +101,10 @@ void CardinalityEstimator::LearnImportanceFunction(
   for (const auto& hp : history) {
     std::vector<uint32_t> ranked = RankByDistance(hp.phrase);
     if (ranked.empty()) continue;
+    // Results of already-executed historical queries are known; an
+    // unknown phrase matched nothing.
+    const std::optional<corpus::SemanticPredicate> pred =
+        kb.Resolve(hp.phrase);
     size_t per_bucket = std::max<size_t>(1, ranked.size() / buckets);
     for (int b = 0; b < buckets; ++b) {
       size_t begin = b * per_bucket;
@@ -98,9 +113,10 @@ void CardinalityEstimator::LearnImportanceFunction(
                                                  begin + per_bucket);
       if (begin >= end) continue;
       size_t hit = 0;
-      for (size_t r = begin; r < end; ++r) {
-        // Results of already-executed historical queries are known.
-        if (kb.Matches(hp.phrase, corpus_->doc(ranked[r]).attrs)) ++hit;
+      if (pred.has_value()) {
+        for (size_t r = begin; r < end; ++r) {
+          if (pred->Matches(corpus_->doc(ranked[r]).attrs)) ++hit;
+        }
       }
       rates[b] += static_cast<double>(hit) / static_cast<double>(end - begin);
     }
@@ -154,39 +170,22 @@ StatusOr<std::vector<bool>> CardinalityEstimator::EvalTheta(
 
 double CardinalityEstimator::TrueCardinality(const OpArgs& condition) const {
   size_t n = 0;
-  const auto& kb = corpus_->knowledge();
-  for (const auto& doc : corpus_->docs()) {
-    if (IsNumericCondition(condition)) {
-      // Latent numeric truth.
-      auto get = [&](const char* key) -> int64_t {
-        auto it = condition.find(key);
-        return it == condition.end()
-                   ? 0
-                   : ParseInt64(it->second).value_or(0);
-      };
-      const std::string attr =
-          condition.count("attribute") ? condition.at("attribute") : "";
-      int64_t v = 0;
-      if (attr == "views") v = doc.attrs.views;
-      else if (attr == "score") v = doc.attrs.score;
-      else if (attr == "answers") v = doc.attrs.answers;
-      else if (attr == "comments") v = doc.attrs.comments;
-      else if (attr == "words") v = doc.attrs.words;
-      const std::string cmp =
-          condition.count("cmp") ? condition.at("cmp") : "gt";
-      int64_t value = get("value");
-      int64_t value2 = get("value2");
-      bool match = false;
-      if (cmp == "gt") match = v > value;
-      else if (cmp == "ge") match = v >= value;
-      else if (cmp == "lt") match = v < value;
-      else if (cmp == "le") match = v <= value;
-      else if (cmp == "eq") match = v == value;
-      else if (cmp == "between") match = v >= value && v <= value2;
-      if (match) ++n;
-    } else if (kb.Matches(PhraseOf(condition), doc.attrs)) {
-      ++n;
+  if (IsNumericCondition(condition)) {
+    // Latent numeric truth.
+    auto it = condition.find("attribute");
+    int64_t corpus::DocAttrs::*field =
+        LatentField(it == condition.end() ? "" : it->second);
+    const auto comparison = internal::NumericComparison::Parse(condition);
+    for (const auto& doc : corpus_->docs()) {
+      if (comparison.Holds(field == nullptr ? 0 : doc.attrs.*field)) ++n;
     }
+    return static_cast<double>(n);
+  }
+  const std::optional<corpus::SemanticPredicate> pred =
+      corpus_->knowledge().Resolve(PhraseOf(condition));
+  if (!pred.has_value()) return 0;
+  for (const auto& doc : corpus_->docs()) {
+    if (pred->Matches(doc.attrs)) ++n;
   }
   return static_cast<double>(n);
 }
@@ -250,9 +249,11 @@ StatusOr<SceEstimate> CardinalityEstimator::EstimateImpl(
     size_t sample = std::min<size_t>(
         N, static_cast<size_t>(options_.numeric_sample));
     auto picks = rng.SampleWithoutReplacement(N, sample);
+    const internal::SurfaceCondition surface(corpus_, numeric_stats_,
+                                             condition);
     size_t hit = 0;
     for (size_t i : picks) {
-      if (internal::SurfaceConditionMatch(corpus_->doc(i), condition)) ++hit;
+      if (surface.Matches(i)) ++hit;
     }
     est.cardinality = static_cast<double>(N) * static_cast<double>(hit) /
                       static_cast<double>(sample);

@@ -41,13 +41,14 @@ FlightRecorder::FlightRecorder(Options options)
 }
 
 uint64_t FlightRecorder::Record(ServeEvent event) {
-  const double wall =
+  // The clock is read under the lock, so wall_seconds never decreases
+  // along seq even when recorders race.
+  std::lock_guard<std::mutex> lock(mu_);
+  event.seq = next_seq_++;
+  event.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     epoch_)
           .count();
-  std::lock_guard<std::mutex> lock(mu_);
-  event.seq = next_seq_++;
-  event.wall_seconds = wall;
   const uint64_t seq = event.seq;
   if (ring_.size() < options_.capacity) {
     ring_.push_back(std::move(event));

@@ -167,6 +167,7 @@ void QueryPipeline::ExecutePlan() {
   ExecContext ectx;
   ectx.corpus = system_.corpus_;
   ectx.llm = system_.traced_llm_.get();
+  ectx.numeric_stats = &system_.numeric_stats_;
   ectx.doc_embedder = system_.doc_embedder_.get();
   ectx.doc_index = system_.doc_index_.get();
   ectx.custom_ops = system_.options_.custom_ops;

@@ -109,6 +109,7 @@ Status UnifySystem::CalibrateCostModel() {
   ExecContext ctx;
   ctx.corpus = corpus_;
   ctx.llm = traced_llm_.get();
+  ctx.numeric_stats = &numeric_stats_;
   ctx.doc_embedder = doc_embedder_.get();
   ctx.doc_index = doc_index_.get();
   ctx.llm_batch_size = options_.llm_batch_size;

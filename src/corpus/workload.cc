@@ -477,8 +477,8 @@ std::vector<HistoricalPredicate> GenerateHistoricalPredicates(
     hp.condition = Condition::Semantic(phrase);
     hp.phrase = phrase;
     size_t n = 0;
-    for (const auto& d : corpus.docs()) {
-      if (kb.Matches(phrase, d.attrs)) ++n;
+    if (const auto pred = kb.Resolve(phrase)) {
+      for (const auto& d : corpus.docs()) n += pred->Matches(d.attrs);
     }
     hp.selectivity = static_cast<double>(n) /
                      static_cast<double>(std::max<size_t>(1, corpus.size()));

@@ -1,6 +1,7 @@
 #include "text/field_extractor.h"
 
 #include <cctype>
+#include <limits>
 
 #include "common/string_util.h"
 #include "text/tokenizer.h"
@@ -30,20 +31,35 @@ std::optional<size_t> FindIgnoreCase(std::string_view haystack,
   return std::nullopt;
 }
 
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+// Length of the run of digits starting at `pos`.
+size_t DigitRunLength(std::string_view s, size_t pos) {
+  size_t end = pos;
+  while (end < s.size() && IsDigit(s[end])) ++end;
+  return end - pos;
+}
+
+// The value of a run of decimal digits; nullopt when it does not fit in
+// int64_t (a run that long is not a number any pattern refers to).
+std::optional<int64_t> ParseDigitRun(std::string_view digits) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t v = 0;
+  for (char c : digits) {
+    int64_t d = c - '0';
+    if (v > (kMax - d) / 10) return std::nullopt;
+    v = v * 10 + d;
+  }
+  return v;
+}
+
 // Parses the first integer at or after position `pos`, within `max_gap`
 // characters.
 std::optional<int64_t> IntNear(std::string_view s, size_t pos,
                                size_t max_gap) {
   size_t limit = std::min(s.size(), pos + max_gap);
   for (size_t i = pos; i < limit; ++i) {
-    if (std::isdigit(static_cast<unsigned char>(s[i]))) {
-      int64_t v = 0;
-      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-        v = v * 10 + (s[i] - '0');
-        ++i;
-      }
-      return v;
-    }
+    if (IsDigit(s[i])) return ParseDigitRun(s.substr(i, DigitRunLength(s, i)));
   }
   return std::nullopt;
 }
@@ -53,16 +69,14 @@ std::optional<int64_t> IntNear(std::string_view s, size_t pos,
 std::optional<int64_t> IntBefore(std::string_view s, size_t pos) {
   size_t i = pos;
   size_t gap = 0;
-  while (i > 0 && !std::isdigit(static_cast<unsigned char>(s[i - 1]))) {
+  while (i > 0 && !IsDigit(s[i - 1])) {
     --i;
     if (++gap > 3) return std::nullopt;
   }
   if (i == 0) return std::nullopt;
   size_t end = i;
-  while (i > 0 && std::isdigit(static_cast<unsigned char>(s[i - 1]))) --i;
-  int64_t v = 0;
-  for (size_t j = i; j < end; ++j) v = v * 10 + (s[j] - '0');
-  return v;
+  while (i > 0 && IsDigit(s[i - 1])) --i;
+  return ParseDigitRun(s.substr(i, end - i));
 }
 
 }  // namespace
@@ -118,14 +132,10 @@ std::vector<int64_t> FieldExtractor::AllIntegers(std::string_view doc_text) {
   std::vector<int64_t> out;
   size_t i = 0;
   while (i < doc_text.size()) {
-    if (std::isdigit(static_cast<unsigned char>(doc_text[i]))) {
-      int64_t v = 0;
-      while (i < doc_text.size() &&
-             std::isdigit(static_cast<unsigned char>(doc_text[i]))) {
-        v = v * 10 + (doc_text[i] - '0');
-        ++i;
-      }
-      out.push_back(v);
+    if (IsDigit(doc_text[i])) {
+      size_t len = DigitRunLength(doc_text, i);
+      if (auto v = ParseDigitRun(doc_text.substr(i, len))) out.push_back(*v);
+      i += len;
     } else {
       ++i;
     }

@@ -22,6 +22,7 @@ class FieldExtractor {
   /// e.g. "views":
   ///   "<field>: <number>", "<number> <field>", "viewed <number> times",
   ///   "<field> of <number>".
+  /// A digit run too long for int64_t is not a number: it never matches.
   static std::optional<int64_t> ExtractInt(std::string_view doc_text,
                                            std::string_view field);
 
@@ -29,7 +30,8 @@ class FieldExtractor {
   static std::optional<std::string> ExtractPhrase(std::string_view doc_text,
                                                   std::string_view field);
 
-  /// All integers appearing in the text, in order.
+  /// All integers appearing in the text, in order; digit runs too long for
+  /// int64_t are skipped.
   static std::vector<int64_t> AllIntegers(std::string_view doc_text);
 };
 

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "text/field_extractor.h"
@@ -127,6 +129,39 @@ TEST(FieldExtractorTest, FullGeneratedDocShape) {
 TEST(FieldExtractorTest, AllIntegers) {
   auto ints = FieldExtractor::AllIntegers("a1b22c333");
   std::vector<int64_t> expected = {1, 22, 333};
+  EXPECT_EQ(ints, expected);
+}
+
+// A digit run that does not fit in int64_t is not a number: extraction
+// treats it as absent instead of overflowing.
+TEST(FieldExtractorTest, OverlongNumberAfterLabelIsNotANumber) {
+  EXPECT_FALSE(FieldExtractor::ExtractInt("Score: 99999999999999999999.",
+                                          "score")
+                   .has_value());
+  EXPECT_FALSE(FieldExtractor::ExtractInt(
+                   "It has been viewed 9223372036854775808 times.", "views")
+                   .has_value());
+  EXPECT_EQ(FieldExtractor::ExtractInt(
+                "It has been viewed 9223372036854775807 times.", "views"),
+            std::numeric_limits<int64_t>::max());
+}
+
+TEST(FieldExtractorTest, OverlongNumberBeforeLabelIsNotANumber) {
+  EXPECT_FALSE(
+      FieldExtractor::ExtractInt("The post contains 123456789012345678901 "
+                                 "words.",
+                                 "words")
+          .has_value());
+  EXPECT_EQ(FieldExtractor::ExtractInt("The post contains 000000000000000000"
+                                       "00000220 words.",
+                                       "words"),
+            220);
+}
+
+TEST(FieldExtractorTest, AllIntegersSkipsOverlongRuns) {
+  auto ints = FieldExtractor::AllIntegers(
+      "a1b99999999999999999999c3 9223372036854775807 9223372036854775808");
+  std::vector<int64_t> expected = {1, 3, std::numeric_limits<int64_t>::max()};
   EXPECT_EQ(ints, expected);
 }
 

@@ -1,8 +1,9 @@
 // Mid-query re-optimization benchmark (docs/replanning.md): the same
 // calibrated workload runs twice over one sports corpus — "static" with
-// `exec.reoptimize` off (the seed pipeline) and "adaptive" with it on —
-// under a seeded 12x cardinality over-estimator (`card_est_scale`), the
-// misestimation regime adaptive replanning exists for.
+// `exec.max_reoptimizations = 0` (the trigger disarmed) and "adaptive"
+// with a budget of 2 — under a seeded 12x cardinality over-estimator
+// (`card_est_scale`), the misestimation regime adaptive replanning exists
+// for.
 //
 // The workload is two-sided set-count queries (|A ∩ B|) plus chained
 // two-filter counts. The set-count shape is where adoption pays off:
@@ -101,14 +102,14 @@ struct ConfigResult {
 /// off, so the only difference is whether the executor may pause and
 /// re-lower at materialization barriers.
 ConfigResult RunConfig(BenchDataset& ds, const std::string& name,
-                       bool reoptimize) {
+                       int max_reoptimizations) {
   core::UnifyOptions opts;
   opts.exec.threads = 4;
   opts.card_est_scale = kCardEstScale;
   // Plan choice must not depend on earlier queries' measured costs, or
   // the second configuration would inherit calibration the first earned.
   opts.cost_feedback = false;
-  opts.exec.reoptimize = reoptimize;
+  opts.exec.max_reoptimizations = max_reoptimizations;
   core::UnifySystem system(ds.corpus.get(), ds.llm.get(), opts);
   if (auto st = system.Setup(); !st.ok()) {
     std::printf("setup failed: %s\n", st.ToString().c_str());
@@ -152,8 +153,8 @@ int Run(bool smoke) {
               ds.name.c_str(), ds.corpus->size(), std::size(kQueries),
               kCardEstScale);
 
-  ConfigResult stat = RunConfig(ds, "static", /*reoptimize=*/false);
-  ConfigResult adpt = RunConfig(ds, "adaptive", /*reoptimize=*/true);
+  ConfigResult stat = RunConfig(ds, "static", /*max_reoptimizations=*/0);
+  ConfigResult adpt = RunConfig(ds, "adaptive", /*max_reoptimizations=*/2);
 
   std::printf("%-10s %5s %4s %10s %12s %11s %9s\n", "config", "req", "ok",
               "exec_$", "exec_sec", "considered", "adopted");

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   // Mid-query re-optimization (docs/replanning.md): pause at badly
   // mis-estimated materialization points and re-lower the remaining plan
   // with the measured cardinalities (\replan shows what each query did).
-  opts.exec.reoptimize = true;
+  opts.exec.max_reoptimizations = 2;
   core::UnifySystem system(&docs, &llm, opts);
   if (auto st = system.Setup(); !st.ok()) {
     std::printf("setup failed: %s\n", st.ToString().c_str());
@@ -270,7 +270,8 @@ int main(int argc, char** argv) {
       }
       if (last_result->replans.empty()) {
         std::printf("  no mid-query re-optimizations for the last query "
-                    "(enable with exec.reoptimize; docs/replanning.md)\n");
+                    "(no materialization point missed its estimate by the "
+                    "q-error threshold; docs/replanning.md)\n");
       }
       for (size_t i = 0; i < last_result->replans.size(); ++i) {
         const auto& rec = last_result->replans[i];

@@ -80,8 +80,8 @@ inline constexpr char kMetricLlmSeconds[] = "llm.seconds";
 inline constexpr char kMetricLlmDollars[] = "llm.dollars";
 /// Histogram: virtual seconds of individual LLM calls.
 inline constexpr char kMetricLlmCallSeconds[] = "llm.call_seconds";
-// Per-document memoization (SharedLlmCache in llm/shared_cache.h, and the
-// legacy CachingLlmClient decorator; catalog in docs/caching.md).
+// Per-document memoization (SharedLlmCache in llm/shared_cache.h; catalog
+// in docs/caching.md).
 inline constexpr char kMetricLlmCacheHits[] = "llm.cache.item_hits";
 inline constexpr char kMetricLlmCacheMisses[] = "llm.cache.item_misses";
 /// Counter: items that followed a concurrent identical call's leader

@@ -3,66 +3,69 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-
-#include <mutex>
 #include <optional>
 
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "common/telemetry_names.h"
+#include "common/thread_pool.h"
 #include "core/operators/custom_ops.h"
 #include "core/operators/physical_operator.h"
-#include "exec/dag_runner.h"
-#include "exec/schedule.h"
 
 namespace unify::core {
 
 void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
                          Trace* trace, SpanId parent) {
+  const size_t n = plan.nodes.size();
   state.plan = plan;
   state.trace = trace;
   state.exec_span =
       std::make_unique<ScopedSpan>(trace, telemetry::kSpanExecute, parent);
-  node_stats_.assign(plan.nodes.size(), OpStats{});
-  node_executions_.assign(plan.nodes.size(), NodeExecution{});
+  node_stats_.assign(n, OpStats{});
+  node_executions_.assign(n, NodeExecution{});
   fallback_execution_.reset();
   fallback_stats_ = OpStats{};
-  state.node_spans.assign(plan.nodes.size(), kNoSpan);
-  state.node_partitions.assign(plan.nodes.size(), {});
-  state.done.assign(plan.nodes.size(), false);
-  state.replan_checked.assign(plan.nodes.size(), false);
-  state.shared = options_.shared_pool != nullptr;
-  state.base = state.shared ? options_.start_seconds : 0.0;
-  if (!state.shared) {
+  state.node_spans.assign(n, kNoSpan);
+  state.node_partitions.assign(n, {});
+  state.done.assign(n, false);
+  if (options_.shared_pool != nullptr) {
+    state.pool = options_.shared_pool;
+    state.base = options_.start_seconds;
+  } else {
     state.local_pool = std::make_unique<exec::VirtualLlmPool>(
         std::max(1, options_.num_servers));
+    state.pool = state.local_pool.get();
   }
-  state.pool = state.shared ? options_.shared_pool : state.local_pool.get();
-  state.sched_start.assign(plan.nodes.size(), state.base);
-  state.sched_finish.assign(plan.nodes.size(), state.base);
+  state.sched_start.assign(n, state.base);
+  state.sched_finish.assign(n, state.base);
   state.makespan = state.base;
   state.seq_clock = state.base;
   state.resume_floor = state.base;
+
+  // A cycle is rejected before any node runs (and pays for LLM calls).
+  auto order = plan.dag.TopologicalOrder();
+  if (!order.ok()) {
+    state.run_status = order.status();
+    return;
+  }
+  if (!options_.parallel) {
+    // The whole topological order, walked front to back.
+    for (int u : *order) state.frontier.push_back({state.base, u});
+    return;
+  }
+  state.pending_parents.assign(n, 0);
+  for (size_t u = 0; u < n; ++u) {
+    state.pending_parents[u] =
+        static_cast<int>(plan.dag.parents(static_cast<int>(u)).size());
+    if (state.pending_parents[u] == 0) {
+      state.frontier.push_back({state.base, static_cast<int>(u)});
+    }
+  }
 }
 
 Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   const PhysicalNode& node = state.plan.nodes[u];
   Trace* trace = state.trace;
-  // DAG workers don't inherit the query's thread-local metrics sink or
-  // retry budget, so install both for the duration of the node.
-  std::optional<MetricsRegistry::ScopedSink> sink_scope;
-  if (options_.metrics_sink != nullptr) {
-    sink_scope.emplace(options_.metrics_sink);
-  }
-  std::optional<llm::RetryBudget::ScopedUse> budget_scope;
-  if (options_.retry_budget != nullptr) {
-    budget_scope.emplace(options_.retry_budget);
-  }
-  std::optional<llm::SharedCacheLlmClient::ScopedUse> cache_scope;
-  if (options_.use_llm_cache.has_value()) {
-    cache_scope.emplace(*options_.use_llm_cache);
-  }
-  // Slot u is written only by the worker running node u.
   NodeExecution& record = node_executions_[u];
   ScopedSpan node_span(trace, telemetry::kSpanExecNode,
                        state.exec_span->id());
@@ -74,17 +77,14 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     node_span.AddAttr("output_var", node.logical.output_var);
   }
   std::vector<Value> inputs;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    for (const auto& in : node.logical.input_vars) {
-      if (in.empty()) continue;
-      auto it = state.vars.find(in);
-      if (it == state.vars.end()) {
-        return Status::FailedPrecondition("missing input variable " + in +
-                                          " for " + node.logical.op_name);
-      }
-      inputs.push_back(it->second);
+  for (const auto& in : node.logical.input_vars) {
+    if (in.empty()) continue;
+    auto it = state.vars.find(in);
+    if (it == state.vars.end()) {
+      return Status::FailedPrecondition("missing input variable " + in +
+                                        " for " + node.logical.op_name);
     }
+    inputs.push_back(it->second);
   }
   for (const Value& in : inputs) {
     record.actual_in_card =
@@ -201,10 +201,7 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   // the expected result, retry with alternative physical
   // implementations instead of restarting the whole plan.
   if (!output.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      state.adjusted = true;
-    }
+    state.adjusted = true;
     node_span.AddAttr("adjusted", true);
     record.adjusted = true;
     MetricAddCounter(telemetry::kMetricExecAdjustments);
@@ -230,7 +227,6 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     }
   }
 
-  std::lock_guard<std::mutex> lock(state.mu);
   if (!output.ok()) {
     node_span.AddAttr("status", output.status().ToString());
     return output.status();
@@ -254,22 +250,17 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   return Status::OK();
 }
 
-double PlanExecutor::ScheduleNode(ExecutionState& state, int u,
+double PlanExecutor::ScheduleNode(ExecutionState& state,
+                                  const OpStats& stats,
+                                  const std::vector<double>& partitions,
                                   double ready) {
-  const OpStats& stats = node_stats_[u];
-  const std::vector<double>& parts = state.node_partitions[u];
-  double finish;
-  if (options_.max_intra_op_parallelism > 1 && parts.size() > 1) {
-    finish = state.pool->ScheduleParallelStream(
-        ready + stats.cpu_seconds, parts, options_.max_intra_op_parallelism);
-  } else {
-    finish = state.pool->ScheduleStream(ready + stats.cpu_seconds,
-                                        stats.llm_seconds);
+  if (options_.max_intra_op_parallelism > 1 && partitions.size() > 1) {
+    return state.pool->ScheduleParallelStream(
+        ready + stats.cpu_seconds, partitions,
+        options_.max_intra_op_parallelism);
   }
-  state.sched_start[u] = ready;
-  state.sched_finish[u] = finish;
-  state.makespan = std::max(state.makespan, finish);
-  return finish;
+  return state.pool->ScheduleStream(ready + stats.cpu_seconds,
+                                    stats.llm_seconds);
 }
 
 void PlanExecutor::AdvanceFrontier(ExecutionState& state, int u) {
@@ -285,37 +276,12 @@ void PlanExecutor::AdvanceFrontier(ExecutionState& state, int u) {
 }
 
 std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
-  if (!state.run_status.ok()) return std::nullopt;
-  state.incremental = true;
-  state.sched_ok = true;
   const bool sequential = !options_.parallel;
   const size_t n = state.plan.nodes.size();
-  if (!state.engine_started) {
-    state.engine_started = true;
-    if (sequential) {
-      // The whole topological order, walked front to back.
-      auto order = state.plan.dag.TopologicalOrder();
-      if (!order.ok()) {
-        state.run_status = order.status();
-        return std::nullopt;
-      }
-      for (int u : *order) state.frontier.push_back({state.base, u});
-    } else {
-      state.pending_parents.assign(n, 0);
-      for (size_t u = 0; u < n; ++u) {
-        state.pending_parents[u] =
-            static_cast<int>(state.plan.dag.parents(static_cast<int>(u))
-                                 .size());
-        if (state.pending_parents[u] == 0) {
-          state.frontier.push_back({state.base, static_cast<int>(u)});
-        }
-      }
-    }
-  }
-  while (true) {
-    // Pick the next node the batch list scheduler would dispatch:
-    // sequential mode walks the topological order; parallel mode takes
-    // the earliest-ready frontier entry (ties to the lower node index).
+  while (state.run_status.ok()) {
+    // Pick the next node the list scheduler would dispatch: sequential
+    // mode walks the topological order; parallel mode takes the
+    // earliest-ready frontier entry (ties to the lower node index).
     int u = -1;
     double ready = 0;
     if (sequential) {
@@ -341,65 +307,55 @@ std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
                              static_cast<long>(best));
       }
     }
-    if (u < 0) {
-      size_t executed = 0;
-      for (bool d : state.done) executed += d ? 1 : 0;
-      if (executed != n) {
-        state.run_status =
-            Status::FailedPrecondition("cycle detected in plan DAG");
-      }
-      return std::nullopt;
-    }
+    // Begin() checked the DAG is acyclic, so an empty frontier means
+    // every node ran.
+    if (u < 0) return std::nullopt;
 
-    Status st = RunNode(state, u);
-    if (!st.ok()) {
-      state.run_status = st;
-      return std::nullopt;
-    }
-    const double finish = ScheduleNode(state, u, ready);
+    state.run_status = RunNode(state, u);
+    if (!state.run_status.ok()) return std::nullopt;
+    const double finish =
+        ScheduleNode(state, node_stats_[u], state.node_partitions[u], ready);
+    state.sched_start[u] = ready;
+    state.sched_finish[u] = finish;
+    state.makespan = std::max(state.makespan, finish);
     if (sequential) {
       state.seq_clock = finish;
     } else {
       AdvanceFrontier(state, u);
     }
 
-    // Materialization-point trigger: pause when the node's observed
-    // cardinality diverges from the optimizer's estimate and un-executed
-    // nodes remain that a replan could still improve.
-    if (options_.reoptimize && !state.replan_checked[u]) {
-      state.replan_checked[u] = true;
-      const PhysicalNode& node = state.plan.nodes[u];
-      size_t remaining = 0;
-      for (bool d : state.done) remaining += d ? 0 : 1;
-      if (remaining > 0 &&
-          state.replan_yields < options_.max_reoptimizations &&
-          !node.logical.output_var.empty()) {
-        const double qerr = QError(node.est_out_card,
-                                   node_executions_[u].actual_out_card);
-        if (qerr >= options_.reoptimize_qerror_threshold) {
-          ++state.replan_yields;
-          ReplanRequest req;
-          req.node = u;
-          req.output_var = node.logical.output_var;
-          req.observed_card = node_executions_[u].actual_out_card;
-          req.estimated_card = node.est_out_card;
-          req.qerror = qerr;
-          req.elapsed_seconds = finish;
-          req.executed = state.done;
-          for (size_t i = 0; i < n; ++i) {
-            if (!state.done[i]) continue;
-            const std::string& var =
-                state.plan.nodes[i].logical.output_var;
-            if (!var.empty()) {
-              req.observed_cards[var] =
-                  node_executions_[i].actual_out_card;
-            }
-          }
-          return req;
-        }
+    // Materialization-point trigger: while the re-optimization budget
+    // lasts, pause when the node's observed cardinality diverges from the
+    // optimizer's estimate and un-executed nodes remain that a replan
+    // could still improve.
+    const PhysicalNode& node = state.plan.nodes[u];
+    const double observed = node_executions_[u].actual_out_card;
+    if (state.replan_yields >= options_.max_reoptimizations ||
+        node.logical.output_var.empty() ||
+        std::count(state.done.begin(), state.done.end(), true) ==
+            static_cast<std::ptrdiff_t>(n)) {
+      continue;
+    }
+    const double qerr = QError(node.est_out_card, observed);
+    if (qerr < options_.reoptimize_qerror_threshold) continue;
+    ++state.replan_yields;
+    ReplanRequest req;
+    req.node = u;
+    req.output_var = node.logical.output_var;
+    req.observed_card = observed;
+    req.estimated_card = node.est_out_card;
+    req.qerror = qerr;
+    req.elapsed_seconds = finish;
+    req.executed = state.done;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string& var = state.plan.nodes[i].logical.output_var;
+      if (state.done[i] && !var.empty()) {
+        req.observed_cards[var] = node_executions_[i].actual_out_card;
       }
     }
+    return req;
   }
+  return std::nullopt;
 }
 
 void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
@@ -462,69 +418,64 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   result.llm_dollars_total += state.replan_dollars;
   result.llm_calls += state.replan_calls;
 
-  if (state.sched_ok) {
-    // Report times relative to the query's own ready time, so standalone
-    // and served queries read the same way; contention shows up as a
-    // longer makespan and per-node queue waits.
-    result.virtual_seconds = state.makespan - state.base;
-    // Annotate each node span with its virtual interval on the server
-    // pool, plus the time it spent waiting for a free server.
-    for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-      const double busy =
-          node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
-      const double queue_wait = std::max(
-          0.0, state.sched_finish[i] - state.sched_start[i] - busy);
-      MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
-      node_executions_[i].virt_start = state.sched_start[i] - state.base;
-      node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
-      node_executions_[i].queue_wait_seconds = queue_wait;
-      if (trace != nullptr && state.node_spans[i] != kNoSpan) {
-        trace->SetVirtualInterval(state.node_spans[i],
-                                  state.sched_start[i] - state.base,
-                                  state.sched_finish[i] - state.base);
-        trace->AddAttr(state.node_spans[i], "queue_wait_seconds",
-                       queue_wait);
-      }
+  // Report times relative to the query's own ready time, so standalone
+  // and served queries read the same way; contention shows up as a
+  // longer makespan and per-node queue waits.
+  result.virtual_seconds = state.makespan - state.base;
+  // Annotate each node span with its virtual interval on the server
+  // pool, plus the time it spent waiting for a free server.
+  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
+    const double busy = node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
+    const double queue_wait =
+        std::max(0.0, state.sched_finish[i] - state.sched_start[i] - busy);
+    MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
+    node_executions_[i].virt_start = state.sched_start[i] - state.base;
+    node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
+    node_executions_[i].queue_wait_seconds = queue_wait;
+    if (trace != nullptr && state.node_spans[i] != kNoSpan) {
+      trace->SetVirtualInterval(state.node_spans[i],
+                                state.sched_start[i] - state.base,
+                                state.sched_finish[i] - state.base);
+      trace->AddAttr(state.node_spans[i], "queue_wait_seconds", queue_wait);
     }
-    // Fraction of the pool's capacity the plan actually kept busy.
-    if (result.virtual_seconds > 0) {
-      const double capacity = static_cast<double>(
-                                  state.pool->num_servers()) *
-                              result.virtual_seconds;
-      const double occupancy = result.llm_seconds_total / capacity;
-      MetricSetGauge(telemetry::kMetricExecPoolOccupancy, occupancy);
-      exec_span.AddAttr("pool_occupancy", occupancy);
-    }
-    exec_span.SetVirtualInterval(0, result.virtual_seconds);
-    // Execution timeline for observability.
-    std::string timeline;
-    char line[256];
-    for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-      std::snprintf(line, sizeof(line),
-                    "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
-                    "calls)\n",
-                    state.sched_start[i] - state.base,
-                    state.sched_finish[i] - state.base,
-                    state.plan.nodes[i].logical.op_name.c_str(),
-                    PhysicalImplName(state.plan.nodes[i].impl),
-                    state.plan.nodes[i].logical.output_var.c_str(),
-                    node_stats_[i].llm_seconds,
-                    static_cast<long long>(node_stats_[i].llm_calls));
-      timeline += line;
-    }
-    for (size_t r = 0; r < state.replans.size(); ++r) {
-      const ReplanRecord& rec = state.replans[r];
-      std::snprintf(line, sizeof(line),
-                    "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
-                    "est %.0f (q-err %.1f) -> %s\n",
-                    rec.elapsed_seconds - state.base, r + 1,
-                    rec.trigger_var.c_str(), rec.observed_card,
-                    rec.estimated_card, rec.qerror,
-                    rec.adopted ? "suffix re-lowered" : "kept plan");
-      timeline += line;
-    }
-    result.timeline = std::move(timeline);
   }
+  // Fraction of the pool's capacity the plan actually kept busy.
+  if (result.virtual_seconds > 0) {
+    const double capacity =
+        static_cast<double>(state.pool->num_servers()) * result.virtual_seconds;
+    const double occupancy = result.llm_seconds_total / capacity;
+    MetricSetGauge(telemetry::kMetricExecPoolOccupancy, occupancy);
+    exec_span.AddAttr("pool_occupancy", occupancy);
+  }
+  exec_span.SetVirtualInterval(0, result.virtual_seconds);
+  // Execution timeline for observability.
+  std::string timeline;
+  char line[256];
+  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
+    std::snprintf(line, sizeof(line),
+                  "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
+                  "calls)\n",
+                  state.sched_start[i] - state.base,
+                  state.sched_finish[i] - state.base,
+                  state.plan.nodes[i].logical.op_name.c_str(),
+                  PhysicalImplName(state.plan.nodes[i].impl),
+                  state.plan.nodes[i].logical.output_var.c_str(),
+                  node_stats_[i].llm_seconds,
+                  static_cast<long long>(node_stats_[i].llm_calls));
+    timeline += line;
+  }
+  for (size_t r = 0; r < state.replans.size(); ++r) {
+    const ReplanRecord& rec = state.replans[r];
+    std::snprintf(line, sizeof(line),
+                  "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
+                  "est %.0f (q-err %.1f) -> %s\n",
+                  rec.elapsed_seconds - state.base, r + 1,
+                  rec.trigger_var.c_str(), rec.observed_card,
+                  rec.estimated_card, rec.qerror,
+                  rec.adopted ? "suffix re-lowered" : "kept plan");
+    timeline += line;
+  }
+  result.timeline = std::move(timeline);
 
   result.adjusted = state.adjusted;
   auto finalize = [&]() {
@@ -582,12 +533,10 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
         result.llm_dollars_total += fallback->stats.llm_dollars;
         result.llm_calls += fallback->stats.llm_calls;
         // The fallback generation is one more stream on the server pool.
-        const double fb_ready = state.base + result.virtual_seconds +
-                                fallback->stats.cpu_seconds;
+        const double fb_start = state.base + result.virtual_seconds;
+        const double fb_ready = fb_start + fallback->stats.cpu_seconds;
         result.virtual_seconds =
-            state.pool->ScheduleStream(fb_ready,
-                                       fallback->stats.llm_seconds) -
-            state.base;
+            ScheduleNode(state, fallback->stats, {}, fb_start) - state.base;
         // A synthetic execution record for the fallback generation — it
         // has no plan node, but EXPLAIN ANALYZE should still show what
         // actually produced the answer (docs/replanning.md).
@@ -650,44 +599,8 @@ ExecutionResult PlanExecutor::Execute(const PhysicalPlan& plan, Trace* trace,
                                       SpanId parent) {
   ExecutionState state;
   Begin(plan, state, trace, parent);
-
-  auto run_node = [&](int u) -> Status { return RunNode(state, u); };
-  if (options_.threads > 0 && options_.parallel) {
-    ThreadPool pool(static_cast<size_t>(options_.threads));
-    state.run_status = exec::RunDag(state.plan.dag, &pool, run_node);
-  } else {
-    state.run_status = exec::RunDag(state.plan.dag, nullptr, run_node);
-  }
-
-  // Virtual-time accounting from the measured per-node streams: one batch
-  // schedule after the whole DAG ran (the historical single-shot model;
-  // the adaptive engine schedules incrementally instead).
-  std::vector<exec::NodeCost> costs;
-  costs.reserve(state.plan.nodes.size());
-  for (size_t i = 0; i < node_stats_.size(); ++i) {
-    const OpStats& stats = node_stats_[i];
-    exec::NodeCost c;
-    c.cpu_seconds = stats.cpu_seconds;
-    c.llm_seconds = stats.llm_seconds;
-    // Nodes that split carry their measured per-morsel streams so the
-    // virtual schedule fans them across servers.
-    if (state.node_partitions[i].size() > 1) {
-      c.llm_partitions = state.node_partitions[i];
-      c.max_parallelism = options_.max_intra_op_parallelism;
-    }
-    costs.push_back(c);
-  }
-  // With a shared pool (serving session) the streams contend with other
-  // in-flight queries and the timeline starts at the query's virtual
-  // ready time; a private pool reproduces the standalone model.
-  auto sched = exec::ScheduleDag(state.plan.dag, costs, state.pool,
-                                 /*sequential=*/!options_.parallel,
-                                 state.base);
-  if (sched.ok()) {
-    state.sched_ok = true;
-    state.sched_start = std::move(sched->start);
-    state.sched_finish = std::move(sched->finish);
-    state.makespan = sched->makespan;
+  while (Run(state)) {
+    // No re-optimizer to consult: resume with the plan kept.
   }
   return Finish(state);
 }

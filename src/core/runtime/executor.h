@@ -3,13 +3,11 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/physical/physical_plan.h"
 #include "corpus/answer.h"
@@ -69,7 +67,7 @@ struct NodeExecution {
   double queue_wait_seconds = 0;
 };
 
-/// A materialization point at which the adaptive engine paused: node
+/// A materialization point at which the engine paused: node
 /// `node` just finished with a cardinality q-error at or above the
 /// configured threshold, and un-executed nodes remain that a replan could
 /// still improve. The pipeline answers with ApplyReplan (adopting a
@@ -135,17 +133,16 @@ struct ReplanRecord {
 /// parallel topological execution, dynamic plan adjustment on operator
 /// failure, and virtual-time accounting on the simulated LLM server pool.
 ///
-/// Two driving modes share the same per-node machinery:
-///  - Execute() runs the whole DAG to completion (wall-clock parallel
-///    workers, one batch virtual-time schedule at the end) — the
-///    historical single-shot path, byte-identical to previous releases.
-///  - Begin()/Run()/ApplyReplan()/Finish() expose the same execution as a
-///    resumable engine that materializes one node at a time in virtual
-///    dispatch order and pauses at materialization points whose observed
-///    cardinality diverges from the optimizer's estimate, so the query
-///    pipeline can re-optimize the un-executed suffix mid-flight
-///    (docs/replanning.md). With no trigger the adaptive engine
-///    reproduces the batch schedule exactly.
+/// One engine, driven by Begin()/Run()/ApplyReplan()/Finish(): Run()
+/// materializes one node at a time on the calling thread, in the order
+/// the list scheduler (exec::ScheduleDag) would dispatch them, and
+/// schedules each node's measured stream on the pool the moment it
+/// finishes. While the query's re-optimization budget
+/// (`max_reoptimizations`) lasts, Run() also pauses at materialization
+/// points whose observed cardinality diverges from the optimizer's
+/// estimate, so the query pipeline can re-optimize the un-executed
+/// suffix mid-flight (docs/replanning.md). Execute() drives the same
+/// calls to completion for callers without a re-optimizer.
 class PlanExecutor {
  public:
   struct Options {
@@ -153,8 +150,9 @@ class PlanExecutor {
     int num_servers = 4;
     /// Disable DAG parallelism (the Unify–noLO ablation, Section VII-D).
     bool parallel = true;
-    /// Worker threads for real (wall-clock) parallel execution; 0 runs
-    /// in-process sequentially (virtual time is unaffected).
+    /// Wall-clock worker threads for a partitioned node's morsels; 0 or 1
+    /// runs them one after another on the calling thread. Virtual time is
+    /// unaffected.
     int threads = 0;
     /// Retries per failing operator during plan adjustment.
     int max_adjustments = 2;
@@ -165,18 +163,13 @@ class PlanExecutor {
     /// Answers are byte-identical for every setting; 1 reproduces the
     /// sequential single-stream model exactly.
     int max_intra_op_parallelism = 1;
-    /// Mid-query re-optimization (docs/replanning.md): execute through
-    /// the resumable engine and pause at materialization points whose
-    /// cardinality q-error reaches the threshold, letting the pipeline
-    /// re-lower the un-executed suffix with measured cardinalities. Off
-    /// reproduces the single-shot path byte-identically.
-    bool reoptimize = false;
     /// Observed-vs-estimated cardinality q-error at or above which a
     /// materialization point yields a ReplanRequest.
     double reoptimize_qerror_threshold = 3.0;
-    /// Replan pauses per query (each costs one planner-tier decision
-    /// call).
-    int max_reoptimizations = 2;
+    /// Mid-query re-optimization budget (docs/replanning.md): replan
+    /// pauses per query, each costing one planner-tier decision call.
+    /// 0 never pauses; any positive value arms the q-error trigger.
+    int max_reoptimizations = 0;
     /// Shared virtual LLM server pool (a UnifyService serving session):
     /// this plan's operator streams compete with every other in-flight
     /// query's streams, so the reported virtual times include cross-query
@@ -188,13 +181,14 @@ class PlanExecutor {
     /// private pool, which always starts at 0.
     double start_seconds = 0;
     /// Per-query metrics sink: installed (MetricsRegistry::ScopedSink) on
-    /// every worker thread that runs a node or a morsel, so this query's
+    /// every worker thread that runs a morsel, so this query's
     /// execution-side metrics land in its own registry even when other
-    /// queries share the process. Null = global registry only.
+    /// queries share the process. Nodes run on the calling thread, which
+    /// carries the query's own scopes. Null = global registry only.
     MetricsRegistry* metrics_sink = nullptr;
     /// The query's shared retry budget, installed
-    /// (llm::RetryBudget::ScopedUse) on every worker thread alongside the
-    /// metrics sink so concurrent nodes/morsels drain one pool of virtual
+    /// (llm::RetryBudget::ScopedUse) on every morsel worker alongside the
+    /// metrics sink so concurrent morsels drain one pool of virtual
     /// retry seconds. Null = unlimited retrying (policy caps still apply).
     llm::RetryBudget* retry_budget = nullptr;
     /// When the DAG fails with a *transient* LLM failure
@@ -203,31 +197,23 @@ class PlanExecutor {
     /// empty answer instead of a failed status (docs/resilience.md).
     bool graceful_degradation = false;
     /// The query's resolved shared-LLM-cache routing, installed
-    /// (llm::SharedCacheLlmClient::ScopedUse) on every worker thread
+    /// (llm::SharedCacheLlmClient::ScopedUse) on every morsel worker
     /// alongside the metrics sink, so coalescing fires across the
     /// morsels of one operator as well as across queries. Unset = leave
     /// each worker thread's default (the system-wide cache.enabled).
     std::optional<bool> use_llm_cache;
   };
 
-  /// Everything one plan execution carries across the staged engine's
-  /// pauses: the (possibly replanned) plan, the DAG frontier, bound
-  /// variable values, the incremental virtual-time schedule, and the
-  /// replans applied so far. Created by Begin(), advanced by Run(),
-  /// finalized by Finish(). Not movable (owns a mutex); construct in
-  /// place and pass by reference.
+  /// Everything one plan execution carries across the engine's pauses:
+  /// the (possibly replanned) plan, the DAG frontier, bound variable
+  /// values, the virtual-time schedule so far, and the replans applied so
+  /// far. Created by Begin(), advanced by Run(), finalized by Finish().
   struct ExecutionState {
-    ExecutionState() = default;
-    ExecutionState(const ExecutionState&) = delete;
-    ExecutionState& operator=(const ExecutionState&) = delete;
-
     /// The plan being executed. ApplyReplan swaps in the re-lowered plan;
     /// executed nodes are pinned verbatim by the Reoptimize contract.
     PhysicalPlan plan;
     Trace* trace = nullptr;
     std::unique_ptr<ScopedSpan> exec_span;
-    /// Guards vars / adjusted across DAG workers.
-    std::mutex mu;
     std::map<std::string, Value> vars;
     bool adjusted = false;
     Status run_status = Status::OK();
@@ -237,17 +223,10 @@ class PlanExecutor {
     std::vector<std::vector<double>> node_partitions;
     /// Which nodes have finished executing.
     std::vector<bool> done;
-    /// Nodes already checked against the replan trigger (so a resumed
-    /// Run() never re-fires on the same materialization point).
-    std::vector<bool> replan_checked;
 
-    /// Virtual-time accounting. `incremental` = the adaptive engine
-    /// schedules each node's stream the moment it materializes (so
-    /// elapsed time is known at pause points); otherwise Execute() runs
-    /// one batch schedule after the DAG completes.
-    bool incremental = false;
-    bool sched_ok = false;
-    bool shared = false;
+    /// Virtual-time accounting: each node's stream is scheduled the
+    /// moment it materializes, so elapsed time is known at pause points.
+    /// `base` is the plan's ready time on `pool` (0 on a private pool).
     double base = 0;
     std::unique_ptr<exec::VirtualLlmPool> local_pool;
     exec::VirtualLlmPool* pool = nullptr;
@@ -256,13 +235,12 @@ class PlanExecutor {
     std::vector<double> sched_finish;
     /// Absolute completion time of everything scheduled so far.
     double makespan = 0;
-    /// Adaptive dispatch frontier: nodes whose dependencies finished,
-    /// with their ready times (absolute), and remaining parent counts.
-    /// In sequential mode the frontier is the whole topological order and
+    /// Dispatch frontier: nodes whose dependencies finished, with their
+    /// ready times (absolute), and remaining parent counts. In sequential
+    /// mode the frontier is the whole topological order and
     /// `frontier_pos` walks it; in parallel mode Run() pops the
     /// earliest-ready entry (ties to the lower node index), mirroring the
-    /// batch list scheduler exactly.
-    bool engine_started = false;
+    /// list scheduler exactly.
     std::vector<std::pair<double, int>> frontier;
     size_t frontier_pos = 0;
     std::vector<int> pending_parents;
@@ -284,25 +262,27 @@ class PlanExecutor {
   PlanExecutor(ExecContext ctx, Options options)
       : ctx_(ctx), options_(options) {}
 
-  /// Executes `plan` and converts the answer variable to an Answer. When
-  /// `trace` is non-null an "execute" span (child of `parent`) is recorded
-  /// with one "exec.node" span per DAG node, annotated post-hoc with the
-  /// node's virtual-time interval on the simulated server pool.
+  /// Executes `plan` to completion (Begin, Run until done, Finish) and
+  /// converts the answer variable to an Answer. There is no re-optimizer
+  /// to consult, so a replan pause, if `max_reoptimizations` arms one,
+  /// resumes with the plan kept.
   ExecutionResult Execute(const PhysicalPlan& plan, Trace* trace = nullptr,
                           SpanId parent = kNoSpan);
 
-  /// --- The resumable engine (mid-query re-optimization) ---
-
-  /// Initializes `state` for executing `plan` through the adaptive
-  /// engine.
+  /// Initializes `state` for executing `plan`. When `trace` is non-null an
+  /// "execute" span (child of `parent`) is recorded with one "exec.node"
+  /// span per DAG node, annotated by Finish() with the node's virtual-time
+  /// interval on the simulated server pool. A plan whose DAG has a cycle
+  /// fails here, before any node runs.
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
              Trace* trace = nullptr, SpanId parent = kNoSpan);
 
   /// Executes nodes one at a time in virtual dispatch order (the order
-  /// the batch list scheduler would dispatch them) until either a
+  /// the list scheduler would dispatch them) until either a
   /// materialization point trips the replan trigger — returning the
   /// ReplanRequest to answer with ApplyReplan before calling Run again —
-  /// or the DAG completes or fails (returns nullopt; call Finish).
+  /// or the DAG completes or fails (returns nullopt; call Finish). A
+  /// failing node stops the run: no further node executes.
   std::optional<ReplanRequest> Run(ExecutionState& state);
 
   /// Records the outcome of one replan consideration. `new_plan` non-null
@@ -340,12 +320,16 @@ class PlanExecutor {
   /// plan adjustment on failure, stats + execution-record bookkeeping.
   Status RunNode(ExecutionState& state, int u);
 
-  /// Schedules node `u`'s measured stream on the pool at `ready`
-  /// (absolute), recording its interval. Returns the finish time.
-  double ScheduleNode(ExecutionState& state, int u, double ready);
+  /// Schedules one measured stream — a node's, or the Section V-D fallback
+  /// generation's — on the pool at `ready` (absolute): `stats.cpu_seconds`
+  /// first, then the LLM work, fanned across servers when it ran as more
+  /// than one morsel (`partitions`). The only place execution touches the
+  /// virtual clock. Returns the finish time.
+  double ScheduleNode(ExecutionState& state, const OpStats& stats,
+                      const std::vector<double>& partitions, double ready);
 
   /// Pushes the children of completed node `u` whose dependencies are all
-  /// met onto the adaptive frontier.
+  /// met onto the dispatch frontier.
   void AdvanceFrontier(ExecutionState& state, int u);
 
   ExecContext ctx_;

@@ -80,10 +80,10 @@ struct ResolvedQueryOptions {
   /// Mid-query re-optimization (docs/replanning.md): pause at
   /// materialization points whose observed cardinality diverges from the
   /// estimate by `reoptimize_qerror_threshold` or more and re-lower the
-  /// un-executed suffix, at most `max_reoptimizations` times per query.
-  bool reoptimize = false;
+  /// un-executed suffix, at most `max_reoptimizations` times per query
+  /// (0 never pauses).
   double reoptimize_qerror_threshold = 3.0;
-  int max_reoptimizations = 2;
+  int max_reoptimizations = 0;
 };
 
 /// One analytics query plus its per-query options. The explicit request
@@ -127,10 +127,10 @@ struct QueryRequest {
     /// shared answer cache (docs/caching.md).
     std::optional<bool> use_llm_cache;
     /// Shadow the system-wide mid-query re-optimization knobs
-    /// (UnifyOptions::exec.reoptimize / reoptimize_qerror_threshold /
-    /// max_reoptimizations; docs/replanning.md). With reoptimize off the
-    /// query reproduces the single-shot execution path byte-identically.
-    std::optional<bool> reoptimize;
+    /// (UnifyOptions::exec.reoptimize_qerror_threshold /
+    /// max_reoptimizations; docs/replanning.md). A positive
+    /// max_reoptimizations arms the q-error trigger for this query; 0
+    /// disarms it.
     std::optional<double> reoptimize_qerror_threshold;
     std::optional<int> max_reoptimizations;
     /// Serving-layer scheduling class (default kNormal). Unlike the other
@@ -302,8 +302,9 @@ struct QueryResult {
   std::vector<PlanNodeAnalysis> plan_analysis;
 
   /// Mid-query re-optimizations this query considered, in trigger order
-  /// (docs/replanning.md). Empty unless exec.reoptimize was on and a
-  /// materialization point tripped the q-error threshold.
+  /// (docs/replanning.md). Empty unless the query had a re-optimization
+  /// budget (max_reoptimizations > 0) and a materialization point tripped
+  /// the q-error threshold.
   std::vector<ReplanRecord> replans;
 
   /// Text rendering of `plan_analysis` in the style of

@@ -67,7 +67,7 @@ bool QueryPipeline::Admit() {
           : (shared_pool_ != nullptr ? shared_pool_->Now() : 0.0);
 
   // Per-query metrics: a local registry installed as this thread's sink
-  // (and, via PlanExecutor::Options::metrics_sink, on every executor
+  // (and, via PlanExecutor::Options::metrics_sink, on every morsel
   // worker that touches this query). Instrumented sites record into the
   // global registry AND the installed sink, so result.metrics is exact
   // even when other queries run concurrently in the process.
@@ -82,12 +82,13 @@ bool QueryPipeline::Admit() {
     budget_seconds = std::min(budget_seconds, request_.deadline_seconds);
   }
   ctx_.retry_budget.emplace(budget_seconds);
-  // Covers planning + SCE on this thread; PlanExecutor installs the same
-  // budget on its DAG/morsel workers via Options::retry_budget.
+  // Covers planning, SCE and plan nodes on this thread; PlanExecutor
+  // installs the same budget on its morsel workers via
+  // Options::retry_budget.
   budget_scope_.emplace(&*ctx_.retry_budget);
 
   // Shared-cache routing for this query's calls on this thread; the
-  // executor re-installs the same choice on its DAG/morsel workers via
+  // executor re-installs the same choice on its morsel workers via
   // Options::use_llm_cache.
   cache_scope_.emplace(ctx_.resolved.use_llm_cache);
 
@@ -174,7 +175,6 @@ void QueryPipeline::ExecutePlan() {
   ectx.llm_batch_size = system_.options_.llm_batch_size;
   PlanExecutor::Options eopts = system_.options_.exec;
   eopts.max_intra_op_parallelism = ctx_.resolved.max_intra_op_parallelism;
-  eopts.reoptimize = ctx_.resolved.reoptimize;
   eopts.reoptimize_qerror_threshold =
       ctx_.resolved.reoptimize_qerror_threshold;
   eopts.max_reoptimizations = ctx_.resolved.max_reoptimizations;
@@ -188,30 +188,18 @@ void QueryPipeline::ExecutePlan() {
   eopts.use_llm_cache = ctx_.resolved.use_llm_cache;
   PlanExecutor executor(ectx, eopts);
 
-  // The plan that actually ran: the optimizer's choice, or — after an
-  // adopted mid-query replan — the re-lowered plan. Analysis and
-  // cost-model feedback must see this one, while plan_debug /
-  // plan_explain / predicted_* keep reporting the original optimization.
-  PhysicalPlan executed_plan = *ctx_.physical;
-  ExecutionResult exec;
-  if (!ctx_.resolved.reoptimize) {
-    // The historical single-shot path, byte-identical to previous
-    // releases.
-    exec = executor.Execute(*ctx_.physical, ctx_.trace.get(), root_->id());
-  } else {
-    // The resumable engine (docs/replanning.md): execute one node at a
-    // time in virtual dispatch order, pause at materialization points
-    // whose observed cardinality diverges from the estimate, re-optimize
-    // the un-executed suffix there.
-    PlanExecutor::ExecutionState state;
-    executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
-    while (auto request = executor.Run(state)) {
-      ConsiderReplan(*request, executor, state);
-    }
-    exec = executor.Finish(state);
-    result.replans = state.replans;
-    executed_plan = state.plan;
+  // Execute one node at a time in virtual dispatch order; while the
+  // query's re-optimization budget lasts, the engine pauses at
+  // materialization points whose observed cardinality diverges from the
+  // estimate and the un-executed suffix is re-optimized there
+  // (docs/replanning.md).
+  PlanExecutor::ExecutionState state;
+  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
+  while (auto request = executor.Run(state)) {
+    ConsiderReplan(*request, executor, state);
   }
+  ExecutionResult exec = executor.Finish(state);
+  result.replans = state.replans;
   result.exec_seconds = exec.virtual_seconds;
   result.exec_dollars = exec.llm_dollars_total;
   result.timeline = exec.timeline;
@@ -237,7 +225,11 @@ void QueryPipeline::ExecutePlan() {
     result.degraded = false;
     result.degraded_detail.clear();
   }
-  Analyze(executor, executed_plan);
+  // The plan that actually ran: the optimizer's choice, or — after an
+  // adopted mid-query replan — the re-lowered plan. Analysis and
+  // cost-model feedback must see this one, while plan_debug /
+  // plan_explain / predicted_* keep reporting the original optimization.
+  Analyze(executor, state.plan);
 }
 
 void QueryPipeline::ConsiderReplan(const ReplanRequest& request,

@@ -74,10 +74,9 @@ class QueryPipeline {
   /// Physical lowering + plan selection (Section VI) and the deadline
   /// pre-check on the predicted makespan.
   bool Optimize();
-  /// Plan execution (Section III-C): the single-shot path when mid-query
-  /// re-optimization is off (byte-identical to previous releases), the
-  /// resumable engine with the replan loop when on. Runs Analyze on the
-  /// executed plan before returning.
+  /// Plan execution (Section III-C) on the resumable engine, answering
+  /// each replan pause the query's re-optimization budget allows. Runs
+  /// Analyze on the executed plan before returning.
   void ExecutePlan();
   /// One replan consideration at a materialization point: the
   /// planner-tier decision call, suffix re-lowering under measured

@@ -223,7 +223,6 @@ ResolvedQueryOptions QueryRequest::Overrides::ResolveAgainst(
   r.retry_budget_seconds =
       retry_budget_seconds.value_or(defaults.default_retry_budget_seconds);
   r.use_llm_cache = use_llm_cache.value_or(defaults.cache.enabled);
-  r.reoptimize = reoptimize.value_or(defaults.exec.reoptimize);
   r.reoptimize_qerror_threshold = reoptimize_qerror_threshold.value_or(
       defaults.exec.reoptimize_qerror_threshold);
   r.max_reoptimizations = std::max(

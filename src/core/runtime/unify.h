@@ -59,7 +59,7 @@ struct UnifyOptions {
   /// estimate is multiplied by this factor (clamped to the corpus size).
   /// 1 = faithful estimates (exact pass-through); anything else emulates
   /// a systematically skewed estimator — the scenario mid-query
-  /// re-optimization (UnifyOptions::exec.reoptimize,
+  /// re-optimization (UnifyOptions::exec.max_reoptimizations,
   /// docs/replanning.md) exists to repair.
   double card_est_scale = 1.0;
   /// Record a query-lifecycle trace for every Answer() call (attached to

@@ -12,8 +12,8 @@ namespace unify::llm {
 namespace {
 
 /// Stable key of the prompt slots that determine a per-item completion
-/// (same scheme as CachingLlmClient; `attempt` and tier are deliberately
-/// excluded — they never change a temperature-0 completion).
+/// (`attempt` and tier are deliberately excluded — they never change a
+/// temperature-0 completion).
 std::string FieldsKey(const LlmCall& call) {
   std::string key = std::to_string(static_cast<int>(call.type));
   key += '\x1d';

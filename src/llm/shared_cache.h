@@ -60,11 +60,10 @@ struct CacheStats {
 /// bounded LRU over per-document completions keyed by (prompt type,
 /// prompt fields, item), with singleflight in-flight coalescing.
 ///
-/// Soundness rests on the same invariant as CachingLlmClient: a
-/// per-document completion is a pure function of the (condition,
-/// document) pair at temperature 0, so any two calls that agree on type,
-/// fields and item must agree on the item's completion — batching never
-/// changes it.
+/// Soundness rests on one invariant: a per-document completion is a pure
+/// function of the (condition, document) pair at temperature 0, so any
+/// two calls that agree on type, fields and item must agree on the
+/// item's completion — batching never changes it.
 ///
 /// Admission discipline (fault composition, docs/resilience.md): a value
 /// is admitted ONLY from an OK base result whose item count matches the

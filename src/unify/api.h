@@ -7,8 +7,7 @@
 /// source-compatible across versions:
 ///
 ///   * corpus loading and answers    (corpus/corpus.h, corpus/answer.h)
-///   * LLM client interfaces         (llm/llm_client.h, llm/sim_llm.h,
-///                                    llm/caching_client.h)
+///   * LLM client interfaces         (llm/llm_client.h, llm/sim_llm.h)
 ///   * the shared answer cache       (llm/shared_cache.h — sharded
 ///                                    bounded LRU + in-flight coalescing
 ///                                    across concurrent queries,
@@ -45,7 +44,6 @@
 #include "corpus/answer.h"
 #include "corpus/corpus.h"
 #include "corpus/dataset_profile.h"
-#include "llm/caching_client.h"
 #include "llm/fault_client.h"
 #include "llm/llm_client.h"
 #include "llm/resilient_client.h"

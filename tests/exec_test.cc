@@ -1,11 +1,8 @@
-#include <atomic>
-#include <mutex>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "exec/dag.h"
-#include "exec/dag_runner.h"
 #include "exec/schedule.h"
 #include "exec/virtual_pool.h"
 
@@ -307,86 +304,6 @@ TEST_P(ScheduleProperty, ParallelBoundsHold) {
 
 INSTANTIATE_TEST_SUITE_P(RandomDags, ScheduleProperty,
                          ::testing::Range<uint64_t>(1, 13));
-
-TEST(RunDagTest, SequentialRespectsOrder) {
-  Dag dag = Diamond();
-  std::vector<int> finished;
-  auto status = RunDag(dag, nullptr, [&](int u) {
-    finished.push_back(u);
-    return Status::OK();
-  });
-  ASSERT_TRUE(status.ok());
-  ASSERT_EQ(finished.size(), 4u);
-  EXPECT_EQ(finished.front(), 0);
-  EXPECT_EQ(finished.back(), 3);
-}
-
-TEST(RunDagTest, ParallelRunsEveryNodeOnceAfterParents) {
-  Dag dag;
-  const int n = 40;
-  for (int i = 0; i < n; ++i) dag.AddNode();
-  // Layered DAG: each node depends on (i-3, i-7) when valid.
-  for (int i = 0; i < n; ++i) {
-    if (i >= 3) {
-      ASSERT_TRUE(dag.AddEdge(i - 3, i).ok());
-    }
-    if (i >= 7) {
-      ASSERT_TRUE(dag.AddEdge(i - 7, i).ok());
-    }
-  }
-  std::mutex mu;
-  std::vector<int> done_order;
-  std::vector<bool> done(n, false);
-  ThreadPool pool(4);
-  auto status = RunDag(dag, &pool, [&](int u) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (int p : dag.parents(u)) {
-      EXPECT_TRUE(done[p]) << "node " << u << " ran before parent " << p;
-    }
-    EXPECT_FALSE(done[u]);
-    done[u] = true;
-    done_order.push_back(u);
-    return Status::OK();
-  });
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(done_order.size(), static_cast<size_t>(n));
-}
-
-TEST(RunDagTest, ErrorStopsDownstreamAndPropagates) {
-  Dag dag = Diamond();
-  std::atomic<int> ran{0};
-  ThreadPool pool(2);
-  auto status = RunDag(dag, &pool, [&](int u) -> Status {
-    ran.fetch_add(1);
-    if (u == 1) return Status::Internal("boom");
-    return Status::OK();
-  });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-}
-
-TEST(RunDagTest, EmptyDagIsOk) {
-  Dag dag;
-  EXPECT_TRUE(RunDag(dag, nullptr, [](int) { return Status::OK(); }).ok());
-  ThreadPool pool(2);
-  EXPECT_TRUE(RunDag(dag, &pool, [](int) { return Status::OK(); }).ok());
-}
-
-TEST(RunDagTest, CycleRejectedBeforeRunning) {
-  Dag dag;
-  dag.AddNode();
-  dag.AddNode();
-  ASSERT_TRUE(dag.AddEdge(0, 1).ok());
-  ASSERT_TRUE(dag.AddEdge(1, 0).ok());
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto status = RunDag(dag, &pool, [&](int) {
-    ran.fetch_add(1);
-    return Status::OK();
-  });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(ran.load(), 0);
-}
 
 }  // namespace
 }  // namespace unify::exec

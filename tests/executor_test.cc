@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/telemetry_names.h"
 #include "core/runtime/executor.h"
 #include "corpus/dataset_profile.h"
 #include "embedding/hashed_embedder.h"
+#include "exec/schedule.h"
 #include "index/hnsw_index.h"
 #include "llm/sim_llm.h"
 
@@ -55,6 +58,40 @@ class ExecutorTest : public ::testing::Test {
     for (int i = 0; i < 3; ++i) plan.dag.AddNode();
     EXPECT_TRUE(plan.dag.AddEdge(0, 1).ok());
     EXPECT_TRUE(plan.dag.AddEdge(1, 2).ok());
+    return plan;
+  }
+
+  /// Scan -> {LlmFilter(injury), LlmFilter(training)} -> Intersection:
+  /// two independent LLM streams between a shared root and a join.
+  static PhysicalPlan DiamondPlan() {
+    PhysicalPlan plan;
+    plan.answer_var = "V3";
+    PhysicalNode scan;
+    scan.logical.op_name = "Scan";
+    scan.logical.output_var = kDocsVar;
+    scan.impl = PhysicalImpl::kLinearScan;
+    auto semantic_filter = [&](const std::string& phrase,
+                               const std::string& out) {
+      PhysicalNode f;
+      f.logical.op_name = "Filter";
+      f.logical.args = {{"kind", "semantic"}, {"phrase", phrase}};
+      f.logical.input_vars = {kDocsVar};
+      f.logical.output_var = out;
+      f.impl = PhysicalImpl::kLlmFilter;
+      return f;
+    };
+    PhysicalNode join;
+    join.logical.op_name = "Intersection";
+    join.logical.input_vars = {"V1", "V2"};
+    join.logical.output_var = "V3";
+    join.impl = PhysicalImpl::kPreSetOp;
+    plan.nodes = {scan, semantic_filter("injury", "V1"),
+                  semantic_filter("training", "V2"), join};
+    for (int i = 0; i < 4; ++i) plan.dag.AddNode();
+    EXPECT_TRUE(plan.dag.AddEdge(0, 1).ok());
+    EXPECT_TRUE(plan.dag.AddEdge(0, 2).ok());
+    EXPECT_TRUE(plan.dag.AddEdge(1, 3).ok());
+    EXPECT_TRUE(plan.dag.AddEdge(2, 3).ok());
     return plan;
   }
 
@@ -139,34 +176,7 @@ TEST_F(ExecutorTest, PlanAdjustmentRetriesAlternativeImpl) {
 TEST_F(ExecutorTest, VirtualTimeUsesServerPool) {
   // Two independent LLM filters: with 1 server they serialize, with 2 they
   // overlap.
-  PhysicalPlan plan;
-  plan.answer_var = "V3";
-  PhysicalNode scan;
-  scan.logical.op_name = "Scan";
-  scan.logical.output_var = kDocsVar;
-  scan.impl = PhysicalImpl::kLinearScan;
-  auto semantic_filter = [&](const std::string& phrase,
-                             const std::string& out) {
-    PhysicalNode f;
-    f.logical.op_name = "Filter";
-    f.logical.args = {{"kind", "semantic"}, {"phrase", phrase}};
-    f.logical.input_vars = {kDocsVar};
-    f.logical.output_var = out;
-    f.impl = PhysicalImpl::kLlmFilter;
-    return f;
-  };
-  PhysicalNode join;
-  join.logical.op_name = "Intersection";
-  join.logical.input_vars = {"V1", "V2"};
-  join.logical.output_var = "V3";
-  join.impl = PhysicalImpl::kPreSetOp;
-  plan.nodes = {scan, semantic_filter("injury", "V1"),
-                semantic_filter("training", "V2"), join};
-  for (int i = 0; i < 4; ++i) plan.dag.AddNode();
-  ASSERT_TRUE(plan.dag.AddEdge(0, 1).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(0, 2).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(1, 3).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(2, 3).ok());
+  const PhysicalPlan plan = DiamondPlan();
 
   PlanExecutor::Options one_server;
   one_server.num_servers = 1;
@@ -178,6 +188,104 @@ TEST_F(ExecutorTest, VirtualTimeUsesServerPool) {
   ASSERT_TRUE(fast.status.ok());
   EXPECT_GT(slow.virtual_seconds, fast.virtual_seconds * 1.5);
   EXPECT_DOUBLE_EQ(slow.answer.number, fast.answer.number);
+}
+
+// The engine schedules each node's stream the moment the node finishes;
+// the intervals it reports must equal what the list scheduler computes
+// from the measured per-node costs, with DAG parallelism on and off. Every
+// node runs exactly once.
+TEST_F(ExecutorTest, ScheduleMatchesListSchedulerOnMeasuredCosts) {
+  const PhysicalPlan plan = DiamondPlan();
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    PlanExecutor::Options options;
+    options.parallel = parallel;
+    PlanExecutor executor(Ctx(), options);
+    MetricsRegistry sink;
+    ExecutionResult result;
+    {
+      MetricsRegistry::ScopedSink scope(&sink);
+      result = executor.Execute(plan);
+    }
+    ASSERT_TRUE(result.status.ok()) << result.status;
+    EXPECT_EQ(sink.Snapshot().counters[telemetry::kMetricExecNodes],
+              static_cast<double>(plan.nodes.size()));
+
+    std::vector<exec::NodeCost> costs;
+    for (const OpStats& stats : executor.node_stats()) {
+      exec::NodeCost cost;
+      cost.cpu_seconds = stats.cpu_seconds;
+      cost.llm_seconds = stats.llm_seconds;
+      costs.push_back(cost);
+    }
+    auto reference = exec::ScheduleDag(plan.dag, costs, options.num_servers,
+                                       /*sequential=*/!parallel);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(executor.node_executions().size(), plan.nodes.size());
+    for (size_t u = 0; u < plan.nodes.size(); ++u) {
+      SCOPED_TRACE("node " + std::to_string(u));
+      const NodeExecution& record = executor.node_executions()[u];
+      EXPECT_TRUE(record.executed);
+      EXPECT_EQ(record.virt_start, reference->start[u]);
+      EXPECT_EQ(record.virt_finish, reference->finish[u]);
+    }
+    EXPECT_EQ(result.virtual_seconds, reference->makespan);
+  }
+}
+
+// A cycle anywhere in the DAG is rejected before any node runs: the
+// LlmFilter outside the cycle must not pay for its LLM calls either.
+TEST_F(ExecutorTest, CycleBelowRootRunsNoNode) {
+  PhysicalPlan plan = DiamondPlan();
+  ASSERT_TRUE(plan.dag.AddEdge(3, 1).ok());  // 1 -> 3 -> 1
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    PlanExecutor::Options options;
+    options.parallel = parallel;
+    PlanExecutor executor(Ctx(), options);
+    auto result = executor.Execute(plan);
+    EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
+        << result.status;
+    EXPECT_EQ(result.llm_calls, 0);
+    for (const NodeExecution& record : executor.node_executions()) {
+      EXPECT_FALSE(record.executed);
+    }
+  }
+}
+
+// A failing node stops the run: its error propagates and its descendants
+// never execute.
+TEST_F(ExecutorTest, FailingNodeLeavesDescendantsUnexecuted) {
+  PhysicalPlan plan = DiamondPlan();
+  plan.nodes[1].logical.input_vars = {"Vmissing"};
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    PlanExecutor::Options options;
+    options.parallel = parallel;
+    PlanExecutor executor(Ctx(), options);
+    auto result = executor.Execute(plan);
+    EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
+        << result.status;
+    EXPECT_TRUE(executor.node_executions()[0].executed);
+    EXPECT_FALSE(executor.node_executions()[1].executed);
+    EXPECT_FALSE(executor.node_executions()[3].executed);
+  }
+}
+
+// An empty plan runs nothing and reports its unbound answer variable.
+TEST_F(ExecutorTest, EmptyPlanRunsNoNode) {
+  PhysicalPlan plan;
+  plan.answer_var = "V1";
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel" : "sequential");
+    PlanExecutor::Options options;
+    options.parallel = parallel;
+    PlanExecutor executor(Ctx(), options);
+    auto result = executor.Execute(plan);
+    EXPECT_EQ(result.status.code(), StatusCode::kNotFound) << result.status;
+    EXPECT_TRUE(executor.node_executions().empty());
+    EXPECT_EQ(result.virtual_seconds, 0);
+  }
 }
 
 TEST_F(ExecutorTest, TerminalFailureTriggersQueryReplanning) {

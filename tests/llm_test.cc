@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "corpus/dataset_profile.h"
-#include "llm/caching_client.h"
 #include "llm/sim_llm.h"
 #include "nlq/parse.h"
 #include "nlq/render.h"
@@ -295,80 +294,6 @@ TEST_F(SimLlmTest, DollarsTrackTokenVolume) {
   EXPECT_GT(small_cost, 0);
   EXPECT_GT(big_cost, small_cost * 5);
   EXPECT_NEAR(llm_->usage().dollars, small_cost + big_cost, 1e-12);
-}
-
-TEST_F(SimLlmTest, CachingClientReturnsIdenticalResultsCheaper) {
-  CachingLlmClient cached(llm_);
-  LlmCall call = Call(PromptType::kEvalPredicate);
-  call.fields["kind"] = "semantic";
-  call.fields["phrase"] = "golf";
-  for (uint64_t i = 0; i < 40; ++i) call.items.push_back(std::to_string(i));
-  auto first = cached.Call(call);
-  ASSERT_TRUE(first.status.ok());
-  EXPECT_GT(first.seconds, 0);
-  auto second = cached.Call(call);
-  ASSERT_TRUE(second.status.ok());
-  EXPECT_EQ(second.items, first.items);
-  EXPECT_DOUBLE_EQ(second.seconds, 0.0);  // full cache hit
-  auto stats = cached.cache_stats();
-  EXPECT_EQ(stats.item_misses, 40);
-  EXPECT_EQ(stats.item_hits, 40);
-}
-
-TEST_F(SimLlmTest, CachingClientPartialHitPaysOnlyForMisses) {
-  CachingLlmClient cached(llm_);
-  LlmCall warm = Call(PromptType::kExtractValue);
-  warm.fields["attribute"] = "score";
-  for (uint64_t i = 0; i < 20; ++i) warm.items.push_back(std::to_string(i));
-  auto warm_result = cached.Call(warm);
-  ASSERT_TRUE(warm_result.status.ok());
-
-  LlmCall mixed = warm;
-  for (uint64_t i = 20; i < 30; ++i) {
-    mixed.items.push_back(std::to_string(i));
-  }
-  auto mixed_result = cached.Call(mixed);
-  ASSERT_TRUE(mixed_result.status.ok());
-  ASSERT_EQ(mixed_result.items.size(), 30u);
-  // Warm prefix identical; only the 10 new items were charged.
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(mixed_result.items[i], warm_result.items[i]);
-  }
-  EXPECT_LT(mixed_result.seconds, warm_result.seconds);
-}
-
-TEST_F(SimLlmTest, CachingClientKeySeparatesConditions) {
-  CachingLlmClient cached(llm_);
-  LlmCall golf = Call(PromptType::kEvalPredicate);
-  golf.fields["kind"] = "semantic";
-  golf.fields["phrase"] = "golf";
-  golf.items = {"3"};
-  LlmCall tennis = golf;
-  tennis.fields["phrase"] = "tennis";
-  auto a = cached.Call(golf);
-  auto b = cached.Call(tennis);
-  ASSERT_TRUE(a.status.ok());
-  ASSERT_TRUE(b.status.ok());
-  // Different predicates must never share cached verdicts.
-  EXPECT_GT(b.seconds, 0);  // tennis was a miss, not a hit
-  EXPECT_EQ(cached.cache_stats().entries, 2);
-  cached.Clear();
-  // Clear() drops entries AND the hit/miss counters: the client reports
-  // the same stats as a freshly constructed one.
-  EXPECT_EQ(cached.cache_stats().entries, 0);
-  EXPECT_EQ(cached.cache_stats().item_hits, 0);
-  EXPECT_EQ(cached.cache_stats().item_misses, 0);
-}
-
-TEST_F(SimLlmTest, CachingClientPassesThroughPlanningPrompts) {
-  CachingLlmClient cached(llm_);
-  LlmCall call = Call(PromptType::kSimpleQuestion);
-  call.fields["query"] = "What is [V1]?";
-  auto a = cached.Call(call);
-  auto b = cached.Call(call);
-  EXPECT_GT(a.seconds, 0);
-  EXPECT_GT(b.seconds, 0);  // uncached: planning prompts are contextual
-  EXPECT_EQ(cached.cache_stats().entries, 0);
 }
 
 TEST(PriceModelTest, PlannerCostsMoreThanWorker) {

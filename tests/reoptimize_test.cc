@@ -41,12 +41,12 @@ class ReoptimizeTest : public ::testing::Test {
   // A fresh system; cost feedback off so repeated Answer() calls stay
   // order-independent (required by the byte-identity comparisons).
   static std::unique_ptr<UnifySystem> MakeSystem(double card_est_scale,
-                                                 bool reoptimize,
+                                                 int max_reoptimizations,
                                                  int parallelism = 1) {
     UnifyOptions options;
     options.exec.threads = 2;
     options.exec.max_intra_op_parallelism = parallelism;
-    options.exec.reoptimize = reoptimize;
+    options.exec.max_reoptimizations = max_reoptimizations;
     options.card_est_scale = card_est_scale;
     options.cost_feedback = false;
     auto system = std::make_unique<UnifySystem>(corpus_, llm_, options);
@@ -82,7 +82,7 @@ llm::SimulatedLlm* ReoptimizeTest::llm_ = nullptr;
 // A faithful estimator (card_est_scale = 1) never trips the trigger: the
 // adaptive engine runs the whole query and reports zero replans.
 TEST_F(ReoptimizeTest, NoTriggerOnFaithfulEstimates) {
-  auto system = MakeSystem(/*card_est_scale=*/1.0, /*reoptimize=*/true);
+  auto system = MakeSystem(/*card_est_scale=*/1.0, /*max_reoptimizations=*/2);
   auto result = system->Answer(ChainedFilterQuery());
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_TRUE(result.replans.empty());
@@ -90,14 +90,14 @@ TEST_F(ReoptimizeTest, NoTriggerOnFaithfulEstimates) {
   EXPECT_EQ(Counter(result, "llm.calls.replan_decision"), 0);
 }
 
-// With no trigger the resumable engine must reproduce the single-shot
-// path byte-identically — same answer, virtual times, dollars, and
-// timeline — at sequential and morsel-parallel settings alike.
+// A trigger that is armed but never fires must reproduce a disarmed run
+// byte-identically — same answer, virtual times, dollars, and timeline —
+// at sequential and morsel-parallel settings alike.
 TEST_F(ReoptimizeTest, AdaptiveEngineIsByteIdenticalWithoutTrigger) {
   for (int parallelism : {1, 4}) {
     SCOPED_TRACE("max_intra_op_parallelism=" + std::to_string(parallelism));
-    auto off = MakeSystem(1.0, /*reoptimize=*/false, parallelism);
-    auto on = MakeSystem(1.0, /*reoptimize=*/true, parallelism);
+    auto off = MakeSystem(1.0, /*max_reoptimizations=*/0, parallelism);
+    auto on = MakeSystem(1.0, /*max_reoptimizations=*/2, parallelism);
     for (const char* query :
          {"How many questions about tennis are there?",
           "What is the average views of questions about injury?"}) {
@@ -121,7 +121,7 @@ TEST_F(ReoptimizeTest, AdaptiveEngineIsByteIdenticalWithoutTrigger) {
 // materialization point; the replan is recorded, deterministic, and
 // visible in EXPLAIN ANALYZE.
 TEST_F(ReoptimizeTest, TriggersOnSeededMisestimate) {
-  auto system = MakeSystem(/*card_est_scale=*/12.0, /*reoptimize=*/true);
+  auto system = MakeSystem(/*card_est_scale=*/12.0, /*max_reoptimizations=*/2);
   auto result = system->Answer(ChainedFilterQuery());
   ASSERT_TRUE(result.status.ok()) << result.status;
   ASSERT_FALSE(result.replans.empty()) << result.plan_explain;
@@ -152,7 +152,7 @@ TEST_F(ReoptimizeTest, TriggersOnSeededMisestimate) {
 // Only the un-executed suffix may be re-lowered: every re-chosen node is
 // in the recorded suffix, and the trigger node itself is pinned.
 TEST_F(ReoptimizeTest, RelowersOnlyTheUnexecutedSuffix) {
-  auto system = MakeSystem(12.0, /*reoptimize=*/true);
+  auto system = MakeSystem(12.0, /*max_reoptimizations=*/2);
   auto result = system->Answer(ChainedFilterQuery());
   ASSERT_TRUE(result.status.ok()) << result.status;
   ASSERT_FALSE(result.replans.empty());
@@ -185,8 +185,8 @@ TEST_F(ReoptimizeTest, RelowersOnlyTheUnexecutedSuffix) {
 // keeps the plan: with max_reoptimizations pauses the adaptive run can
 // never be cheaper in dollars than the static run minus those charges.
 TEST_F(ReoptimizeTest, ChargesReplanDecisionsToTheQuery) {
-  auto off = MakeSystem(12.0, /*reoptimize=*/false);
-  auto on = MakeSystem(12.0, /*reoptimize=*/true);
+  auto off = MakeSystem(12.0, /*max_reoptimizations=*/0);
+  auto on = MakeSystem(12.0, /*max_reoptimizations=*/2);
   const std::string query = ChainedFilterQuery();
   auto base = off->Answer(query);
   auto adaptive = on->Answer(query);
@@ -215,25 +215,25 @@ TEST_F(ReoptimizeTest, ChargesReplanDecisionsToTheQuery) {
             adaptive.arrival_seconds + adaptive.total_seconds);
 }
 
-// Per-request Overrides plumbing: reoptimize can be forced on for one
-// query of an off-by-default system, and max_reoptimizations = 0 disables
-// pausing even when the trigger condition holds.
+// Per-request Overrides plumbing: a re-optimization budget can be granted
+// to one query of a disarmed system, and max_reoptimizations = 0 disarms
+// one query of an armed system even when the trigger condition holds.
 TEST_F(ReoptimizeTest, HonorsPerRequestOverrides) {
-  auto system = MakeSystem(12.0, /*reoptimize=*/false);
+  auto system = MakeSystem(12.0, /*max_reoptimizations=*/0);
   const std::string query = ChainedFilterQuery();
 
   QueryRequest forced;
   forced.text = query;
-  forced.overrides.reoptimize = true;
+  forced.overrides.max_reoptimizations = 2;
   auto forced_result = system->Answer(forced);
   ASSERT_TRUE(forced_result.status.ok()) << forced_result.status;
   EXPECT_FALSE(forced_result.replans.empty());
 
+  auto armed = MakeSystem(12.0, /*max_reoptimizations=*/2);
   QueryRequest capped;
   capped.text = query;
-  capped.overrides.reoptimize = true;
   capped.overrides.max_reoptimizations = 0;
-  auto capped_result = system->Answer(capped);
+  auto capped_result = armed->Answer(capped);
   ASSERT_TRUE(capped_result.status.ok()) << capped_result.status;
   EXPECT_TRUE(capped_result.replans.empty());
   EXPECT_EQ(Counter(capped_result, "llm.calls.replan_decision"), 0);
@@ -248,7 +248,7 @@ TEST_F(ReoptimizeTest, HonorsPerRequestOverrides) {
 // measured completion, so a deadline that the adaptive run overruns is
 // reported as a deadline miss, not silently absorbed.
 TEST_F(ReoptimizeTest, ReplanChargesCountAgainstDeadlines) {
-  auto system = MakeSystem(12.0, /*reoptimize=*/true);
+  auto system = MakeSystem(12.0, /*max_reoptimizations=*/2);
   const std::string query = ChainedFilterQuery();
   auto unconstrained = system->Answer(query);
   ASSERT_TRUE(unconstrained.status.ok()) << unconstrained.status;
@@ -269,7 +269,7 @@ TEST_F(ReoptimizeTest, ReplanChargesCountAgainstDeadlines) {
 // replan lands in the flight recorder as a kReplan event. This test runs
 // under TSAN/ASAN via scripts/check.sh.
 TEST_F(ReoptimizeTest, ServesConcurrentReplanningQueries) {
-  auto system = MakeSystem(12.0, /*reoptimize=*/true, /*parallelism=*/2);
+  auto system = MakeSystem(12.0, /*max_reoptimizations=*/2, /*parallelism=*/2);
   UnifyService::Options sopts;
   sopts.num_workers = 4;
   UnifyService service(system.get(), sopts);

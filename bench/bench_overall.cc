@@ -50,8 +50,7 @@ void RunDataset(const corpus::DatasetProfile& profile,
   ExecContext ctx;
   ctx.corpus = ds.corpus.get();
   ctx.llm = ds.llm.get();
-  ctx.doc_embedder = &system.doc_embedder();
-  ctx.doc_index = &system.doc_index();
+  ctx.phrase_probes = &system.phrase_probes();
 
   core::RagBaseline rag(&retriever, ds.llm.get(), {});
   core::RecurRagBaseline recur_rag(&retriever, ds.llm.get(), {});

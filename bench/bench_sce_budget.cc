@@ -11,6 +11,7 @@
 #include "common/stats.h"
 #include "core/physical/sce.h"
 #include "embedding/hashed_embedder.h"
+#include "index/linear_index.h"
 
 namespace unify::bench {
 namespace {
@@ -22,12 +23,15 @@ void RunBudget(const BenchDataset& ds, double fraction) {
   embedding::TopicEmbedder embedder(eopts, spec.topic_tokens, spec.aliases);
   std::vector<embedding::Vec> vecs;
   vecs.reserve(ds.corpus->size());
+  index::LinearIndex index;
   for (const auto& doc : ds.corpus->docs()) {
     vecs.push_back(embedder.Embed(doc.text));
+    UNIFY_CHECK_OK(index.Add(doc.id, vecs.back()));
   }
+  core::PhraseProbes probes(&embedder, &vecs, &index);
   core::SceOptions sopts;
   sopts.sample_fraction = fraction;
-  core::CardinalityEstimator estimator(ds.corpus.get(), &embedder, &vecs,
+  core::CardinalityEstimator estimator(ds.corpus.get(), &probes,
                                        ds.llm.get(), sopts);
   estimator.LearnImportanceFunction(
       corpus::GenerateHistoricalPredicates(*ds.corpus, 32, 17 ^ 0x31));

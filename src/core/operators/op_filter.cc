@@ -3,6 +3,7 @@
 
 #include "core/operators/op_families.h"
 #include "core/operators/physical_common.h"
+#include "core/physical/phrase_probes.h"
 
 namespace unify::core::ops {
 namespace {
@@ -19,7 +20,7 @@ using internal::WrongInput;
 /// CPU cost.
 StatusOr<DocList> IndexScanCandidates(const DocList& docs, const OpArgs& args,
                                       ExecContext& ctx, OpStats& stats) {
-  if (ctx.doc_index == nullptr || ctx.doc_embedder == nullptr) {
+  if (ctx.phrase_probes == nullptr) {
     return Status::FailedPrecondition("IndexScanFilter without index");
   }
   size_t candidates = static_cast<size_t>(
@@ -27,8 +28,8 @@ StatusOr<DocList> IndexScanCandidates(const DocList& docs, const OpArgs& args,
              static_cast<int64_t>(ctx.corpus->size() / 4)));
   candidates = std::min(candidates, ctx.corpus->size());
   const std::string phrase = ArgStr(args, "phrase", ArgStr(args, "condition"));
-  auto query_vec = ctx.doc_embedder->Embed(phrase);
-  auto hits = ctx.doc_index->Search(query_vec, candidates);
+  const PhraseProbes::Ids hits =
+      ctx.phrase_probes->Nearest(phrase, candidates);
   stats.cpu_seconds += kCpuFlat + 2e-6 * static_cast<double>(candidates);
   // One mark per corpus id: 1 = in the input scope, 2 = also a hit. Walking
   // the marks in id order yields the intersection sorted and deduplicated.
@@ -36,8 +37,8 @@ StatusOr<DocList> IndexScanCandidates(const DocList& docs, const OpArgs& args,
   for (uint64_t id : docs) {
     if (id < marks.size()) marks[id] = 1;
   }
-  for (const auto& hit : hits) {
-    if (hit.id < marks.size() && marks[hit.id] != 0) marks[hit.id] = 2;
+  for (uint32_t id : *hits) {
+    if (id < marks.size() && marks[id] != 0) marks[id] = 2;
   }
   DocList in_scope;
   for (uint64_t id = 0; id < marks.size(); ++id) {
@@ -128,7 +129,7 @@ class FilterOperator : public PhysicalOperator {
     if (impl == PhysicalImpl::kIndexScanFilter) {
       // The ANN probe is shared setup: run it once here, partition only
       // the LLM verification stream over its candidates.
-      if (ctx.doc_index == nullptr || ctx.doc_embedder == nullptr) {
+      if (ctx.phrase_probes == nullptr) {
         return none;  // sequential path reports the precondition error
       }
       UNIFY_ASSIGN_OR_RETURN(

@@ -4,6 +4,7 @@
 #include "common/string_util.h"
 #include "core/operators/op_families.h"
 #include "core/operators/physical_common.h"
+#include "core/physical/phrase_probes.h"
 
 namespace unify::core::ops {
 namespace {
@@ -105,20 +106,16 @@ StatusOr<OpOutput> ExecGenerate(const OpArgs& args,
   if (!inputs.empty() && inputs[0].is<DocList>()) {
     const DocList& docs = inputs[0].get<DocList>();
     int64_t retrieve_k = ArgInt(args, "retrieve_k", 0);
-    if (retrieve_k > 0 && ctx.doc_index != nullptr &&
-        ctx.doc_embedder != nullptr &&
+    if (retrieve_k > 0 && ctx.phrase_probes != nullptr &&
         docs.size() > static_cast<size_t>(retrieve_k)) {
       // RAG-style fallback: only the documents nearest to the query fit
       // into the generation context.
-      auto query_vec = ctx.doc_embedder->Embed(call.fields["query"]);
       std::set<uint64_t> scope(docs.begin(), docs.end());
-      auto hits = ctx.doc_index->Search(
-          query_vec, static_cast<size_t>(retrieve_k) * 2);
-      for (const auto& hit : hits) {
+      const PhraseProbes::Ids hits = ctx.phrase_probes->Nearest(
+          call.fields["query"], static_cast<size_t>(retrieve_k) * 2);
+      for (uint32_t id : *hits) {
         if (static_cast<int64_t>(call.items.size()) >= retrieve_k) break;
-        if (scope.count(hit.id) > 0) {
-          call.items.push_back(std::to_string(hit.id));
-        }
+        if (scope.count(id) > 0) call.items.push_back(std::to_string(id));
       }
       out.stats.cpu_seconds +=
           kCpuFlat + 2e-6 * static_cast<double>(docs.size());

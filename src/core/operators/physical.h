@@ -8,8 +8,6 @@
 #include "common/status.h"
 #include "core/value/value.h"
 #include "corpus/corpus.h"
-#include "embedding/embedder.h"
-#include "index/vector_index.h"
 #include "llm/llm_client.h"
 
 namespace unify::core {
@@ -68,6 +66,7 @@ bool ImplSemanticCapable(PhysicalImpl impl);
 /// Everything a physical operator needs at execution time.
 class CustomOpRegistry;  // custom_ops.h
 class NumericStats;      // core/physical/numeric_stats.h
+class PhraseProbes;      // core/physical/phrase_probes.h
 
 struct ExecContext {
   const corpus::Corpus* corpus = nullptr;
@@ -78,9 +77,9 @@ struct ExecContext {
   const NumericStats* numeric_stats = nullptr;
   /// Optional user-registered operators (Section IV-B3 extensibility).
   const CustomOpRegistry* custom_ops = nullptr;
-  /// Document embedder + prebuilt ANN index (for IndexScanFilter).
-  const embedding::Embedder* doc_embedder = nullptr;
-  const index::VectorIndex* doc_index = nullptr;
+  /// Nearest-neighbour probes of the document embeddings (for
+  /// IndexScanFilter and the RAG-style Generate fallback).
+  const PhraseProbes* phrase_probes = nullptr;
   /// Documents per batched LLM call.
   int llm_batch_size = 16;
 };

@@ -296,15 +296,9 @@ StatusOr<double> PhysicalOptimizer::Selectivity(const OpArgs& condition,
                                                 PhysicalPlan& plan) const {
   const double N = std::max<double>(1.0, opts.corpus_size);
   const std::string key = ConditionKey(condition);
-  {
-    std::unique_lock<std::mutex> lock;
-    if (ctx.cache_mu != nullptr) lock = std::unique_lock(*ctx.cache_mu);
-    auto it = ctx.cache->find(key);
-    if (it != ctx.cache->end()) return it->second / N;
-  }
+  auto it = ctx.cache->find(key);
+  if (it != ctx.cache->end()) return it->second / N;
 
-  // Estimate outside the cache lock (SCE costs LLM calls); a concurrent
-  // query estimating the same key computes the same deterministic value.
   double card = 0;
   switch (opts.mode) {
     case PhysicalMode::kRule:
@@ -330,34 +324,23 @@ StatusOr<double> PhysicalOptimizer::Selectivity(const OpArgs& condition,
       break;
     }
   }
-  {
-    std::unique_lock<std::mutex> lock;
-    if (ctx.cache_mu != nullptr) lock = std::unique_lock(*ctx.cache_mu);
-    (*ctx.cache)[key] = card;
-  }
+  (*ctx.cache)[key] = card;
   return card / N;
 }
 
 StatusOr<PhysicalPlan> PhysicalOptimizer::Optimize(const LogicalPlan& lp,
                                                    Trace* trace,
                                                    SpanId parent) const {
-  std::map<std::string, double> local_cache;
-  if (options_.reuse_sce_across_queries) {
-    return OptimizeCandidate(lp, options_, &sce_cache_, &sce_mu_, trace,
-                             parent);
-  }
-  return OptimizeCandidate(lp, options_, &local_cache, nullptr, trace,
-                           parent);
+  std::map<std::string, double> cache;
+  return OptimizeCandidate(lp, options_, &cache, trace, parent);
 }
 
 StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeCandidate(
     const LogicalPlan& lp, const OptimizerOptions& opts,
-    std::map<std::string, double>* cache, std::mutex* cache_mu, Trace* trace,
-    SpanId parent) const {
+    std::map<std::string, double>* cache, Trace* trace, SpanId parent) const {
   ScopedSpan span(trace, telemetry::kSpanOptimizeCandidate, parent);
   OptCtx ctx;
   ctx.cache = cache;
-  ctx.cache_mu = cache_mu;
   ctx.trace = trace;
   ctx.candidate_span = span.id();
   StatusOr<PhysicalPlan> plan = OptimizeImpl(lp, opts, ctx);
@@ -795,19 +778,13 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::SelectBest(
   if (plans.empty()) {
     return Status::InvalidArgument("no candidate plans");
   }
-  // With cross-query reuse the shared (mutex-guarded) cache carries
-  // estimates between queries; otherwise a call-local cache still shares
-  // SCE results across this query's candidates.
-  std::map<std::string, double> local_cache;
-  const bool reuse = opts.reuse_sce_across_queries;
-  std::map<std::string, double>* cache = reuse ? &sce_cache_ : &local_cache;
-  std::mutex* cache_mu = reuse ? &sce_mu_ : nullptr;
+  // A call-local cache shares SCE results across this query's candidates.
+  std::map<std::string, double> cache;
   std::optional<PhysicalPlan> best;
   double accumulated_llm_seconds = 0;
   int64_t accumulated_llm_calls = 0;
   for (const auto& lp : plans) {
-    auto optimized =
-        OptimizeCandidate(lp, opts, cache, cache_mu, trace, span.id());
+    auto optimized = OptimizeCandidate(lp, opts, &cache, trace, span.id());
     if (!optimized.ok()) continue;  // a malformed candidate is skipped
     accumulated_llm_seconds += optimized->optimize_llm_seconds;
     accumulated_llm_calls += optimized->optimize_llm_calls;

@@ -2,7 +2,6 @@
 #define UNIFY_CORE_PHYSICAL_OPTIMIZER_H_
 
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/trace.h"
@@ -62,10 +61,6 @@ struct OptimizerOptions {
   /// repair (docs/replanning.md, tests/reoptimize_test.cc,
   /// bench/bench_reoptimize.cc).
   double card_est_scale = 1.0;
-  /// Keep semantic-cardinality estimates across queries of a session.
-  /// Sound because predicates are estimated over the immutable corpus;
-  /// repeated conditions (common in real workloads) are then free.
-  bool reuse_sce_across_queries = false;
   uint64_t seed = 5;
 };
 
@@ -111,9 +106,8 @@ struct ReoptimizeResult {
 /// semantic requirements, and (4) ranking whole plans by predicted
 /// makespan for plan selection.
 ///
-/// Thread-safe: per-call state lives on the caller's stack; the only
-/// shared mutable state is the optional cross-query SCE cache, which is
-/// mutex-guarded. One optimizer may serve concurrent queries.
+/// Thread-safe: per-call state lives on the caller's stack, so one
+/// optimizer may serve concurrent queries.
 class PhysicalOptimizer {
  public:
   /// Pointers must outlive the optimizer. `estimator` may be null only in
@@ -167,12 +161,9 @@ class PhysicalOptimizer {
  private:
   /// Per-call mutable state threaded through the lowering algorithm.
   struct OptCtx {
-    /// SCE cache: condition key -> estimated cardinality. Either the
-    /// call-local cache (reuse off) or the shared cross-query cache.
+    /// SCE cache of one Optimize/SelectBest call: condition key ->
+    /// estimated cardinality.
     std::map<std::string, double>* cache = nullptr;
-    /// Guards `cache` when it is the shared cross-query cache; null for a
-    /// call-local cache (single-threaded by construction).
-    std::mutex* cache_mu = nullptr;
     /// Trace context of the candidate in flight; null when untraced.
     Trace* trace = nullptr;
     SpanId candidate_span = kNoSpan;
@@ -182,8 +173,7 @@ class PhysicalOptimizer {
   StatusOr<PhysicalPlan> OptimizeCandidate(const LogicalPlan& plan,
                                            const OptimizerOptions& opts,
                                            std::map<std::string, double>* cache,
-                                           std::mutex* cache_mu, Trace* trace,
-                                           SpanId parent) const;
+                                           Trace* trace, SpanId parent) const;
 
   /// The untraced lowering algorithm behind Optimize().
   StatusOr<PhysicalPlan> OptimizeImpl(const LogicalPlan& plan,
@@ -199,10 +189,6 @@ class PhysicalOptimizer {
   const CostModel* cost_model_;
   const CardinalityEstimator* estimator_;
   OptimizerOptions options_;
-  /// Cross-query SCE cache (reuse_sce_across_queries), mutex-guarded so
-  /// concurrent queries share estimates safely.
-  mutable std::mutex sce_mu_;
-  mutable std::map<std::string, double> sce_cache_;
 };
 
 }  // namespace unify::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/accuracy.h"
 #include "common/metrics.h"
@@ -26,6 +27,23 @@ std::string ConditionSeedKey(const OpArgs& condition) {
       key += it->second;
       key += '\x1f';
     }
+  }
+  return key;
+}
+
+/// Every condition argument TrueCardinality reads, each with its name and
+/// length, so distinct conditions never share a key.
+std::string TruthKey(const OpArgs& condition) {
+  std::string key;
+  for (const char* k : {"kind", "phrase", "condition", "attribute", "cmp",
+                        "value", "value2"}) {
+    auto it = condition.find(k);
+    if (it == condition.end()) continue;
+    key += k;
+    key += ':';
+    key += std::to_string(it->second.size());
+    key += ':';
+    key += it->second;
   }
   return key;
 }
@@ -69,28 +87,11 @@ const char* SceMethodName(SceMethod method) {
   return "?";
 }
 
-CardinalityEstimator::CardinalityEstimator(
-    const corpus::Corpus* corpus, const embedding::Embedder* embedder,
-    const std::vector<embedding::Vec>* doc_vecs, llm::LlmClient* llm,
-    SceOptions options)
-    : corpus_(corpus),
-      embedder_(embedder),
-      doc_vecs_(doc_vecs),
-      llm_(llm),
-      options_(options) {}
-
-std::vector<uint32_t> CardinalityEstimator::RankByDistance(
-    const std::string& phrase) const {
-  embedding::Vec query = embedder_->Embed(phrase);
-  std::vector<std::pair<float, uint32_t>> dist(doc_vecs_->size());
-  for (uint32_t i = 0; i < doc_vecs_->size(); ++i) {
-    dist[i] = {embedding::L2Distance(query, (*doc_vecs_)[i]), i};
-  }
-  std::sort(dist.begin(), dist.end());
-  std::vector<uint32_t> ranked(dist.size());
-  for (uint32_t r = 0; r < dist.size(); ++r) ranked[r] = dist[r].second;
-  return ranked;
-}
+CardinalityEstimator::CardinalityEstimator(const corpus::Corpus* corpus,
+                                           const PhraseProbes* probes,
+                                           llm::LlmClient* llm,
+                                           SceOptions options)
+    : corpus_(corpus), probes_(probes), llm_(llm), options_(options) {}
 
 void CardinalityEstimator::LearnImportanceFunction(
     const std::vector<corpus::HistoricalPredicate>& history) {
@@ -99,7 +100,8 @@ void CardinalityEstimator::LearnImportanceFunction(
   int used = 0;
   const auto& kb = corpus_->knowledge();
   for (const auto& hp : history) {
-    std::vector<uint32_t> ranked = RankByDistance(hp.phrase);
+    const PhraseProbes::Ids ranking = probes_->Ranking(hp.phrase);
+    const std::vector<uint32_t>& ranked = *ranking;
     if (ranked.empty()) continue;
     // Results of already-executed historical queries are known; an
     // unknown phrase matched nothing.
@@ -169,25 +171,27 @@ StatusOr<std::vector<bool>> CardinalityEstimator::EvalTheta(
 }
 
 double CardinalityEstimator::TrueCardinality(const OpArgs& condition) const {
-  size_t n = 0;
-  if (IsNumericCondition(condition)) {
-    // Latent numeric truth.
-    auto it = condition.find("attribute");
-    int64_t corpus::DocAttrs::*field =
-        LatentField(it == condition.end() ? "" : it->second);
-    const auto comparison = internal::NumericComparison::Parse(condition);
+  return truth_memo_.GetOrCompute(TruthKey(condition), [&]() -> double {
+    size_t n = 0;
+    if (IsNumericCondition(condition)) {
+      // Latent numeric truth.
+      auto it = condition.find("attribute");
+      int64_t corpus::DocAttrs::*field =
+          LatentField(it == condition.end() ? "" : it->second);
+      const auto comparison = internal::NumericComparison::Parse(condition);
+      for (const auto& doc : corpus_->docs()) {
+        if (comparison.Holds(field == nullptr ? 0 : doc.attrs.*field)) ++n;
+      }
+      return static_cast<double>(n);
+    }
+    const std::optional<corpus::SemanticPredicate> pred =
+        corpus_->knowledge().Resolve(PhraseOf(condition));
+    if (!pred.has_value()) return 0;
     for (const auto& doc : corpus_->docs()) {
-      if (comparison.Holds(field == nullptr ? 0 : doc.attrs.*field)) ++n;
+      if (pred->Matches(doc.attrs)) ++n;
     }
     return static_cast<double>(n);
-  }
-  const std::optional<corpus::SemanticPredicate> pred =
-      corpus_->knowledge().Resolve(PhraseOf(condition));
-  if (!pred.has_value()) return 0;
-  for (const auto& doc : corpus_->docs()) {
-    if (pred->Matches(doc.attrs)) ++n;
-  }
-  return static_cast<double>(n);
+  });
 }
 
 StatusOr<SceEstimate> CardinalityEstimator::EstimateCondition(
@@ -280,7 +284,8 @@ StatusOr<SceEstimate> CardinalityEstimator::EstimateImpl(
     return est;
   }
 
-  std::vector<uint32_t> ranked = RankByDistance(phrase);
+  const PhraseProbes::Ids ranking = probes_->Ranking(phrase);
+  const std::vector<uint32_t>& ranked = *ranking;
   const int buckets = options_.num_buckets;
   size_t per_bucket = std::max<size_t>(1, N / buckets);
 
@@ -289,8 +294,9 @@ StatusOr<SceEstimate> CardinalityEstimator::EstimateImpl(
   // unit-normalized embeddings rank-quantile strata of a monotone
   // transform are equivalent up to stratum sizes, so we model equi-width
   // strata by merging rank groups proportionally to distance spread.
+  // A corpus smaller than `buckets` leaves its trailing buckets empty.
   auto bucket_range = [&](int b) {
-    size_t begin = static_cast<size_t>(b) * per_bucket;
+    size_t begin = std::min(N, static_cast<size_t>(b) * per_bucket);
     size_t end = (b == buckets - 1) ? N : std::min(N, begin + per_bucket);
     return std::make_pair(begin, end);
   };

@@ -8,8 +8,8 @@
 #include "core/operators/physical.h"
 #include "corpus/corpus.h"
 #include "corpus/workload.h"
-#include "embedding/embedder.h"
 #include "core/physical/numeric_stats.h"
+#include "core/physical/phrase_probes.h"
 #include "llm/llm_client.h"
 
 namespace unify::core {
@@ -58,12 +58,11 @@ struct SceEstimate {
 /// n_s · f_i samples per group).
 class CardinalityEstimator {
  public:
-  /// `doc_vecs` holds the precomputed embedding of every document, indexed
-  /// by id. All pointers must outlive the estimator.
+  /// `probes` ranks the corpus by embedding distance to a phrase. All
+  /// pointers must outlive the estimator.
   CardinalityEstimator(const corpus::Corpus* corpus,
-                       const embedding::Embedder* embedder,
-                       const std::vector<embedding::Vec>* doc_vecs,
-                       llm::LlmClient* llm, SceOptions options);
+                       const PhraseProbes* probes, llm::LlmClient* llm,
+                       SceOptions options);
 
   /// Learns the importance function from executed historical queries
   /// (whose true result sets are known). Without this, kImportance falls
@@ -79,7 +78,8 @@ class CardinalityEstimator {
   /// "sce.estimate" span (child of `parent`) records the method, sample
   /// count, and resulting cardinality.
   /// Thread-safe: estimation state is per-call (the RNG is seeded from the
-  /// condition and salt), so concurrent queries may share one estimator.
+  /// condition and salt) and the memos are locked, so concurrent queries
+  /// may share one estimator.
   StatusOr<SceEstimate> EstimateCondition(const OpArgs& condition,
                                           SceMethod method, uint64_t salt = 0,
                                           Trace* trace = nullptr,
@@ -96,7 +96,8 @@ class CardinalityEstimator {
   }
 
   /// Exact selectivity from latent attributes — the Unify-GD oracle
-  /// (Section VII-E) and the ground truth for q-error evaluation.
+  /// (Section VII-E) and the ground truth for q-error evaluation. Counted
+  /// once per distinct condition, then memoized.
   double TrueCardinality(const OpArgs& condition) const;
 
  private:
@@ -104,21 +105,19 @@ class CardinalityEstimator {
   StatusOr<SceEstimate> EstimateImpl(const OpArgs& condition,
                                      SceMethod method, uint64_t salt) const;
 
-  /// Ascending distance ranks of all documents w.r.t. `phrase`.
-  std::vector<uint32_t> RankByDistance(const std::string& phrase) const;
-
   /// Batched θ(x) evaluation via the LLM.
   StatusOr<std::vector<bool>> EvalTheta(const OpArgs& condition,
                                         const std::vector<uint64_t>& ids,
                                         SceEstimate& accounting) const;
 
   const corpus::Corpus* corpus_;
-  const embedding::Embedder* embedder_;
-  const std::vector<embedding::Vec>* doc_vecs_;
+  const PhraseProbes* probes_;
   llm::LlmClient* llm_;
   SceOptions options_;
   std::vector<double> importance_;
   const NumericStats* numeric_stats_ = nullptr;
+  /// TrueCardinality by every condition argument it reads.
+  mutable BoundedMemo<std::string, double> truth_memo_;
 };
 
 }  // namespace unify::core

@@ -169,8 +169,7 @@ void QueryPipeline::ExecutePlan() {
   ectx.corpus = system_.corpus_;
   ectx.llm = system_.traced_llm_.get();
   ectx.numeric_stats = &system_.numeric_stats_;
-  ectx.doc_embedder = system_.doc_embedder_.get();
-  ectx.doc_index = system_.doc_index_.get();
+  ectx.phrase_probes = system_.phrase_probes_.get();
   ectx.custom_ops = system_.options_.custom_ops;
   ectx.llm_batch_size = system_.options_.llm_batch_size;
   PlanExecutor::Options eopts = system_.options_.exec;

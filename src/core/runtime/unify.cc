@@ -63,13 +63,14 @@ Status UnifySystem::Setup() {
     doc_vecs_.push_back(doc_embedder_->Embed(doc.text));
     UNIFY_RETURN_IF_ERROR(doc_index_->Add(doc.id, doc_vecs_.back()));
   }
+  phrase_probes_ = std::make_unique<PhraseProbes>(
+      doc_embedder_.get(), &doc_vecs_, doc_index_.get());
 
   // --- Semantic cardinality estimation (Section VI-B) + numeric
   // histograms over surface-extractable attributes ---
   numeric_stats_.Build(*corpus_);
   estimator_ = std::make_unique<CardinalityEstimator>(
-      corpus_, doc_embedder_.get(), &doc_vecs_, traced_llm_.get(),
-      options_.sce);
+      corpus_, phrase_probes_.get(), traced_llm_.get(), options_.sce);
   estimator_->set_numeric_stats(&numeric_stats_);
   estimator_->LearnImportanceFunction(corpus::GenerateHistoricalPredicates(
       *corpus_, options_.history_size, options_.seed ^ 0x31));
@@ -80,7 +81,6 @@ Status UnifySystem::Setup() {
   OptimizerOptions oopts;
   oopts.mode = options_.physical_mode;
   oopts.objective = options_.objective;
-  oopts.reuse_sce_across_queries = options_.reuse_sce_across_queries;
   oopts.corpus_size = corpus_->size();
   oopts.num_categories = corpus_->knowledge().categories().size();
   oopts.num_servers = options_.exec.num_servers;
@@ -110,8 +110,7 @@ Status UnifySystem::CalibrateCostModel() {
   ctx.corpus = corpus_;
   ctx.llm = traced_llm_.get();
   ctx.numeric_stats = &numeric_stats_;
-  ctx.doc_embedder = doc_embedder_.get();
-  ctx.doc_index = doc_index_.get();
+  ctx.phrase_probes = phrase_probes_.get();
   ctx.llm_batch_size = options_.llm_batch_size;
 
   const size_t sample_n = std::min<size_t>(32, corpus_->size());

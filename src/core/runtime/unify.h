@@ -14,6 +14,7 @@
 #include "core/physical/cost_model.h"
 #include "core/physical/optimizer.h"
 #include "core/physical/numeric_stats.h"
+#include "core/physical/phrase_probes.h"
 #include "core/physical/sce.h"
 #include "core/runtime/executor.h"
 #include "core/runtime/query.h"
@@ -39,8 +40,6 @@ struct UnifyOptions {
   SceOptions sce;
   PhysicalMode physical_mode = PhysicalMode::kFull;
   OptimizeObjective objective = OptimizeObjective::kTime;
-  /// Reuse cardinality estimates for repeated predicates across queries.
-  bool reuse_sce_across_queries = false;
   PlanExecutor::Options exec;
   /// User-registered operators (Section IV-B3); may be null. Must outlive
   /// the system.
@@ -100,12 +99,12 @@ struct UnifyOptions {
 ///
 /// After Setup(), Answer() is const and safe to call from multiple
 /// threads: planning/optimization keep their state on the caller's stack,
-/// the SCE cache and cost model are mutex-guarded, and the per-query RNG
-/// streams are derived from stable content hashes, so concurrent calls
-/// produce byte-identical answers to a sequential run (with cost_feedback
-/// off; see docs/api.md). For a managed worker pool with admission
-/// control and a shared virtual server pool, wrap the system in a
-/// UnifyService.
+/// the phrase-probe and ground-truth memos and the cost model are
+/// mutex-guarded, and the per-query RNG streams are derived from stable
+/// content hashes, so concurrent calls produce byte-identical answers to a
+/// sequential run (with cost_feedback off; see docs/api.md). For a managed
+/// worker pool with admission control and a shared virtual server pool,
+/// wrap the system in a UnifyService.
 class UnifySystem {
  public:
   /// `corpus` and `llm` must outlive the system.
@@ -136,8 +135,8 @@ class UnifySystem {
   const OperatorRegistry& registry() const { return registry_; }
   const OperatorMatcher& matcher() const { return *matcher_; }
   const embedding::Embedder& doc_embedder() const { return *doc_embedder_; }
-  const index::HnswIndex& doc_index() const { return *doc_index_; }
-  const std::vector<embedding::Vec>& doc_vecs() const { return doc_vecs_; }
+  /// Per-phrase distance rankings and index candidates over the corpus.
+  const PhraseProbes& phrase_probes() const { return *phrase_probes_; }
   /// One-off virtual cost of Setup() (indexing + calibration LLM calls).
   double setup_llm_seconds() const { return setup_llm_seconds_; }
 
@@ -221,6 +220,7 @@ class UnifySystem {
   std::unique_ptr<embedding::TopicEmbedder> doc_embedder_;
   std::vector<embedding::Vec> doc_vecs_;
   std::unique_ptr<index::HnswIndex> doc_index_;
+  std::unique_ptr<PhraseProbes> phrase_probes_;
   /// Mutable: absorbs feedback from const Answer() calls (internally
   /// mutex-guarded).
   mutable CostModel cost_model_;

@@ -47,8 +47,7 @@ class BaselinesTest : public ::testing::Test {
     ExecContext ctx;
     ctx.corpus = corpus_;
     ctx.llm = llm_;
-    ctx.doc_embedder = &system_->doc_embedder();
-    ctx.doc_index = &system_->doc_index();
+    ctx.phrase_probes = &system_->phrase_probes();
     return ctx;
   }
 

@@ -7,6 +7,7 @@
 #include "core/operators/custom_ops.h"
 #include "core/operators/operator_def.h"
 #include "core/operators/physical.h"
+#include "core/physical/phrase_probes.h"
 #include "corpus/dataset_profile.h"
 #include "embedding/hashed_embedder.h"
 #include "index/hnsw_index.h"
@@ -28,11 +29,16 @@ class OperatorsTest : public ::testing::Test {
     embedder_ = new embedding::TopicEmbedder(eopts, spec.topic_tokens,
                                              spec.aliases);
     index_ = new index::HnswIndex(index::HnswIndex::Options{});
+    vecs_ = new std::vector<embedding::Vec>();
     for (const auto& doc : corpus_->docs()) {
-      ASSERT_TRUE(index_->Add(doc.id, embedder_->Embed(doc.text)).ok());
+      vecs_->push_back(embedder_->Embed(doc.text));
+      ASSERT_TRUE(index_->Add(doc.id, vecs_->back()).ok());
     }
+    probes_ = new PhraseProbes(embedder_, vecs_, index_);
   }
   static void TearDownTestSuite() {
+    delete probes_;
+    delete vecs_;
     delete index_;
     delete embedder_;
     delete llm_;
@@ -43,8 +49,7 @@ class OperatorsTest : public ::testing::Test {
     ExecContext ctx;
     ctx.corpus = corpus_;
     ctx.llm = llm_;
-    ctx.doc_embedder = embedder_;
-    ctx.doc_index = index_;
+    ctx.phrase_probes = probes_;
     return ctx;
   }
 
@@ -66,11 +71,15 @@ class OperatorsTest : public ::testing::Test {
   static llm::SimulatedLlm* llm_;
   static embedding::TopicEmbedder* embedder_;
   static index::HnswIndex* index_;
+  static std::vector<embedding::Vec>* vecs_;
+  static PhraseProbes* probes_;
 };
 corpus::Corpus* OperatorsTest::corpus_ = nullptr;
 llm::SimulatedLlm* OperatorsTest::llm_ = nullptr;
 embedding::TopicEmbedder* OperatorsTest::embedder_ = nullptr;
 index::HnswIndex* OperatorsTest::index_ = nullptr;
+std::vector<embedding::Vec>* OperatorsTest::vecs_ = nullptr;
+PhraseProbes* OperatorsTest::probes_ = nullptr;
 
 // ---------------------------------------------------------------------------
 // Registry

@@ -4,6 +4,7 @@
 #include "core/physical/optimizer.h"
 #include "corpus/dataset_profile.h"
 #include "embedding/hashed_embedder.h"
+#include "index/linear_index.h"
 #include "llm/sim_llm.h"
 
 namespace unify::core {
@@ -76,10 +77,13 @@ class OptimizerTest : public ::testing::Test {
         embedding::TopicEmbedder::Options{}, spec.topic_tokens,
         spec.aliases);
     vecs_ = new std::vector<embedding::Vec>();
+    index_ = new index::LinearIndex();
     for (const auto& doc : corpus_->docs()) {
       vecs_->push_back(embedder_->Embed(doc.text));
+      ASSERT_TRUE(index_->Add(doc.id, vecs_->back()).ok());
     }
-    estimator_ = new CardinalityEstimator(corpus_, embedder_, vecs_, llm_,
+    probes_ = new PhraseProbes(embedder_, vecs_, index_);
+    estimator_ = new CardinalityEstimator(corpus_, probes_, llm_,
                                           SceOptions{});
     estimator_->LearnImportanceFunction(
         corpus::GenerateHistoricalPredicates(*corpus_, 24, 5));
@@ -94,6 +98,8 @@ class OptimizerTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete cost_model_;
     delete estimator_;
+    delete probes_;
+    delete index_;
     delete vecs_;
     delete embedder_;
     delete llm_;
@@ -148,6 +154,8 @@ class OptimizerTest : public ::testing::Test {
   static llm::SimulatedLlm* llm_;
   static embedding::TopicEmbedder* embedder_;
   static std::vector<embedding::Vec>* vecs_;
+  static index::LinearIndex* index_;
+  static PhraseProbes* probes_;
   static CardinalityEstimator* estimator_;
   static CostModel* cost_model_;
 };
@@ -155,6 +163,8 @@ corpus::Corpus* OptimizerTest::corpus_ = nullptr;
 llm::SimulatedLlm* OptimizerTest::llm_ = nullptr;
 embedding::TopicEmbedder* OptimizerTest::embedder_ = nullptr;
 std::vector<embedding::Vec>* OptimizerTest::vecs_ = nullptr;
+index::LinearIndex* OptimizerTest::index_ = nullptr;
+PhraseProbes* OptimizerTest::probes_ = nullptr;
 CardinalityEstimator* OptimizerTest::estimator_ = nullptr;
 CostModel* OptimizerTest::cost_model_ = nullptr;
 

@@ -5,6 +5,7 @@
 #include "corpus/dataset_profile.h"
 #include "corpus/workload.h"
 #include "embedding/hashed_embedder.h"
+#include "index/linear_index.h"
 #include "llm/sim_llm.h"
 
 namespace unify::core {
@@ -22,16 +23,21 @@ class SceTest : public ::testing::Test {
         embedding::TopicEmbedder::Options{}, spec.topic_tokens,
         spec.aliases);
     vecs_ = new std::vector<embedding::Vec>();
+    index_ = new index::LinearIndex();
     for (const auto& doc : corpus_->docs()) {
       vecs_->push_back(embedder_->Embed(doc.text));
+      ASSERT_TRUE(index_->Add(doc.id, vecs_->back()).ok());
     }
-    estimator_ = new CardinalityEstimator(corpus_, embedder_, vecs_, llm_,
+    probes_ = new PhraseProbes(embedder_, vecs_, index_);
+    estimator_ = new CardinalityEstimator(corpus_, probes_, llm_,
                                           SceOptions{});
     estimator_->LearnImportanceFunction(
         corpus::GenerateHistoricalPredicates(*corpus_, 24, 5));
   }
   static void TearDownTestSuite() {
     delete estimator_;
+    delete probes_;
+    delete index_;
     delete vecs_;
     delete embedder_;
     delete llm_;
@@ -46,12 +52,16 @@ class SceTest : public ::testing::Test {
   static llm::SimulatedLlm* llm_;
   static embedding::TopicEmbedder* embedder_;
   static std::vector<embedding::Vec>* vecs_;
+  static index::LinearIndex* index_;
+  static PhraseProbes* probes_;
   static CardinalityEstimator* estimator_;
 };
 corpus::Corpus* SceTest::corpus_ = nullptr;
 llm::SimulatedLlm* SceTest::llm_ = nullptr;
 embedding::TopicEmbedder* SceTest::embedder_ = nullptr;
 std::vector<embedding::Vec>* SceTest::vecs_ = nullptr;
+index::LinearIndex* SceTest::index_ = nullptr;
+PhraseProbes* SceTest::probes_ = nullptr;
 CardinalityEstimator* SceTest::estimator_ = nullptr;
 
 TEST_F(SceTest, TrueCardinalityMatchesManualCount) {
@@ -72,6 +82,44 @@ TEST_F(SceTest, TrueCardinalityNumeric) {
   size_t manual = 0;
   for (const auto& doc : corpus_->docs()) manual += doc.attrs.views <= 100;
   EXPECT_DOUBLE_EQ(truth, static_cast<double>(manual));
+}
+
+TEST_F(SceTest, TrueCardinalityMemoKeysOnEveryArgumentItReads) {
+  auto numeric = [](const char* attr, const char* cmp, const char* value,
+                    const char* value2) {
+    OpArgs c{{"kind", "numeric"}, {"attribute", attr}, {"cmp", cmp},
+             {"value", value}};
+    if (value2 != nullptr) c["value2"] = value2;
+    return c;
+  };
+  const std::vector<OpArgs> conditions = {
+      numeric("views", "gt", "100", nullptr),
+      numeric("views", "gt", "300", nullptr),
+      numeric("views", "le", "100", nullptr),
+      numeric("score", "gt", "100", nullptr),
+      numeric("views", "between", "100", "500"),
+      numeric("views", "between", "100", "900"),
+      Semantic("tennis"),
+      Semantic("injury"),
+      {{"kind", "semantic"}, {"condition", "injury"}},
+      {{"phrase", "training"}},
+  };
+  // A fresh estimator has an empty memo, so it counts every condition.
+  std::vector<double> expected;
+  for (const OpArgs& c : conditions) {
+    CardinalityEstimator fresh(corpus_, probes_, llm_, SceOptions{});
+    expected.push_back(fresh.TrueCardinality(c));
+  }
+  EXPECT_NE(expected[0], expected[1]);
+  EXPECT_NE(expected[4], expected[5]);
+  EXPECT_NE(expected[6], expected[7]);
+  CardinalityEstimator shared(corpus_, probes_, llm_, SceOptions{});
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < conditions.size(); ++i) {
+      EXPECT_EQ(shared.TrueCardinality(conditions[i]), expected[i])
+          << "condition " << i << " round " << round;
+    }
+  }
 }
 
 TEST_F(SceTest, ImportanceFunctionIsNormalizedAndFrontLoaded) {
@@ -177,6 +225,37 @@ TEST_F(SceTest, BroadPredicateNotCatastrophicallyUnderestimated) {
   ASSERT_TRUE(est.ok());
   EXPECT_LT(QError(est->cardinality, truth), 3.0)
       << est->cardinality << " vs " << truth;
+}
+
+// A corpus smaller than num_buckets - 1 leaves trailing rank buckets
+// empty; sampling one must not wrap its size.
+TEST(SceSmallCorpusTest, EveryMethodStaysWithinTheCorpus) {
+  for (size_t n : {1, 2, 3, 5, 6, 8}) {
+    auto profile = corpus::SportsProfile();
+    profile.doc_count = n;
+    const corpus::Corpus corp = corpus::GenerateCorpus(profile, 53);
+    ASSERT_EQ(corp.size(), n);
+    llm::SimulatedLlm llm(&corp, llm::SimLlmOptions{});
+    auto spec = corpus::BuildEmbeddingSpec(corp.profile());
+    embedding::TopicEmbedder embedder(embedding::TopicEmbedder::Options{},
+                                      spec.topic_tokens, spec.aliases);
+    std::vector<embedding::Vec> vecs;
+    index::LinearIndex index;
+    for (const auto& doc : corp.docs()) {
+      vecs.push_back(embedder.Embed(doc.text));
+      ASSERT_TRUE(index.Add(doc.id, vecs.back()).ok());
+    }
+    PhraseProbes probes(&embedder, &vecs, &index);
+    CardinalityEstimator estimator(&corp, &probes, &llm, SceOptions{});
+    const OpArgs cond{{"kind", "semantic"}, {"phrase", "tennis"}};
+    for (SceMethod method : {SceMethod::kUniform, SceMethod::kStratified,
+                             SceMethod::kAis, SceMethod::kImportance}) {
+      auto est = estimator.EstimateCondition(cond, method);
+      ASSERT_TRUE(est.ok()) << n << " docs, " << SceMethodName(method);
+      EXPECT_GE(est->cardinality, 0) << n << " docs";
+      EXPECT_LE(est->cardinality, static_cast<double>(n)) << n << " docs";
+    }
+  }
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ std::vector<OpArgs> WorkloadConditions(
   return out;
 }
 
-void AppendHistogramJson(std::ofstream& out, const Histogram& h) {
+void AppendHistogramJson(std::ofstream& out, const SampleStats& h) {
   out << "{\"count\": " << h.count();
   if (h.count() > 0) {
     out << ", \"p50\": " << h.Quantile(0.5)
@@ -93,12 +93,12 @@ int Run(bool smoke) {
                   " predicates)");
   std::printf("%-12s %8s %8s %8s %8s\n", "method", "p50", "p90", "p99",
               "max");
-  std::map<std::string, Histogram> sce_qerror;
+  std::map<std::string, SampleStats> sce_qerror;
   const uint64_t salts = smoke ? 2 : 5;
   for (SceMethod method :
        {SceMethod::kUniform, SceMethod::kStratified, SceMethod::kAis,
         SceMethod::kImportance}) {
-    Histogram h;
+    SampleStats h;
     for (const auto& cond : conditions) {
       const double truth = estimator.TrueCardinality(cond);
       for (uint64_t salt = 0; salt < salts; ++salt) {
@@ -114,9 +114,9 @@ int Run(bool smoke) {
   }
 
   // --- sweep 2: end-to-end plan predictions --------------------------
-  Histogram makespan_rel_error;
-  Histogram dollars_rel_error;
-  Histogram card_qerror;
+  SampleStats makespan_rel_error;
+  SampleStats dollars_rel_error;
+  SampleStats card_qerror;
   int queries_run = 0;
   int nodes_analyzed = 0;
   const size_t max_queries = smoke ? 4 : ds.workload.size();
@@ -147,7 +147,7 @@ int Run(bool smoke) {
                   std::to_string(nodes_analyzed) + " executed nodes)");
   std::printf("%-22s %8s %8s %8s %8s\n", "distribution", "p50", "p90",
               "p99", "max");
-  auto print_hist = [](const char* name, const Histogram& h) {
+  auto print_hist = [](const char* name, const SampleStats& h) {
     if (h.count() == 0) {
       std::printf("%-22s    (no observations)\n", name);
       return;

@@ -53,7 +53,7 @@ fi
 
 TESTS=(virtual_pool_test service_test fair_scheduler_test executor_test
        partition_test flight_recorder_test resilience_test cache_test
-       reoptimize_test http_endpoint_test phrase_probes_test)
+       reoptimize_test http_endpoint_test phrase_probes_test metrics_test)
 
 # Probe: can this toolchain produce a binary under this sanitizer at all?
 probe="$(mktemp -d)"

@@ -22,10 +22,10 @@ namespace unify {
 /// accuracy").
 ///
 /// Every Record* call also mirrors the observation into the metrics
-/// registry (via the Metric* helpers, so per-query sinks see it too)
-/// under the corresponding telemetry name — the ledger adds bounded
-/// per-method histograms and the chosen-vs-best counters in one
-/// resettable place.
+/// registry (via the Metric* helpers, so into the running query's sink
+/// when there is one) under the corresponding telemetry name — the ledger
+/// adds bounded per-method histograms and the chosen-vs-best counters in
+/// one resettable place.
 class AccuracyLedger {
  public:
   struct Snapshot {

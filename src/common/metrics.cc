@@ -1,5 +1,7 @@
 #include "common/metrics.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -104,9 +106,13 @@ std::string LabeledMetricName(const std::string& base, const std::string& key,
 std::string MetricsSnapshot::ToPrometheusText() const {
   std::ostringstream os;
   char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return std::string(buf);
+  // The shortest text that parses back to the same double: a counter
+  // keeps its low digits however large it grows.
+  auto num = [&buf](double v) -> std::string_view {
+    if (std::isnan(v)) return "NaN";
+    if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string_view(buf, static_cast<size_t>(end - buf));
   };
   // All labeled samples of one base metric share a single HELP/TYPE
   // header. The map is name-ordered and `{` sorts after every character
@@ -155,28 +161,53 @@ std::string MetricsSnapshot::ToPrometheusText() const {
   return os.str();
 }
 
-void MetricsRegistry::AddCounter(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += delta;
+namespace {
+
+/// The series `name` in `map`, inserted value-initialized on first use;
+/// one tree walk, and no allocation when it already exists.
+template <typename V>
+V& Series(MetricMap<V>& map, std::string_view name) {
+  auto it = map.lower_bound(name);
+  if (it == map.end() || it->first != name) {
+    it = map.emplace_hint(it, std::string(name), V{});
+  }
+  return it->second;
 }
 
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
+}  // namespace
+
+void MetricsRegistry::AddCounter(std::string_view name, double delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
+  Series(counters_, name) += delta;
 }
 
-void MetricsRegistry::Observe(const std::string& name, double value) {
+void MetricsRegistry::SetGauge(std::string_view name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  histograms_[name].Add(value);
+  Series(gauges_, name) = value;
 }
 
-double MetricsRegistry::counter(const std::string& name) const {
+void MetricsRegistry::Observe(std::string_view name, double value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Series(histograms_, name).Add(value);
+}
+
+void MetricsRegistry::Merge(const MetricsSnapshot& delta) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, value] : delta.counters) {
+    Series(counters_, name) += value;
+  }
+  for (const auto& [name, hist] : delta.histograms) {
+    Series(histograms_, name).Merge(hist);
+  }
+}
+
+double MetricsRegistry::counter(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second;
 }
 
-double MetricsRegistry::gauge(const std::string& name) const {
+double MetricsRegistry::gauge(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
@@ -205,6 +236,12 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 namespace {
 thread_local MetricsRegistry* t_metrics_sink = nullptr;
+
+/// Where counters and histograms recorded on this thread go.
+MetricsRegistry& Target() {
+  return t_metrics_sink != nullptr ? *t_metrics_sink
+                                   : MetricsRegistry::Global();
+}
 }  // namespace
 
 MetricsRegistry* MetricsRegistry::ThreadSink() { return t_metrics_sink; }
@@ -216,19 +253,17 @@ MetricsRegistry::ScopedSink::ScopedSink(MetricsRegistry* sink)
 
 MetricsRegistry::ScopedSink::~ScopedSink() { t_metrics_sink = prev_; }
 
-void MetricAddCounter(const std::string& name, double delta) {
-  MetricsRegistry::Global().AddCounter(name, delta);
-  if (t_metrics_sink != nullptr) t_metrics_sink->AddCounter(name, delta);
+void MetricAddCounter(std::string_view name, double delta) {
+  Target().AddCounter(name, delta);
 }
 
-void MetricSetGauge(const std::string& name, double value) {
+void MetricSetGauge(std::string_view name, double value) {
   MetricsRegistry::Global().SetGauge(name, value);
   if (t_metrics_sink != nullptr) t_metrics_sink->SetGauge(name, value);
 }
 
-void MetricObserve(const std::string& name, double value) {
-  MetricsRegistry::Global().Observe(name, value);
-  if (t_metrics_sink != nullptr) t_metrics_sink->Observe(name, value);
+void MetricObserve(std::string_view name, double value) {
+  Target().Observe(name, value);
 }
 
 }  // namespace unify

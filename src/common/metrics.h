@@ -2,25 +2,32 @@
 #define UNIFY_COMMON_METRICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/stats.h"
 
 namespace unify {
 
+/// A name-keyed metric map with transparent lookup: finding a series by a
+/// `const char*` or `std::string_view` name allocates nothing.
+template <typename V>
+using MetricMap = std::map<std::string, V, std::less<>>;
+
 /// A point-in-time copy of a MetricsRegistry's contents. Counter deltas
-/// between two snapshots isolate one operation's contribution (the
-/// pattern `UnifySystem::Answer()` uses to attach per-query LLM totals to
-/// its trace).
+/// between two snapshots isolate what happened in between (tests bracket
+/// a batch of queries this way); one query's own contribution is its
+/// `QueryResult::metrics`, which is what the query merged into the
+/// global registry when it finished.
 struct MetricsSnapshot {
-  std::map<std::string, double> counters;
-  std::map<std::string, double> gauges;
-  /// Histogram copies (bounded reservoirs — see Histogram in
-  /// common/stats.h — so quantiles work on the snapshot and memory stays
-  /// bounded in long-lived serving processes).
-  std::map<std::string, Histogram> histograms;
+  MetricMap<double> counters;
+  MetricMap<double> gauges;
+  /// Histogram copies (mergeable log-linear buckets — see Histogram in
+  /// common/stats.h — so a copy costs O(buckets), not O(observations)).
+  MetricMap<Histogram> histograms;
 
   /// Counters minus `earlier`'s counters (absent = 0; zero deltas are
   /// dropped). Gauges and histograms keep their current values: they are
@@ -35,7 +42,8 @@ struct MetricsSnapshot {
   /// sanitized to [a-zA-Z0-9_:] and prefixed with `unify_`; every metric
   /// gets `# HELP` and `# TYPE` lines. Counters expose as `counter`,
   /// gauges as `gauge`, histograms as `summary` with quantile 0.5/0.9/
-  /// 0.99 series plus `_sum`/`_count`.
+  /// 0.99 series plus `_sum`/`_count`. Values use the shortest text that
+  /// reads back as the same double, so counters stay exact at any size.
   ///
   /// Labeled series: a registry name of the form `base{key="value"}`
   /// (compose with LabeledMetricName so the value is escaped) renders as
@@ -52,15 +60,15 @@ struct MetricsSnapshot {
 std::string LabeledMetricName(const std::string& base, const std::string& key,
                               const std::string& value);
 
-/// A process-wide registry of named counters, gauges, and histograms —
-/// the metrics side of the observability layer (spans live in
-/// common/trace.h). Thread-safe; names are flat dotted strings from the
-/// catalog in src/common/telemetry_names.h (documented in
-/// docs/observability.md).
+/// A registry of named counters, gauges, and histograms — the metrics
+/// side of the observability layer (spans live in common/trace.h).
+/// Thread-safe; names are flat dotted strings from the catalog in
+/// src/common/telemetry_names.h (documented in docs/observability.md).
 ///
-/// Metrics are cheap enough to record unconditionally: one mutex
-/// acquisition and a map lookup per update, on paths that are dominated
-/// by (virtual) LLM calls.
+/// One registry is process-wide (Global()); each running query owns
+/// another, its sink (ThreadSink()). An update takes the registry's mutex
+/// and finds its series by name without allocating; only a series' first
+/// update inserts it.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -68,39 +76,47 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Adds `delta` to the counter (created at 0 on first use).
-  void AddCounter(const std::string& name, double delta = 1.0);
+  void AddCounter(std::string_view name, double delta = 1.0);
 
   /// Sets the gauge's current value.
-  void SetGauge(const std::string& name, double value);
+  void SetGauge(std::string_view name, double value);
 
   /// Records one observation into the histogram.
-  void Observe(const std::string& name, double value);
+  void Observe(std::string_view name, double value);
+
+  /// Adds `delta`'s counters and histograms under one lock acquisition.
+  /// Its gauges are ignored: gauges are written through to every
+  /// registry as they change, so replaying a level later would only
+  /// overwrite a newer one.
+  void Merge(const MetricsSnapshot& delta);
 
   /// Current counter value; 0 if never touched.
-  double counter(const std::string& name) const;
+  double counter(std::string_view name) const;
 
   /// Current gauge value; 0 if never set.
-  double gauge(const std::string& name) const;
+  double gauge(std::string_view name) const;
 
   MetricsSnapshot Snapshot() const;
 
   /// Drops every metric (tests; not used on serving paths).
   void Reset();
 
-  /// The process-wide registry all instrumented components write to.
+  /// The process-wide registry: what /metrics and the shell render.
   static MetricsRegistry& Global();
 
-  /// The calling thread's additional per-query sink (nullptr when none).
-  /// Instrumented sites that use the Metric* free functions below write
-  /// to Global() AND to this sink, which is how `QueryResult::metrics`
-  /// stays exact under concurrent serving: each query installs its own
-  /// local registry on every thread that works on it.
+  /// The calling thread's per-query sink (nullptr when none). While one
+  /// is installed, the Metric* free functions below record counters and
+  /// histograms into it *instead of* Global(); its owner merges it into
+  /// Global() once, when the query ends (QueryPipeline). That keeps
+  /// `QueryResult::metrics` exact under concurrent serving — each query
+  /// installs its own registry on every thread that works on it — and
+  /// makes one write per event.
   static MetricsRegistry* ThreadSink();
 
   /// RAII installer for ThreadSink(). Restores the previous sink on
   /// destruction, so scopes nest (the per-query registry stays installed
-  /// across nested spans). Pass nullptr to suppress sink writes inside
-  /// the scope.
+  /// across nested spans). Pass nullptr to record straight into Global()
+  /// inside the scope.
   class ScopedSink {
    public:
     explicit ScopedSink(MetricsRegistry* sink);
@@ -114,18 +130,19 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, double> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  MetricMap<double> counters_;
+  MetricMap<double> gauges_;
+  MetricMap<Histogram> histograms_;
 };
 
-/// Record into the process-wide registry and, when one is installed, the
-/// calling thread's per-query sink. All instrumented components use these
+/// Record into the calling thread's per-query sink when one is installed,
+/// else into the process-wide registry. Gauges are levels, not sums, so
+/// MetricSetGauge writes both. All instrumented components use these
 /// instead of calling MetricsRegistry::Global() directly so per-query
 /// attribution works (docs/observability.md, "Per-query attribution").
-void MetricAddCounter(const std::string& name, double delta = 1.0);
-void MetricSetGauge(const std::string& name, double value);
-void MetricObserve(const std::string& name, double value);
+void MetricAddCounter(std::string_view name, double delta = 1.0);
+void MetricSetGauge(std::string_view name, double value);
+void MetricObserve(std::string_view name, double value);
 
 }  // namespace unify
 

@@ -44,53 +44,80 @@ class SampleStats {
   mutable bool sorted_valid_ = false;
 };
 
-/// A bounded-memory distribution accumulator for long-lived registries
-/// (the histogram type behind MetricsRegistry). count/sum/mean/min/max are
-/// exact for the full observation stream. Quantiles are computed over a
-/// retained sample: every observation while count() <= capacity (exact
-/// quantiles), then a uniform random reservoir (Vitter's algorithm R)
-/// driven by a fixed-seed splitmix64 stream, so a given observation
-/// sequence always yields the same quantiles. Above the capacity,
-/// Quantile(q) is an unbiased estimate over `capacity` uniformly chosen
-/// observations, not an exact order statistic.
+/// A mergeable, bounded-memory distribution accumulator (the histogram
+/// type behind MetricsRegistry): log-linear buckets in the style of
+/// HdrHistogram. Each power of two is split into kSubBuckets linear
+/// sub-buckets, so a bucket's width is at most 1/16 of its lower bound.
+///
+/// - count/sum/mean/min/max are exact for the whole observation stream.
+/// - Quantile(q) finds the bucket holding the nearest-rank order statistic
+///   (rank ceil(q * count), at least 1) and returns the bucket's midpoint
+///   clamped to [Min(), Max()]; ranks 1 and count() return Min()/Max()
+///   exactly. The result is within kRelativeError (1/32) relative of that
+///   order statistic for every normal double (|v| >= 2.2e-308).
+/// - Negative values are bucketed by magnitude on their own side of zero,
+///   so the bound holds for them too; zero has an exact bucket.
+/// - NaN and +-inf are dropped: they change neither count nor sum, which
+///   would otherwise read nan/inf for the rest of the process's life.
+///
+/// Memory is one counter per bucket between the smallest and largest
+/// magnitude seen on each side of zero (16 per power of two), independent
+/// of the observation count. Merge() adds another histogram bucket by
+/// bucket: merging two histograms equals feeding one both streams.
 class Histogram {
  public:
-  static constexpr size_t kDefaultCapacity = 4096;
+  /// Linear sub-buckets per power of two.
+  static constexpr int kSubBuckets = 16;
+  /// Quantile error bound, relative to the nearest-rank order statistic.
+  static constexpr double kRelativeError = 1.0 / (2 * kSubBuckets);
 
-  explicit Histogram(size_t capacity = kDefaultCapacity,
-                     uint64_t seed = 0x9e3779b97f4a7c15ull);
-
-  /// Adds one observation.
+  /// Adds one observation (dropped when not finite).
   void Add(double v);
 
-  /// Total observations ever added (exact, unaffected by the reservoir).
+  /// Adds every observation of `other`.
+  void Merge(const Histogram& other);
+
+  /// Observations added (non-finite ones excluded).
   size_t count() const { return count_; }
   double sum() const { return sum_; }
   double Mean() const;
   double Min() const;
   double Max() const;
-  /// Quantile q in [0, 1] over the retained sample. Requires count() > 0.
+  /// Quantile q in [0, 1] (see the class comment). Requires count() > 0.
   double Quantile(double q) const;
   double Median() const { return Quantile(0.5); }
 
-  /// Observations currently retained for quantile queries
-  /// (== min(count(), capacity)).
-  size_t retained() const { return reservoir_.size(); }
-  size_t capacity() const { return capacity_; }
+  /// Buckets allocated: the histogram's memory is O(buckets()), however
+  /// many observations it holds.
+  size_t buckets() const {
+    return positive_.counts.size() + negative_.counts.size();
+  }
 
  private:
-  void EnsureSorted() const;
-  uint64_t NextRandom();
+  /// One side of zero: counts of buckets [lo, lo + counts.size()), keyed
+  /// by magnitude (larger key = larger magnitude).
+  struct Bins {
+    int lo = 0;
+    std::vector<uint64_t> counts;
 
-  size_t capacity_;
-  uint64_t rng_state_;
+    /// Widens the range to include `key`.
+    void Cover(int key);
+    void Add(int key);
+    void Merge(const Bins& other);
+  };
+
+  /// Bucket key of a positive finite magnitude.
+  static int KeyOf(double magnitude);
+  /// Midpoint of bucket `key`'s magnitude range.
+  static double Midpoint(int key);
+
   size_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-  std::vector<double> reservoir_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  uint64_t zeros_ = 0;
+  Bins positive_;
+  Bins negative_;
 };
 
 /// The q-error metric used for cardinality estimation quality (Section

@@ -43,6 +43,15 @@ inline constexpr char kSpanServeQuery[] = "serve.query";
 
 // --- Metric names (common/metrics.h; catalog in docs/observability.md) ---
 
+// Query pipeline stages (core/runtime/query_pipeline.h), observed on every
+// query past admission, traced or not.
+/// Histograms: wall seconds of each QueryPipeline stage of one query.
+inline constexpr char kMetricStageAdmit[] = "query.stage_seconds.admit";
+inline constexpr char kMetricStageParse[] = "query.stage_seconds.parse";
+inline constexpr char kMetricStageOptimize[] = "query.stage_seconds.optimize";
+inline constexpr char kMetricStageExecute[] = "query.stage_seconds.execute";
+inline constexpr char kMetricStageAnalyze[] = "query.stage_seconds.analyze";
+
 // Planning (counters).
 inline constexpr char kMetricPlanReductions[] = "plan.reductions";
 inline constexpr char kMetricPlanBacktracks[] = "plan.backtracks";

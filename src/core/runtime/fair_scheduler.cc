@@ -32,7 +32,13 @@ double WallSecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 FairScheduler::FairScheduler(Options options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  for (int pri = 0; pri < kNumPriorities; ++pri) {
+    queue_seconds_series_[pri] =
+        std::string(telemetry::kMetricSchedQueueSeconds) + "." +
+        QueryPriorityName(static_cast<QueryPriority>(pri));
+  }
+}
 
 std::string FairScheduler::TenantKey(const std::string& client_tag) {
   return client_tag.empty() ? std::string(TenantLedger::kUntagged)
@@ -179,8 +185,7 @@ bool FairScheduler::ScanTierLocked(int pri, Task* out,
     MetricAddCounter(telemetry::kMetricSchedDispatches);
     MetricSetGauge(telemetry::kMetricSchedQueued,
                    static_cast<double>(queued_));
-    MetricObserve(std::string(telemetry::kMetricSchedQueueSeconds) + "." +
-                      QueryPriorityName(out->priority),
+    MetricObserve(queue_seconds_series_[pri],
                   WallSecondsSince(out->enqueued_at));
     if (tq.tasks.empty()) {
       wheel.pop_front();

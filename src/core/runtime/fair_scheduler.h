@@ -192,6 +192,8 @@ class FairScheduler {
   double WeightOfLocked(const std::string& tenant) const;
 
   Options options_;
+  /// `serve.sched.queue_seconds.<class>` per priority, built once.
+  std::string queue_seconds_series_[kNumPriorities];
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   bool shutdown_ = false;

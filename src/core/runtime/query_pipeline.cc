@@ -1,6 +1,7 @@
 #include "core/runtime/query_pipeline.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -26,14 +27,27 @@ QueryPipeline::QueryPipeline(const UnifySystem& system,
 }
 
 QueryResult QueryPipeline::Run() {
+  stage_start_ = std::chrono::steady_clock::now();
   // Admission failures return bare: no trace, no metrics — the query never
   // entered the system.
   if (!Admit()) return std::move(ctx_.result);
-  if (Parse() && Optimize()) {
-    ExecutePlan();
+  EndStage(telemetry::kMetricStageAdmit);
+  bool ok = Parse();
+  EndStage(telemetry::kMetricStageParse);
+  if (ok) {
+    ok = Optimize();
+    EndStage(telemetry::kMetricStageOptimize);
   }
+  if (ok) ExecutePlan();  // ends the execute and analyze stages
   Finalize();
   return std::move(ctx_.result);
+}
+
+void QueryPipeline::EndStage(const char* stage_metric) {
+  const auto now = std::chrono::steady_clock::now();
+  MetricObserve(stage_metric,
+                std::chrono::duration<double>(now - stage_start_).count());
+  stage_start_ = now;
 }
 
 bool QueryPipeline::Admit() {
@@ -68,9 +82,10 @@ bool QueryPipeline::Admit() {
 
   // Per-query metrics: a local registry installed as this thread's sink
   // (and, via PlanExecutor::Options::metrics_sink, on every morsel
-  // worker that touches this query). Instrumented sites record into the
-  // global registry AND the installed sink, so result.metrics is exact
-  // even when other queries run concurrently in the process.
+  // worker that touches this query). Instrumented sites record counters
+  // and histograms into the installed sink only, so result.metrics is
+  // exact even when other queries run concurrently in the process;
+  // Finalize merges it into the global registry once.
   metrics_scope_.emplace(&ctx_.query_metrics);
 
   // Retry budget: one shared pool of virtual backoff/retry seconds per
@@ -224,11 +239,13 @@ void QueryPipeline::ExecutePlan() {
     result.degraded = false;
     result.degraded_detail.clear();
   }
+  EndStage(telemetry::kMetricStageExecute);
   // The plan that actually ran: the optimizer's choice, or — after an
   // adopted mid-query replan — the re-lowered plan. Analysis and
   // cost-model feedback must see this one, while plan_debug /
   // plan_explain / predicted_* keep reporting the original optimization.
   Analyze(executor, state.plan);
+  EndStage(telemetry::kMetricStageAnalyze);
 }
 
 void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
@@ -364,10 +381,15 @@ void QueryPipeline::Finalize() {
     result.phase =
         result.degraded ? QueryPhase::kDegraded : QueryPhase::kComplete;
   }
+  // The query's counters and histograms reach the process-wide registry
+  // here, once, whichever stage stopped it. The sink comes off this
+  // thread first, so nothing recorded later is left out of the merge.
+  metrics_scope_.reset();
   result.metrics = ctx_.query_metrics.Snapshot();
+  MetricsRegistry::Global().Merge(result.metrics);
   // Exact per-query cache attribution: the llm.cache.* counters were
-  // dual-written into this query's sink by every thread that worked on
-  // it, so these are this query's items alone.
+  // recorded into this query's sink by every thread that worked on it,
+  // so these are this query's items alone.
   auto cache_counter = [&](const char* name) -> int64_t {
     auto it = result.metrics.counters.find(name);
     return it == result.metrics.counters.end()

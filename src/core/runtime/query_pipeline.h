@@ -1,6 +1,7 @@
 #ifndef UNIFY_CORE_RUNTIME_QUERY_PIPELINE_H_
 #define UNIFY_CORE_RUNTIME_QUERY_PIPELINE_H_
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,9 +31,11 @@ class UnifySystem;
 ///
 /// One pipeline serves one query on one thread (execution may still fan
 /// morsels across workers); it installs the query's thread-local scopes —
-/// metrics sink, retry budget, cache routing — for its whole lifetime, so
-/// planning-side LLM calls (including replan decisions) are attributed to
-/// the query like execution-side ones.
+/// metrics sink, retry budget, cache routing — for its whole lifetime
+/// (the sink until Finalize merges it), so planning-side LLM calls
+/// (including replan decisions) are attributed to the query like
+/// execution-side ones. Each stage's wall time is observed into
+/// `query.stage_seconds.<stage>`.
 class QueryPipeline {
  public:
   /// `system` must be Setup(); `shared_pool` non-null schedules execution
@@ -56,7 +59,8 @@ class QueryPipeline {
     OptimizerOptions oopts;
     std::shared_ptr<Trace> trace;
     /// This query's own metrics registry (installed as the thread-local
-    /// sink; the executor re-installs it on its workers).
+    /// sink; the executor re-installs it on its workers). Finalize merges
+    /// it into MetricsRegistry::Global().
     MetricsRegistry query_metrics;
     /// The query's shared pool of virtual retry seconds.
     std::optional<llm::RetryBudget> retry_budget;
@@ -86,8 +90,12 @@ class QueryPipeline {
   /// EXPLAIN ANALYZE records + accuracy-ledger feeding + replan outcome
   /// audit + cost-model feedback, against the plan that actually ran.
   void Analyze(PlanExecutor& executor, const PhysicalPlan& executed_plan);
-  /// Totals, phase, per-query metrics snapshot, trace attributes.
+  /// Totals, phase, per-query metrics snapshot (merged into the global
+  /// registry), trace attributes.
   void Finalize();
+  /// Observes the wall seconds since the previous stage ended into
+  /// `stage_metric` (a `query.stage_seconds.<stage>` histogram).
+  void EndStage(const char* stage_metric);
 
   const UnifySystem& system_;
   const QueryRequest& request_;
@@ -95,6 +103,8 @@ class QueryPipeline {
   SpanId parent_;
   QueryContext ctx_;
   std::unique_ptr<ScopedSpan> root_;
+  /// Wall-clock end of the previous stage (start of the current one).
+  std::chrono::steady_clock::time_point stage_start_;
   /// Thread-affine RAII scopes, installed by Admit for the pipeline's
   /// lifetime (declaration order matters only for destruction symmetry).
   std::optional<MetricsRegistry::ScopedSink> metrics_scope_;

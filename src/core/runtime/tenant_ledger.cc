@@ -11,12 +11,6 @@ namespace unify::core {
 
 namespace {
 
-const std::string& BucketFor(const std::string& client_tag) {
-  static const std::string* untagged =
-      new std::string(TenantLedger::kUntagged);
-  return client_tag.empty() ? *untagged : client_tag;
-}
-
 /// Sums `base` and every `base.<suffix>` counter: the LLM telemetry is
 /// recorded per prompt type (`llm.calls.eval_predicate`, ...), and the
 /// ledger accounts the whole family to the tenant.
@@ -40,9 +34,21 @@ int64_t SumCountersAsInt(const MetricsSnapshot& metrics, const char* base) {
 
 }  // namespace
 
+TenantUsage& TenantLedger::BucketLocked(const std::string& client_tag) {
+  static const std::string* untagged = new std::string(kUntagged);
+  const std::string& key = client_tag.empty() ? *untagged : client_tag;
+  auto it = tenants_.find(key);
+  if (it != tenants_.end()) return it->second;
+  if (key != kUntagged && key != kOverflow) {
+    if (tagged_buckets_ >= kMaxTaggedTenants) return tenants_[kOverflow];
+    tagged_buckets_ += 1;
+  }
+  return tenants_[key];
+}
+
 void TenantLedger::RecordCompletion(const QueryResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
-  TenantUsage& usage = tenants_[BucketFor(result.client_tag)];
+  TenantUsage& usage = BucketLocked(result.client_tag);
   usage.queries += 1;
   if (!result.status.ok()) usage.failed += 1;
   if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -63,7 +69,7 @@ void TenantLedger::RecordCompletion(const QueryResult& result) {
 
 void TenantLedger::RecordRejection(const std::string& client_tag) {
   std::lock_guard<std::mutex> lock(mu_);
-  tenants_[BucketFor(client_tag)].rejected += 1;
+  BucketLocked(client_tag).rejected += 1;
 }
 
 std::map<std::string, TenantUsage> TenantLedger::snapshot() const {

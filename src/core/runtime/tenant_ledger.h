@@ -35,8 +35,9 @@ struct TenantUsage {
   int64_t llm_calls = 0;
   int64_t cache_item_hits = 0;
   int64_t cache_coalesced = 0;
-  /// Total (virtual) latency distribution of completed queries — a
-  /// bounded reservoir, so long-lived tenants stay O(1) in memory.
+  /// Total (virtual) latency distribution of completed queries — log-
+  /// linear buckets (common/stats.h), so a long-lived tenant's memory does
+  /// not grow with its query count.
   Histogram latency;
 };
 
@@ -45,10 +46,19 @@ struct TenantUsage {
 /// shell's `\tenants` report. A mutexed map of TenantUsage keyed by
 /// client_tag (the empty tag is bucketed as "(untagged)"), fed by
 /// UnifyService on every rejection and completion. Thread-safe.
+///
+/// Bounded: the first kMaxTaggedTenants distinct tags get a bucket each;
+/// every later tag is accounted in the one "(overflow)" bucket, so a
+/// client sending random tags cannot grow memory or scrape size without
+/// bound. Sums across buckets still cover every query.
 class TenantLedger {
  public:
   /// The bucket untagged requests are accounted under.
   static constexpr const char* kUntagged = "(untagged)";
+  /// The bucket tags beyond the first kMaxTaggedTenants share.
+  static constexpr const char* kOverflow = "(overflow)";
+  /// Distinct tags that get a bucket of their own.
+  static constexpr size_t kMaxTaggedTenants = 1024;
 
   TenantLedger() = default;
   TenantLedger(const TenantLedger&) = delete;
@@ -64,7 +74,7 @@ class TenantLedger {
   /// Point-in-time copy of every tenant's usage.
   std::map<std::string, TenantUsage> snapshot() const;
 
-  /// Tenants ever seen (completed or rejected).
+  /// Buckets in use (tagged, untagged and overflow).
   size_t tenant_count() const;
 
   /// Adds the `tenant.*{tenant="..."}` labeled series to `snap` so a
@@ -79,8 +89,13 @@ class TenantLedger {
   std::string ToText() const;
 
  private:
+  /// The bucket `client_tag` is accounted in. Requires mu_.
+  TenantUsage& BucketLocked(const std::string& client_tag);
+
   mutable std::mutex mu_;
   std::map<std::string, TenantUsage> tenants_;
+  /// Buckets held by real tags (not untagged or overflow).
+  size_t tagged_buckets_ = 0;
 };
 
 }  // namespace unify::core

@@ -1,6 +1,7 @@
 #ifndef UNIFY_LLM_LLM_CLIENT_H_
 #define UNIFY_LLM_LLM_CLIENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -58,6 +59,10 @@ enum class PromptType {
   /// Pick the best of several candidate answers (Exhaust baseline).
   kSelectAnswer,
 };
+
+/// Number of PromptType values (kSelectAnswer stays last).
+inline constexpr size_t kNumPromptTypes =
+    static_cast<size_t>(PromptType::kSelectAnswer) + 1;
 
 /// Which deployed model serves the call. The paper uses Llama-3.1-70B for
 /// planning and Llama-3.1-8B for operator execution (Section VII-A).

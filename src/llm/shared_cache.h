@@ -161,8 +161,8 @@ class SharedLlmCache {
                       std::unique_ptr<Origin> origin);
 
   /// Folds one CallThrough's deltas into the cache-wide counters and
-  /// emits the llm.cache.* metrics (dual-written into the per-query
-  /// ScopedSink of the calling thread, so attribution stays exact).
+  /// emits the llm.cache.* metrics (into the calling thread's per-query
+  /// sink when one is installed, so attribution stays exact).
   void Commit(int64_t hits, int64_t misses, int64_t coalesced,
               int64_t evictions, double saved);
 

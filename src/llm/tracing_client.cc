@@ -45,16 +45,30 @@ const char* PromptTypeName(PromptType type) {
   return "unknown";
 }
 
+PromptTypeSeries::PromptTypeSeries(std::string_view base) {
+  for (size_t i = 0; i < kNumPromptTypes; ++i) {
+    names_[i] = std::string(base) + "." +
+                PromptTypeName(static_cast<PromptType>(i));
+  }
+}
+
+TracingLlmClient::TracingLlmClient(LlmClient* base)
+    : base_(base),
+      calls_(telemetry::kMetricLlmCalls),
+      in_tokens_(telemetry::kMetricLlmInTokens),
+      out_tokens_(telemetry::kMetricLlmOutTokens),
+      seconds_(telemetry::kMetricLlmSeconds),
+      dollars_(telemetry::kMetricLlmDollars) {}
+
 LlmResult TracingLlmClient::Call(const LlmCall& call) {
   LlmResult result = base_->Call(call);
-  const std::string suffix = std::string(".") + PromptTypeName(call.type);
-  MetricAddCounter(telemetry::kMetricLlmCalls + suffix);
-  MetricAddCounter(telemetry::kMetricLlmInTokens + suffix,
-                     static_cast<double>(result.in_tokens));
-  MetricAddCounter(telemetry::kMetricLlmOutTokens + suffix,
-                     static_cast<double>(result.out_tokens));
-  MetricAddCounter(telemetry::kMetricLlmSeconds + suffix, result.seconds);
-  MetricAddCounter(telemetry::kMetricLlmDollars + suffix, result.dollars);
+  MetricAddCounter(calls_[call.type]);
+  MetricAddCounter(in_tokens_[call.type],
+                   static_cast<double>(result.in_tokens));
+  MetricAddCounter(out_tokens_[call.type],
+                   static_cast<double>(result.out_tokens));
+  MetricAddCounter(seconds_[call.type], result.seconds);
+  MetricAddCounter(dollars_[call.type], result.dollars);
   MetricObserve(telemetry::kMetricLlmCallSeconds, result.seconds);
   return result;
 }

@@ -1,6 +1,10 @@
 #ifndef UNIFY_LLM_TRACING_CLIENT_H_
 #define UNIFY_LLM_TRACING_CLIENT_H_
 
+#include <array>
+#include <string>
+#include <string_view>
+
 #include "llm/llm_client.h"
 
 namespace unify::llm {
@@ -9,8 +13,23 @@ namespace unify::llm {
 /// "eval_predicate", ...) — the suffix of the per-type LLM metrics.
 const char* PromptTypeName(PromptType type);
 
+/// The per-PromptType series names of one metric family, `base.<type>`
+/// (e.g. "llm.calls.eval_predicate"), built once so a per-call write
+/// allocates nothing.
+class PromptTypeSeries {
+ public:
+  explicit PromptTypeSeries(std::string_view base);
+  const std::string& operator[](PromptType type) const {
+    return names_[static_cast<size_t>(type)];
+  }
+
+ private:
+  std::array<std::string, kNumPromptTypes> names_;
+};
+
 /// A transparent decorator over any LlmClient that records per-PromptType
-/// metrics into MetricsRegistry::Global(): `llm.calls.<type>`,
+/// metrics (through the Metric* helpers, so into the calling query's sink
+/// when one is installed): `llm.calls.<type>`,
 /// `llm.in_tokens.<type>`, `llm.out_tokens.<type>`, `llm.seconds.<type>`,
 /// `llm.dollars.<type>`, plus the `llm.call_seconds` latency histogram
 /// (see docs/observability.md).
@@ -21,7 +40,7 @@ const char* PromptTypeName(PromptType type);
 class TracingLlmClient : public LlmClient {
  public:
   /// `base` must outlive the decorator.
-  explicit TracingLlmClient(LlmClient* base) : base_(base) {}
+  explicit TracingLlmClient(LlmClient* base);
 
   LlmResult Call(const LlmCall& call) override;
 
@@ -31,6 +50,11 @@ class TracingLlmClient : public LlmClient {
 
  private:
   LlmClient* base_;
+  PromptTypeSeries calls_;
+  PromptTypeSeries in_tokens_;
+  PromptTypeSeries out_tokens_;
+  PromptTypeSeries seconds_;
+  PromptTypeSeries dollars_;
 };
 
 }  // namespace unify::llm

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -287,74 +290,213 @@ TEST(QErrorTest, ZeroCardinalityEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram (bounded reservoir)
+// Histogram (mergeable log-linear buckets)
 // ---------------------------------------------------------------------------
 
-TEST(HistogramTest, ExactBelowCapacity) {
-  Histogram h(128);
+/// The nearest-rank order statistic the bucket quantile is bounded
+/// against: the value of rank ceil(q * n) (at least 1) in sorted order.
+double NearestRank(const SampleStats& stats, double q) {
+  std::vector<double> sorted = stats.values();
+  std::sort(sorted.begin(), sorted.end());
+  const double n = static_cast<double>(sorted.size());
+  const size_t rank =
+      static_cast<size_t>(std::clamp(std::ceil(q * n), 1.0, n));
+  return sorted[rank - 1];
+}
+
+/// Every quantile of `h` is within the stated relative bound of the
+/// nearest-rank order statistic of the same stream.
+void ExpectWithinBound(const Histogram& h, const SampleStats& reference) {
+  ASSERT_EQ(h.count(), reference.count());
+  for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    const double exact = NearestRank(reference, q);
+    EXPECT_LE(std::abs(h.Quantile(q) - exact),
+              Histogram::kRelativeError * std::abs(exact))
+        << "q=" << q << " exact=" << exact;
+  }
+}
+
+TEST(HistogramTest, CountSumMinMaxAreExact) {
+  Histogram h;
   SampleStats reference;
   for (int i = 1; i <= 100; ++i) {
     h.Add(i);
     reference.Add(i);
   }
   EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.retained(), 100u);
   EXPECT_DOUBLE_EQ(h.sum(), reference.sum());
   EXPECT_DOUBLE_EQ(h.Mean(), reference.Mean());
   EXPECT_DOUBLE_EQ(h.Min(), 1.0);
   EXPECT_DOUBLE_EQ(h.Max(), 100.0);
-  // Below capacity every observation is retained, so quantiles match the
-  // keep-everything accumulator exactly.
-  for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.Quantile(q), reference.Quantile(q)) << q;
-  }
+  // The extreme ranks are the exact min and max.
+  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 100.0);
+  ExpectWithinBound(h, reference);
 }
 
-TEST(HistogramTest, MemoryStaysBoundedAboveCapacity) {
-  Histogram h(64);
-  for (int i = 0; i < 100000; ++i) h.Add(i);
+TEST(HistogramTest, MemoryStaysBoundedAsCountGrows) {
+  Histogram h;
+  for (int i = 0; i < 1000; ++i) h.Add(i);
+  const size_t buckets = h.buckets();
+  for (int round = 0; round < 99; ++round) {
+    for (int i = 0; i < 1000; ++i) h.Add(i);
+  }
   EXPECT_EQ(h.count(), 100000u);
-  EXPECT_EQ(h.retained(), 64u);
-  EXPECT_EQ(h.capacity(), 64u);
-  // count/sum/min/max stay exact even though only 64 values are retained.
+  // Memory depends on the range of values, not on how many there are:
+  // 16 buckets per power of two from 1 to 999.
+  EXPECT_EQ(h.buckets(), buckets);
+  EXPECT_LE(h.buckets(), 10u * Histogram::kSubBuckets);
+  // count/sum/min/max stay exact.
   EXPECT_DOUBLE_EQ(h.Min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 99999.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 100000.0 * 99999.0 / 2.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 99999.0 / 2.0);
-  // The reservoir is a uniform sample: the median estimate lands in the
-  // body of the distribution, not at an extreme.
-  EXPECT_GT(h.Quantile(0.5), 10000.0);
-  EXPECT_LT(h.Quantile(0.5), 90000.0);
+  EXPECT_DOUBLE_EQ(h.Max(), 999.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 100.0 * 999.0 * 1000.0 / 2.0);
+  EXPECT_DOUBLE_EQ(h.Mean(), 999.0 / 2.0);
+  EXPECT_NEAR(h.Quantile(0.5), 499.0, 499.0 * Histogram::kRelativeError);
 }
 
-TEST(HistogramTest, DeterministicForAGivenSeed) {
-  Histogram a(32, 7);
-  Histogram b(32, 7);
-  Histogram c(32, 8);
-  for (int i = 0; i < 5000; ++i) {
-    a.Add(i);
-    b.Add(i);
-    c.Add(i);
+TEST(HistogramTest, DeterministicAndIndependentOfOrder) {
+  // Buckets hold counts, not a sample: the same observations in any order
+  // give the same quantiles.
+  std::vector<double> values;
+  Rng rng(7);
+  for (int i = 0; i < 5000; ++i) values.push_back(rng.Uniform(0, 1000));
+  Histogram forward;
+  Histogram backward;
+  for (double v : values) forward.Add(v);
+  for (auto it = values.rbegin(); it != values.rend(); ++it) {
+    backward.Add(*it);
   }
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_DOUBLE_EQ(a.Quantile(q), b.Quantile(q)) << q;
+  for (double q : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
+    EXPECT_EQ(forward.Quantile(q), backward.Quantile(q)) << q;
   }
-  // A different seed retains a different sample (overwhelmingly likely
-  // for 32 slots drawn from 5000 observations).
-  bool any_difference = false;
-  for (double q : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    if (a.Quantile(q) != c.Quantile(q)) any_difference = true;
-  }
-  EXPECT_TRUE(any_difference);
+  EXPECT_EQ(forward.Min(), backward.Min());
+  EXPECT_EQ(forward.Max(), backward.Max());
 }
 
 TEST(HistogramTest, QuantileInterleavedWithAdds) {
-  Histogram h(16);
+  Histogram h;
   for (int i = 1; i <= 10; ++i) h.Add(i);
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
-  h.Add(1000);  // lazy sort must be invalidated by the new observation
+  h.Add(1000);  // a new observation must show in the next quantile
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1000.0);
   EXPECT_DOUBLE_EQ(h.Max(), 1000.0);
+}
+
+TEST(HistogramTest, QuantilesStayWithinTheBoundOnTypicalStreams) {
+  Rng rng(11);
+  {
+    SCOPED_TRACE("uniform");
+    Histogram h;
+    SampleStats reference;
+    for (int i = 0; i < 20000; ++i) {
+      const double v = rng.Uniform(0.001, 50.0);
+      h.Add(v);
+      reference.Add(v);
+    }
+    ExpectWithinBound(h, reference);
+  }
+  {
+    SCOPED_TRACE("log-normal");
+    Histogram h;
+    SampleStats reference;
+    for (int i = 0; i < 20000; ++i) {
+      const double v = std::exp(rng.Gaussian(0.0, 3.0));
+      h.Add(v);
+      reference.Add(v);
+    }
+    ExpectWithinBound(h, reference);
+  }
+  {
+    SCOPED_TRACE("zero-heavy");
+    Histogram h;
+    SampleStats reference;
+    for (int i = 0; i < 20000; ++i) {
+      const double v = rng.Bernoulli(0.8) ? 0.0 : rng.Uniform(0.0, 2.0);
+      h.Add(v);
+      reference.Add(v);
+    }
+    ExpectWithinBound(h, reference);
+    EXPECT_EQ(h.Quantile(0.5), 0.0);  // zero has an exact bucket
+  }
+  {
+    SCOPED_TRACE("single value");
+    Histogram h;
+    SampleStats reference;
+    for (int i = 0; i < 100; ++i) {
+      h.Add(0.3);
+      reference.Add(0.3);
+    }
+    ExpectWithinBound(h, reference);
+    // Clamped to [min, max]: a single-valued stream reads back exactly.
+    EXPECT_EQ(h.Quantile(0.5), 0.3);
+  }
+}
+
+TEST(HistogramTest, MergeEqualsOneHistogramFedBothStreams) {
+  Rng rng(5);
+  Histogram a;
+  Histogram b;
+  Histogram both;
+  for (int i = 0; i < 3000; ++i) {
+    const double v = std::exp(rng.Gaussian(0.0, 2.0));
+    a.Add(v);
+    both.Add(v);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const double v = rng.Uniform(-5.0, 100.0);
+    b.Add(v);
+    both.Add(v);
+  }
+  Histogram merged = a;
+  merged.Merge(b);
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_NEAR(merged.sum(), both.sum(), 1e-9 * std::abs(both.sum()));
+  EXPECT_EQ(merged.Min(), both.Min());
+  EXPECT_EQ(merged.Max(), both.Max());
+  EXPECT_EQ(merged.buckets(), both.buckets());
+  for (double q = 0.0; q <= 1.0; q += 0.01) {
+    EXPECT_EQ(merged.Quantile(q), both.Quantile(q)) << q;
+  }
+  // Merging an empty histogram, or into one, changes nothing.
+  Histogram empty;
+  merged.Merge(empty);
+  EXPECT_EQ(merged.count(), both.count());
+  empty.Merge(a);
+  EXPECT_EQ(empty.Quantile(0.5), a.Quantile(0.5));
+  EXPECT_EQ(empty.Min(), a.Min());
+}
+
+TEST(HistogramTest, NegativeAndNonFiniteInputsFollowTheDocumentedRule) {
+  // Negative values are bucketed by magnitude below zero: the bound holds
+  // on both sides, and min/max/sum stay exact.
+  Rng rng(3);
+  Histogram h;
+  SampleStats reference;
+  for (int i = 0; i < 10000; ++i) {
+    const double v = rng.Gaussian(0.0, 10.0);
+    h.Add(v);
+    reference.Add(v);
+  }
+  ExpectWithinBound(h, reference);
+  EXPECT_DOUBLE_EQ(h.Min(), reference.Min());
+  EXPECT_DOUBLE_EQ(h.Max(), reference.Max());
+  EXPECT_NEAR(h.sum(), reference.sum(), 1e-9 * 10000 * 10);
+
+  // NaN and infinities are dropped: count, sum, min and max never see
+  // them, so the exposition never reads nan or inf.
+  Histogram finite;
+  finite.Add(1.0);
+  finite.Add(std::nan(""));
+  finite.Add(std::numeric_limits<double>::infinity());
+  finite.Add(-std::numeric_limits<double>::infinity());
+  finite.Add(3.0);
+  EXPECT_EQ(finite.count(), 2u);
+  EXPECT_DOUBLE_EQ(finite.sum(), 4.0);
+  EXPECT_DOUBLE_EQ(finite.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(finite.Max(), 3.0);
+  Histogram none;
+  none.Add(std::nan(""));
+  EXPECT_EQ(none.count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -344,6 +344,69 @@ TEST(TenantLedgerTest, AnnotateSnapshotEmitsLabeledSeries) {
   EXPECT_NE(ledger.ToText().find("team \"x\""), std::string::npos);
 }
 
+// A client that sends a fresh tag per request cannot grow the ledger past
+// its cap: the first 1,024 tags get buckets, later tags share the overflow
+// bucket, and the buckets still sum to what the queries merged globally.
+TEST(TenantLedgerTest, TaggedBucketsAreCappedWithAnOverflowBucket) {
+  core::TenantLedger ledger;
+  MetricsRegistry registry;  // stands in for Global(): one merge per query
+  constexpr size_t kTags = core::TenantLedger::kMaxTaggedTenants + 6;
+  for (size_t i = 0; i < kTags; ++i) {
+    const core::QueryResult result =
+        MakeResult("tag-" + std::to_string(i), 0.125 * static_cast<double>(i),
+                   static_cast<int64_t>(i % 7), 1.0);
+    registry.Merge(result.metrics);
+    ledger.RecordCompletion(result);
+  }
+  // Tags that already own a bucket keep it; new ones overflow.
+  ledger.RecordRejection("tag-0");
+  ledger.RecordRejection("tag-" + std::to_string(kTags));
+  ledger.RecordRejection("");
+
+  const auto tenants = ledger.snapshot();
+  // 1,024 tagged buckets, the overflow bucket and the untagged one.
+  EXPECT_EQ(tenants.size(), core::TenantLedger::kMaxTaggedTenants + 2);
+  EXPECT_EQ(ledger.tenant_count(), tenants.size());
+  EXPECT_EQ(tenants.count("tag-1023"), 1u);
+  EXPECT_EQ(tenants.count("tag-1024"), 0u);
+  EXPECT_EQ(tenants.at("tag-0").rejected, 1);
+  ASSERT_EQ(tenants.count(core::TenantLedger::kOverflow), 1u);
+  const core::TenantUsage& overflow = tenants.at(core::TenantLedger::kOverflow);
+  EXPECT_EQ(overflow.queries, 6);
+  EXPECT_EQ(overflow.rejected, 1);
+  EXPECT_EQ(overflow.latency.count(), 6u);
+  EXPECT_EQ(tenants.at(core::TenantLedger::kUntagged).rejected, 1);
+
+  const MetricsSnapshot totals = registry.Snapshot();
+  int64_t queries_sum = 0, calls_sum = 0, out_tokens_sum = 0;
+  double dollars_sum = 0;
+  for (const auto& [tag, usage] : tenants) {
+    queries_sum += usage.queries;
+    calls_sum += usage.llm_calls;
+    out_tokens_sum += usage.out_tokens;
+    dollars_sum += usage.dollars;
+  }
+  EXPECT_EQ(queries_sum, static_cast<int64_t>(kTags));
+  EXPECT_EQ(calls_sum, static_cast<int64_t>(
+                           totals.counters.at(telemetry::kMetricLlmCalls)));
+  EXPECT_EQ(out_tokens_sum,
+            static_cast<int64_t>(
+                totals.counters.at(telemetry::kMetricLlmOutTokens)));
+  EXPECT_DOUBLE_EQ(dollars_sum,
+                   totals.counters.at(telemetry::kMetricLlmDollars));
+
+  // The exposition carries one series per bucket, not per tag.
+  MetricsSnapshot snap;
+  ledger.AnnotateSnapshot(&snap);
+  size_t query_series = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind(telemetry::kMetricTenantQueries, 0) == 0) {
+      query_series += 1;
+    }
+  }
+  EXPECT_EQ(query_series, tenants.size());
+}
+
 // --- UnifyService with the endpoint enabled --------------------------------
 
 class ServiceEndpointTest : public ::testing::Test {
@@ -603,6 +666,147 @@ TEST_F(ServiceEndpointTest, ScrapeDuringBurstAndTenantSumsMatchGlobals) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.completed, kClients);
   EXPECT_EQ(stats.slo.good + stats.slo.bad, kClients);
+}
+
+/// Every counter sample of a Prometheus text body, keyed by its series
+/// (`name{labels}`).
+std::map<std::string, double> ScrapedCounters(const std::string& body) {
+  std::map<std::string, double> counters;
+  std::istringstream lines(body);
+  std::string line;
+  bool counter_family = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      counter_family = line.size() > 8 &&
+                       line.compare(line.size() - 8, 8, " counter") == 0;
+      continue;
+    }
+    if (line.empty() || line[0] == '#' || !counter_family) continue;
+    const size_t space = line.rfind(' ');
+    if (space == std::string::npos) continue;
+    counters[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return counters;
+}
+
+/// Sums `base` and every `base.<suffix>` counter, as the ledger does.
+double FamilySum(const MetricsSnapshot& snapshot, const char* base) {
+  const std::string stem(base);
+  double sum = 0;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.compare(0, stem.size(), stem) == 0 &&
+        (name.size() == stem.size() || name[stem.size()] == '.')) {
+      sum += value;
+    }
+  }
+  return sum;
+}
+
+// Serving under a scraper: each query's metrics reach the registry in one
+// merge, so no scrape ever sees a counter go backwards, and after drain
+// the global deltas equal both the sum of the queries' own metrics and
+// the tenant ledger.
+TEST_F(ServiceEndpointTest, ScrapesNeverSeeACounterDecreaseAndDrainReconciles) {
+  core::UnifyService::Options sopts;
+  sopts.num_workers = 8;
+  sopts.max_queue_depth = 64;
+  sopts.http_port = -1;
+  core::UnifyService service(system_, sopts);
+  const int port = service.http_port();
+  ASSERT_GT(port, 0);
+  const std::vector<std::string> queries = Queries();
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+
+  std::atomic<bool> scraping{true};
+  int scrapes = 0;
+  std::thread scraper([&]() {
+    std::map<std::string, double> previous;
+    auto scrape_once = [&]() {
+      RawHttpReply reply = HttpGet(port, serving::kRouteMetrics);
+      ASSERT_TRUE(reply.ok);
+      ASSERT_EQ(reply.status, 200);
+      std::map<std::string, double> current = ScrapedCounters(reply.body);
+      for (const auto& [series, value] : previous) {
+        auto it = current.find(series);
+        ASSERT_NE(it, current.end()) << series << " vanished";
+        EXPECT_GE(it->second, value) << series << " decreased";
+      }
+      previous = std::move(current);
+      scrapes += 1;
+    };
+    while (scraping.load()) scrape_once();
+    scrape_once();  // after drain
+  });
+
+  constexpr int kQueries = 32;
+  std::vector<std::future<core::QueryResult>> futures;
+  for (int i = 0; i < kQueries; ++i) {
+    core::QueryRequest request;
+    request.text = queries[static_cast<size_t>(i) % queries.size()];
+    request.client_tag = "stress-" + std::to_string(i % 8);
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  std::vector<core::QueryResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  scraping.store(false);
+  scraper.join();
+  EXPECT_GE(scrapes, 2);
+
+  const MetricsSnapshot delta =
+      MetricsRegistry::Global().Snapshot().DeltaSince(before);
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  // Sum of the queries' own metrics, counters and histogram counts.
+  std::map<std::string, double> own;
+  std::map<std::string, size_t> own_observations;
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    for (const auto& [name, value] : r.metrics.counters) own[name] += value;
+    for (const auto& [name, hist] : r.metrics.histograms) {
+      own_observations[name] += hist.count();
+    }
+  }
+  for (const auto& [name, value] : own) {
+    auto it = delta.counters.find(name);
+    const double global = it == delta.counters.end() ? 0.0 : it->second;
+    if (value == std::floor(value)) {
+      EXPECT_EQ(global, value) << name;
+    } else {
+      EXPECT_NEAR(global, value, 1e-9 * std::abs(value)) << name;
+    }
+  }
+  // Whatever else moved was written by the serving layer, outside any
+  // query.
+  for (const auto& [name, value] : delta.counters) {
+    if (own.count(name) == 0) {
+      EXPECT_EQ(name.rfind("serve.", 0), 0u) << name;
+    }
+  }
+  for (const auto& [name, count] : own_observations) {
+    const size_t earlier = before.histograms.count(name) > 0
+                               ? before.histograms.at(name).count()
+                               : 0;
+    EXPECT_EQ(after.histograms.at(name).count() - earlier, count) << name;
+  }
+
+  // The tenant ledger agrees with the same deltas.
+  int64_t queries_sum = 0, calls_sum = 0, in_tokens_sum = 0;
+  double dollars_sum = 0;
+  const auto tenants = service.tenant_ledger().snapshot();
+  EXPECT_EQ(tenants.size(), 8u);
+  for (const auto& [tag, usage] : tenants) {
+    queries_sum += usage.queries;
+    calls_sum += usage.llm_calls;
+    in_tokens_sum += usage.in_tokens;
+    dollars_sum += usage.dollars;
+  }
+  EXPECT_EQ(queries_sum, kQueries);
+  EXPECT_EQ(calls_sum, static_cast<int64_t>(
+                           FamilySum(delta, telemetry::kMetricLlmCalls)));
+  EXPECT_EQ(in_tokens_sum, static_cast<int64_t>(FamilySum(
+                               delta, telemetry::kMetricLlmInTokens)));
+  EXPECT_NEAR(dollars_sum, FamilySum(delta, telemetry::kMetricLlmDollars),
+              1e-9);
+  EXPECT_GT(calls_sum, 0);
 }
 
 }  // namespace

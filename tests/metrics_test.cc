@@ -37,11 +37,36 @@ TEST(MetricsTest, HistogramQuantiles) {
   const Histogram& h = snap.histograms.at("exec.queue_wait_seconds");
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_GE(h.Quantile(0.5), 50.0);
-  EXPECT_LE(h.Quantile(0.5), 51.0);
-  EXPECT_GE(h.Quantile(0.99), 99.0);
-  EXPECT_LE(h.Quantile(0.99), 100.0);
+  // Bucket quantiles sit within 1/32 relative of the nearest-rank order
+  // statistic: rank 50 for p50, rank 99 for p99.
+  EXPECT_NEAR(h.Quantile(0.5), 50.0, 50.0 * Histogram::kRelativeError);
+  EXPECT_NEAR(h.Quantile(0.99), 99.0, 99.0 * Histogram::kRelativeError);
   EXPECT_LE(h.Quantile(0.5), h.Quantile(0.99));
+}
+
+TEST(MetricsTest, MergeAddsCountersAndHistogramsButNotGauges) {
+  MetricsRegistry query;
+  query.AddCounter("llm.calls.eval_predicate", 3);
+  query.SetGauge("exec.pool.occupancy", 0.25);
+  query.Observe("llm.call_seconds", 2.0);
+  query.Observe("llm.call_seconds", 4.0);
+
+  MetricsRegistry global;
+  global.AddCounter("llm.calls.eval_predicate", 1);
+  global.SetGauge("exec.pool.occupancy", 0.75);
+  global.Observe("llm.call_seconds", 1.0);
+  global.Merge(query.Snapshot());
+
+  MetricsSnapshot snap = global.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.counters.at("llm.calls.eval_predicate"), 4);
+  const Histogram& h = snap.histograms.at("llm.call_seconds");
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.sum(), 7.0);
+  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.Max(), 4.0);
+  // Gauges were written through when they changed; a merge leaves the
+  // receiving registry's level alone.
+  EXPECT_DOUBLE_EQ(snap.gauges.at("exec.pool.occupancy"), 0.75);
 }
 
 TEST(MetricsTest, SnapshotDelta) {
@@ -223,10 +248,31 @@ TEST(MetricsTest, PrometheusTextWithoutLabelsIsUnchangedByLabelSupport) {
             "unify_serve_queue_wait_seconds_count 1\n");
 }
 
-TEST(MetricsTest, ScopedSinkDualWritesAndRestores) {
-  // Baselines: the helpers always write the global registry.
+TEST(MetricsTest, PrometheusTextPrintsExactValues) {
+  // Shortest round-trip formatting: a counter past 1e9 keeps its low
+  // digits, and a decimal fraction prints as written.
+  MetricsRegistry registry;
+  registry.AddCounter("llm.in_tokens.eval_predicate", 1234567891234.0);
+  registry.AddCounter("llm.dollars.eval_predicate", 0.1);
+  const std::string text = registry.Snapshot().ToPrometheusText();
+  EXPECT_NE(text.find("\nunify_llm_in_tokens_eval_predicate 1234567891234\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nunify_llm_dollars_eval_predicate 0.1\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(MetricsTest, ScopedSinkRedirectsAndRestores) {
+  // Baselines: without a sink the helpers write the global registry.
   MetricsRegistry& global = MetricsRegistry::Global();
   const double global_before = global.counter("test.sink.counter");
+  auto global_hist_count = [&global] {
+    const MetricsSnapshot snap = global.Snapshot();
+    auto it = snap.histograms.find("test.sink.hist");
+    return it == snap.histograms.end() ? size_t{0} : it->second.count();
+  };
+  const size_t global_hist_before = global_hist_count();
 
   MetricsRegistry outer;
   MetricsRegistry inner;
@@ -244,12 +290,19 @@ TEST(MetricsTest, ScopedSinkDualWritesAndRestores) {
   }
   MetricAddCounter("test.sink.counter", 10);  // no sink installed here
 
+  // Counters and histograms went to the installed sink only: one write
+  // per event.
   EXPECT_DOUBLE_EQ(inner.counter("test.sink.counter"), 5);
-  EXPECT_DOUBLE_EQ(inner.gauge("test.sink.gauge"), 1.5);
   EXPECT_EQ(inner.Snapshot().histograms.at("test.sink.hist").count(), 1u);
   EXPECT_DOUBLE_EQ(outer.counter("test.sink.counter"), 3);
   EXPECT_DOUBLE_EQ(global.counter("test.sink.counter"),
-                   global_before + 18);
+                   global_before + 10);
+  EXPECT_EQ(global_hist_count(), global_hist_before);
+  // Gauges are levels, written through to the sink and the global
+  // registry alike.
+  EXPECT_DOUBLE_EQ(inner.gauge("test.sink.gauge"), 1.5);
+  EXPECT_DOUBLE_EQ(global.gauge("test.sink.gauge"), 1.5);
+  EXPECT_DOUBLE_EQ(outer.gauge("test.sink.gauge"), 0);
 }
 
 TEST(MetricsTest, ThreadSinkIsPerThread) {

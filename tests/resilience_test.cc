@@ -4,16 +4,20 @@
 // injected faults (the latter is the TSAN target wired via
 // scripts/check.sh).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/telemetry_names.h"
 #include "core/runtime/service.h"
 #include "corpus/dataset_profile.h"
 #include "corpus/workload.h"
@@ -528,6 +532,105 @@ TEST_F(ResilienceSystemTest, ConcurrentServingUnderInjectedFaultsIsSafe) {
   // The injector definitely fired at a 15% total rate over 16 queries.
   const auto fstats = system.fault_injector()->fault_stats();
   EXPECT_GT(fstats.timeouts + fstats.rate_limits + fstats.malformed, 0);
+}
+
+/// `r.metrics` reached the global registry exactly once between `before`
+/// and `after`: every counter moved by the query's own value, and every
+/// histogram gained the query's own observation count.
+void ExpectMergedOnce(const MetricsSnapshot& before,
+                      const MetricsSnapshot& after,
+                      const core::QueryResult& r) {
+  const MetricsSnapshot delta = after.DeltaSince(before);
+  auto value_of = [](const MetricsSnapshot& snap, const std::string& name) {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : it->second;
+  };
+  std::set<std::string> names;
+  for (const auto& [name, value] : delta.counters) names.insert(name);
+  for (const auto& [name, value] : r.metrics.counters) names.insert(name);
+  for (const std::string& name : names) {
+    const double own = value_of(r.metrics, name);
+    EXPECT_NEAR(value_of(delta, name), own, 1e-9 * std::max(1.0, own))
+        << name;
+  }
+  auto count_of = [](const MetricsSnapshot& snap, const std::string& name) {
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? size_t{0} : it->second.count();
+  };
+  for (const auto& [name, hist] : after.histograms) {
+    EXPECT_EQ(hist.count() - count_of(before, name), count_of(r.metrics, name))
+        << name;
+  }
+  for (const auto& [name, hist] : r.metrics.histograms) {
+    EXPECT_TRUE(after.histograms.count(name) > 0) << name;
+  }
+}
+
+// A failing query merges what it recorded into the global registry too,
+// once, whichever stage stopped it — here with morsels running on four
+// worker threads.
+TEST_F(ResilienceSystemTest, FailingQueriesMergeTheirMetricsOnce) {
+  core::UnifyOptions opts;
+  opts.cost_feedback = false;
+  opts.graceful_degradation = false;
+  opts.exec.threads = 4;
+  opts.exec.max_intra_op_parallelism = 4;
+  // Half of all per-document predicate attempts time out, so a call fails
+  // once in 16 after its four attempts: planning's few SCE samples often
+  // survive, execution's many batches rarely do. The Section V-D
+  // fallback cannot rescue the query: its calls always time out.
+  opts.faults.per_type[PromptType::kEvalPredicate].timeout = 0.5;
+  for (PromptType type :
+       {PromptType::kChooseFallbackStrategy, PromptType::kGenerateCode,
+        PromptType::kGenerateAnswer}) {
+    opts.faults.per_type[type].timeout = 1.0;
+  }
+  core::UnifySystem system(corpus_, llm_, opts);
+  ASSERT_TRUE(system.Setup().ok());
+  const auto queries = Queries(20);
+
+  // For each case, the first workload query that ends that way. Which
+  // queries do is fixed by the fault seed.
+  bool deadline_checked = false;
+  bool execution_checked = false;
+  for (const std::string& text : queries) {
+    SCOPED_TRACE(text);
+    if (!deadline_checked) {
+      // Stopped by the deadline pre-check, before any execution-side call.
+      core::QueryRequest request;
+      request.text = text;
+      request.deadline_seconds = 1e-6;
+      const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+      core::QueryResult r = system.Answer(request);
+      const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+      if (r.phase == core::QueryPhase::kOptimization &&
+          r.status.code() == StatusCode::kDeadlineExceeded) {
+        EXPECT_FALSE(r.metrics.counters.empty());
+        ExpectMergedOnce(before, after, r);
+        deadline_checked = true;
+      }
+    }
+    if (!execution_checked) {
+      // Failing in execution on an injected fault.
+      const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+      core::QueryResult r = system.Answer(text);
+      const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+      if (r.phase == core::QueryPhase::kExecution) {
+        EXPECT_TRUE(IsTransientLlmFailure(r.status)) << r.status;
+        // Its morsels ran on the executor's worker threads.
+        EXPECT_GT(r.metrics.counters.count(telemetry::kMetricExecPartitions),
+                  0u);
+        EXPECT_GT(r.metrics.counters.count(
+                      std::string(telemetry::kMetricLlmFaultTimeouts) +
+                      ".eval_predicate"),
+                  0u);
+        ExpectMergedOnce(before, after, r);
+        execution_checked = true;
+      }
+    }
+  }
+  EXPECT_TRUE(deadline_checked) << "no query stopped at the pre-check";
+  EXPECT_TRUE(execution_checked) << "no query failed in execution";
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/unify.h"
 #include "corpus/dataset_profile.h"
@@ -61,6 +63,56 @@ TEST_F(UnifySystemTest, AnswersSimpleCountQuery) {
       << "\nplan: " << result.plan_debug;
   EXPECT_GT(result.plan_seconds, 0);
   EXPECT_GT(result.exec_seconds, 0);
+}
+
+// Every query past admission observes the wall time of each pipeline
+// stage it reached, traced or not, into `query.stage_seconds.<stage>`.
+TEST_F(UnifySystemTest, StageHistogramsCoverEveryStageReached) {
+  const char* const kStages[] = {
+      telemetry::kMetricStageAdmit, telemetry::kMetricStageParse,
+      telemetry::kMetricStageOptimize, telemetry::kMetricStageExecute,
+      telemetry::kMetricStageAnalyze};
+  auto count_of = [](const MetricsSnapshot& snap, const char* name) {
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? size_t{0} : it->second.count();
+  };
+
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  const auto start = std::chrono::steady_clock::now();
+  QueryResult result =
+      system_->Answer("How many questions about tennis are there?");
+  const double answer_wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  ASSERT_TRUE(result.status.ok()) << result.status;
+
+  double stage_sum = 0;
+  for (const char* stage : kStages) {
+    SCOPED_TRACE(stage);
+    // One observation per stage, in the query's own metrics and, merged
+    // once, in the global registry.
+    ASSERT_EQ(count_of(result.metrics, stage), 1u);
+    EXPECT_EQ(count_of(after, stage) - count_of(before, stage), 1u);
+    const double seconds = result.metrics.histograms.at(stage).sum();
+    EXPECT_GE(seconds, 0);
+    stage_sum += seconds;
+  }
+  // The stages are disjoint slices of the Answer call.
+  EXPECT_LE(stage_sum, answer_wall_seconds);
+
+  // A query stopped by the deadline pre-check reached admit, parse and
+  // optimize only.
+  QueryRequest late;
+  late.text = "How many questions about tennis are there?";
+  late.deadline_seconds = 1e-6;
+  QueryResult stopped = system_->Answer(late);
+  ASSERT_EQ(stopped.phase, QueryPhase::kOptimization) << stopped.status;
+  EXPECT_EQ(count_of(stopped.metrics, telemetry::kMetricStageAdmit), 1u);
+  EXPECT_EQ(count_of(stopped.metrics, telemetry::kMetricStageParse), 1u);
+  EXPECT_EQ(count_of(stopped.metrics, telemetry::kMetricStageOptimize), 1u);
+  EXPECT_EQ(count_of(stopped.metrics, telemetry::kMetricStageExecute), 0u);
+  EXPECT_EQ(count_of(stopped.metrics, telemetry::kMetricStageAnalyze), 0u);
 }
 
 TEST_F(UnifySystemTest, AnswersFlagshipGroupRatioQuery) {

@@ -229,10 +229,6 @@ int main(int argc, char** argv) {
     }
     if (input == "\\sched") {
       const core::UnifyService::Stats s = service->stats();
-      if (!s.fair_scheduler) {
-        std::printf("  FIFO scheduler (fair scheduling is off)\n");
-        continue;
-      }
       std::printf("  fair scheduler: %lld enqueued, %lld dispatched, "
                   "%lld shed, %lld tenant-rejected, %lld wheel rotations\n",
                   static_cast<long long>(s.sched.enqueued),

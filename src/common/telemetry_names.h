@@ -164,9 +164,8 @@ inline constexpr char kMetricServeDegraded[] = "serve.degraded";
 /// (refreshed on every completion, stats() call, and /metrics scrape).
 inline constexpr char kMetricServeUptime[] = "serve.uptime_seconds";
 
-// Fair scheduler (core/runtime/fair_scheduler.h; emitted only when
-// UnifyService runs with Options::scheduler = kFair — the FIFO path stays
-// byte-identical to pre-scheduler builds).
+// Scheduler (core/runtime/fair_scheduler.h). Every UnifyService dispatches
+// through it, so FIFO mode emits these too, for its one "(fifo)" queue.
 /// Counter: tasks handed to a worker by the DRR wheel.
 inline constexpr char kMetricSchedDispatches[] = "serve.sched.dispatches";
 /// Counter: requests rejected by a tenant's queue-depth cap (before the

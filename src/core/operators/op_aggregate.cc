@@ -11,11 +11,6 @@ using internal::kCpuPerDoc;
 using internal::kCpuPerValue;
 using internal::WrongInput;
 
-bool IsNumericAggregate(const std::string& op_name) {
-  return op_name == "Sum" || op_name == "Average" || op_name == "Min" ||
-         op_name == "Max" || op_name == "Median" || op_name == "Percentile";
-}
-
 /// The pre-programmed values of `attribute` over `docs`, in order,
 /// skipping documents without one; charges the per-document CPU.
 std::vector<double> ReadValues(const internal::AttributeReader& attribute,

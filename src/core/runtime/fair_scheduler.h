@@ -20,7 +20,9 @@ namespace unify::core {
 /// worker pool (docs/api.md, "Scheduling & tenant isolation").
 ///
 /// Structure: one FIFO queue per (priority class, tenant), where the
-/// tenant key is QueryRequest::client_tag ("" buckets as "(untagged)").
+/// tenant key is Task::tenant ("" buckets as "(untagged)"). UnifyService
+/// passes the request's TenantLedger bucket in fair mode, and one shared
+/// key in FIFO mode.
 /// The three QueryPriority classes are strict tiers — a queued interactive
 /// task always dispatches before any normal one, and normal before batch,
 /// unless the higher tier has no dispatchable tenant (every tenant with

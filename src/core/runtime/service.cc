@@ -15,6 +15,38 @@
 
 namespace unify::core {
 
+namespace {
+
+/// The one queue key FIFO mode schedules every request under.
+constexpr char kFifoQueue[] = "(fifo)";
+
+double WallSecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The same derivation QueryPipeline::Admit uses, so flight-recorder
+/// events match the QueryResult's id.
+uint64_t QueryIdOf(const QueryRequest& request) {
+  return request.query_id != 0 ? request.query_id
+                               : StableHash64(request.text);
+}
+
+/// The result of a request that never reached a worker.
+QueryResult AdmissionFailure(const QueryRequest& request, Status status,
+                             double queue_wall_seconds) {
+  QueryResult result;
+  result.status = std::move(status);
+  result.phase = QueryPhase::kAdmission;
+  result.client_tag = request.client_tag;
+  result.query_id = QueryIdOf(request);
+  result.queue_wall_seconds = queue_wall_seconds;
+  return result;
+}
+
+}  // namespace
+
 UnifyService::UnifyService(const UnifySystem* system, Options options)
     : system_(system),
       options_(options),
@@ -28,25 +60,26 @@ UnifyService::UnifyService(const UnifySystem* system, Options options)
         return slo;
       }()),
       epoch_(std::chrono::steady_clock::now()),
-      workers_(static_cast<size_t>(options.scheduler == Scheduler::kFair
-                                       ? 1
-                                       : std::max(1, options.num_workers))) {
-  if (options_.scheduler == Scheduler::kFair) {
-    FairScheduler::Options fopts;
-    fopts.default_weight = options_.default_tenant_weight;
-    fopts.tenant_weights = options_.tenant_weights;
-    fopts.per_tenant_queue_depth = options_.per_tenant_queue_depth;
-    fopts.per_tenant_max_concurrency = options_.per_tenant_max_concurrency;
-    // The serving clock: queue-age shedding compares request deadlines
-    // against the shared pool's virtual time, the same clock execution
-    // charges deadlines against.
-    fopts.now = [this] { return pool_.Now(); };
-    sched_ = std::make_unique<FairScheduler>(std::move(fopts));
-    const int n = std::max(1, options_.num_workers);
-    sched_workers_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      sched_workers_.emplace_back([this] { SchedulerWorkerLoop(); });
-    }
+      sched_([this, &options] {
+        // FIFO mode keeps the defaults: no weights, caps or shedding.
+        FairScheduler::Options fopts;
+        if (options.scheduler == Scheduler::kFair) {
+          fopts.default_weight = options.default_tenant_weight;
+          fopts.tenant_weights = options.tenant_weights;
+          fopts.per_tenant_queue_depth = options.per_tenant_queue_depth;
+          fopts.per_tenant_max_concurrency =
+              options.per_tenant_max_concurrency;
+          // The serving clock: queue-age shedding compares request
+          // deadlines against the shared pool's virtual time, the same
+          // clock execution charges deadlines against.
+          fopts.now = [this] { return pool_.Now(); };
+        }
+        return fopts;
+      }()) {
+  const int n = std::max(1, options_.num_workers);
+  workers_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.http_port != 0) StartHttpEndpoint();
 }
@@ -54,231 +87,108 @@ UnifyService::UnifyService(const UnifySystem* system, Options options)
 UnifyService::~UnifyService() {
   // Stop the endpoint before any member is destroyed: its handlers read
   // the counters, recorder, ledger, and pool. Stop() joins every
-  // in-flight connection. The workers_ destructor then drains queries.
+  // in-flight connection.
   if (http_ != nullptr) http_->Stop();
-  if (sched_ != nullptr) {
-    // Drain, don't drop: Dequeue() keeps handing out (or shedding) queued
-    // tasks after Shutdown() until the queues empty, so every submitted
-    // future resolves before the workers exit.
-    sched_->Shutdown();
-    for (std::thread& t : sched_workers_) t.join();
-  }
+  // Drain, don't drop: Dequeue() keeps handing out (or shedding) queued
+  // tasks after Shutdown() until the queues empty, so every submitted
+  // future resolves before the workers exit.
+  sched_.Shutdown();
+  for (std::thread& t : workers_) t.join();
 }
 
-void UnifyService::SchedulerWorkerLoop() {
+void UnifyService::WorkerLoop() {
   FairScheduler::Task task;
-  while (sched_->Dequeue(&task)) {
+  while (sched_.Dequeue(&task)) {
     task.run();
-    sched_->OnComplete(task.tenant);
+    sched_.OnComplete(task.tenant);
     // Release the closures (promise, request) before blocking in Dequeue.
     task = FairScheduler::Task();
   }
 }
 
 double UnifyService::UptimeSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
+  return WallSecondsSince(epoch_);
 }
 
 std::future<QueryResult> UnifyService::Submit(QueryRequest request) {
   auto promise = std::make_shared<std::promise<QueryResult>>();
   std::future<QueryResult> future = promise->get_future();
-  // The same derivation AnswerInternal uses, so flight-recorder events
-  // match the QueryResult's id.
-  const uint64_t query_id = request.query_id != 0
-                                ? request.query_id
-                                : StableHash64(request.text);
-
-  if (sched_ != nullptr) {
-    SubmitFair(std::move(promise), std::move(request), query_id);
-    return future;
+  // The service defaults resolve once, here: shedding, the shed message
+  // and the pipeline all read the same deadline.
+  if (request.deadline_seconds <= 0) {
+    request.deadline_seconds = options_.default_deadline_seconds;
   }
+  if (!request.overrides.max_intra_op_parallelism.has_value() &&
+      options_.default_max_intra_op_parallelism > 0) {
+    request.overrides.max_intra_op_parallelism =
+        options_.default_max_intra_op_parallelism;
+  }
+  auto req = std::make_shared<const QueryRequest>(std::move(request));
 
-  ServeEvent event;
-  event.query_id = query_id;
-  event.client_tag = request.client_tag;
+  FairScheduler::Task task;
+  if (options_.scheduler == Scheduler::kFair) {
+    // The ledger maps the tag to its bounded bucket, so the scheduler's
+    // tenants are the ledger's.
+    task.tenant = tenant_ledger_.BucketKey(req->client_tag);
+    task.priority = req->overrides.priority.value_or(QueryPriority::kNormal);
+  } else {
+    task.tenant = kFifoQueue;
+  }
+  task.deadline_seconds = req->deadline_seconds;
+  task.arrival_seconds = req->arrival_seconds;
+  const auto enqueued = std::chrono::steady_clock::now();
+  task.run = [this, promise, req, enqueued] {
+    QueryOutcome outcome{ServeEventKind::kComplete,
+                         Serve(*req, WallSecondsSince(enqueued))};
+    promise->set_value(Finish(*req, std::move(outcome)));
+  };
+  task.shed = [this, promise, req](double queue_wall_seconds) {
+    char detail[160];
+    std::snprintf(detail, sizeof(detail),
+                  "shed while queued: deadline %gs after virtual arrival %g "
+                  "already passed before dispatch",
+                  req->deadline_seconds, req->arrival_seconds);
+    QueryOutcome outcome{
+        ServeEventKind::kShed,
+        AdmissionFailure(*req, Status::DeadlineExceeded(detail),
+                         queue_wall_seconds)};
+    promise->set_value(Finish(*req, std::move(outcome)));
+  };
+
+  QueryOutcome rejected;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    Status admission;
     if (inflight_ >= options_.max_queue_depth) {
-      rejected_ += 1;
-      MetricAddCounter(telemetry::kMetricServeRejected);
-      // Ledger update under mu_, so stats() (which snapshots counters and
-      // tenants in one mu_ section) never sees the reject counted but the
-      // tenant map not yet updated (lock-order note in service.h).
-      tenant_ledger_.RecordRejection(request.client_tag);
-      QueryResult rejected;
-      rejected.status = Status::ResourceExhausted(
+      rejected.kind = ServeEventKind::kReject;
+      admission = Status::ResourceExhausted(
           "serving queue full (" + std::to_string(inflight_) + " in flight, "
           "max_queue_depth " + std::to_string(options_.max_queue_depth) +
           ")");
-      rejected.phase = QueryPhase::kAdmission;
-      rejected.client_tag = request.client_tag;
-      rejected.query_id = query_id;
-      event.kind = ServeEventKind::kReject;
-      event.phase = QueryPhaseName(rejected.phase);
-      event.detail = rejected.status.message();
-      promise->set_value(std::move(rejected));
     } else {
+      // Enqueue under mu_ (mu_ -> sched.mu_; the scheduler never calls
+      // out while holding its lock, so the order cannot invert): the
+      // tenant-cap check and the admission counters commit atomically.
+      rejected.kind = ServeEventKind::kTenantReject;
+      admission = sched_.Enqueue(std::move(task));
+    }
+    if (admission.ok()) {
       submitted_ += 1;
       inflight_ += 1;
       MetricAddCounter(telemetry::kMetricServeSubmitted);
       MetricSetGauge(telemetry::kMetricServeInflight,
                      static_cast<double>(inflight_));
-      event.kind = ServeEventKind::kAdmit;
+      ServeEvent admit;
+      admit.kind = ServeEventKind::kAdmit;
+      admit.query_id = QueryIdOf(*req);
+      admit.client_tag = req->client_tag;
+      recorder_.Record(std::move(admit));
+      return future;
     }
+    rejected.result = AdmissionFailure(*req, std::move(admission), 0);
   }
-  const bool admitted = event.kind == ServeEventKind::kAdmit;
-  recorder_.Record(std::move(event));
-  if (!admitted) return future;
-
-  const auto enqueued = std::chrono::steady_clock::now();
-  workers_.Schedule([this, promise, request = std::move(request),
-                     enqueued]() mutable {
-    const double queue_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      enqueued)
-            .count();
-    promise->set_value(Serve(request, queue_wall_seconds));
-  });
+  promise->set_value(Finish(*req, std::move(rejected)));
   return future;
-}
-
-void UnifyService::SubmitFair(
-    std::shared_ptr<std::promise<QueryResult>> promise, QueryRequest request,
-    uint64_t query_id) {
-  ServeEvent event;
-  event.query_id = query_id;
-  event.client_tag = request.client_tag;
-  QueryResult failed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (inflight_ >= options_.max_queue_depth) {
-      // Global admission control is unchanged from FIFO mode: the fair
-      // scheduler refines it with per-tenant caps but never loosens it.
-      rejected_ += 1;
-      MetricAddCounter(telemetry::kMetricServeRejected);
-      tenant_ledger_.RecordRejection(request.client_tag);
-      failed.status = Status::ResourceExhausted(
-          "serving queue full (" + std::to_string(inflight_) + " in flight, "
-          "max_queue_depth " + std::to_string(options_.max_queue_depth) +
-          ")");
-      failed.phase = QueryPhase::kAdmission;
-      failed.client_tag = request.client_tag;
-      failed.query_id = query_id;
-      event.kind = ServeEventKind::kReject;
-      event.phase = QueryPhaseName(failed.phase);
-      event.detail = failed.status.message();
-    } else {
-      auto req = std::make_shared<QueryRequest>(std::move(request));
-      FairScheduler::Task task;
-      task.tenant = req->client_tag;
-      task.priority =
-          req->overrides.priority.value_or(QueryPriority::kNormal);
-      task.deadline_seconds = req->deadline_seconds > 0
-                                  ? req->deadline_seconds
-                                  : options_.default_deadline_seconds;
-      task.arrival_seconds = req->arrival_seconds;
-      const auto enqueued = std::chrono::steady_clock::now();
-      task.run = [this, promise, req, enqueued] {
-        const double queue_wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          enqueued)
-                .count();
-        promise->set_value(Serve(*req, queue_wall_seconds));
-      };
-      task.shed = [this, promise, req, query_id](double queue_wall_seconds) {
-        promise->set_value(ShedResult(*req, query_id, queue_wall_seconds));
-      };
-      // Enqueue under mu_ (mu_ -> sched.mu_; the scheduler never calls
-      // out while holding its lock, so the order cannot invert): the
-      // tenant-cap check and the admission counters commit atomically —
-      // no rollback path, and stats() sees them move together.
-      if (Status st = sched_->Enqueue(std::move(task)); !st.ok()) {
-        rejected_ += 1;
-        MetricAddCounter(telemetry::kMetricServeRejected);
-        tenant_ledger_.RecordRejection(req->client_tag);
-        failed.status = std::move(st);
-        failed.phase = QueryPhase::kAdmission;
-        failed.client_tag = req->client_tag;
-        failed.query_id = query_id;
-        event.kind = ServeEventKind::kTenantReject;
-        event.phase = QueryPhaseName(failed.phase);
-        event.detail = failed.status.message();
-      } else {
-        submitted_ += 1;
-        inflight_ += 1;
-        MetricAddCounter(telemetry::kMetricServeSubmitted);
-        MetricSetGauge(telemetry::kMetricServeInflight,
-                       static_cast<double>(inflight_));
-        event.kind = ServeEventKind::kAdmit;
-      }
-    }
-  }
-  const bool admitted = event.kind == ServeEventKind::kAdmit;
-  recorder_.Record(std::move(event));
-  if (!admitted) promise->set_value(std::move(failed));
-}
-
-QueryResult UnifyService::ShedResult(const QueryRequest& request,
-                                     uint64_t query_id,
-                                     double queue_wall_seconds) {
-  const double deadline = request.deadline_seconds > 0
-                              ? request.deadline_seconds
-                              : options_.default_deadline_seconds;
-  QueryResult result;
-  char detail[160];
-  std::snprintf(detail, sizeof(detail),
-                "shed while queued: deadline %gs after virtual arrival %g "
-                "already passed before dispatch",
-                deadline, request.arrival_seconds);
-  result.status = Status::DeadlineExceeded(detail);
-  result.phase = QueryPhase::kAdmission;
-  result.client_tag = request.client_tag;
-  result.query_id = query_id;
-  result.queue_wall_seconds = queue_wall_seconds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_ -= 1;
-    shed_ += 1;
-    MetricSetGauge(telemetry::kMetricServeInflight,
-                   static_cast<double>(inflight_));
-    // A shed counts for the tenant as a failed query with a deadline
-    // miss; it counts in neither completed_ nor deadline_exceeded_ (those
-    // are for *served* queries) — stats().shed carries it.
-    tenant_ledger_.RecordCompletion(result);
-  }
-
-  // A shed is a user-visible failure: it burns SLO error budget exactly
-  // like a served failure does.
-  const double now_uptime = UptimeSeconds();
-  const SloTracker::Outcome slo = slo_.Record(now_uptime, false);
-  MetricAddCounter(telemetry::kMetricSloBad);
-  MetricSetGauge(telemetry::kMetricSloBurnRateFast, slo.burn_rate_fast);
-  MetricSetGauge(telemetry::kMetricSloBurnRateSlow, slo.burn_rate_slow);
-  MetricSetGauge(telemetry::kMetricServeUptime, now_uptime);
-
-  ServeEvent shed;
-  shed.kind = ServeEventKind::kShed;
-  shed.query_id = query_id;
-  shed.client_tag = result.client_tag;
-  shed.phase = QueryPhaseName(result.phase);
-  shed.detail = result.status.message();
-  shed.queue_wall_seconds = queue_wall_seconds;
-  if (slo.breach_started) {
-    char breach_detail[160];
-    std::snprintf(breach_detail, sizeof(breach_detail),
-                  "burn rate fast %.2f / slow %.2f over threshold %.2f "
-                  "(target %g)",
-                  slo.burn_rate_fast, slo.burn_rate_slow,
-                  slo_.options().breach_burn_rate, slo_.options().target);
-    ServeEvent breach = shed;
-    breach.kind = ServeEventKind::kSloBreach;
-    breach.detail = breach_detail;
-    recorder_.Record(std::move(breach));
-  }
-  recorder_.Record(std::move(shed));
-  return result;
 }
 
 QueryResult UnifyService::Serve(const QueryRequest& request,
@@ -287,26 +197,18 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
   {
     ServeEvent start;
     start.kind = ServeEventKind::kStart;
-    start.query_id = request.query_id != 0 ? request.query_id
-                                           : StableHash64(request.text);
+    start.query_id = QueryIdOf(request);
     start.client_tag = request.client_tag;
     start.queue_wall_seconds = queue_wall_seconds;
+    // Under mu_, so this start follows the admit Submit() records under
+    // mu_ after Enqueue (lock-order note in service.h).
+    std::lock_guard<std::mutex> lock(mu_);
     recorder_.Record(std::move(start));
-  }
-
-  QueryRequest effective = request;
-  if (effective.deadline_seconds <= 0) {
-    effective.deadline_seconds = options_.default_deadline_seconds;
-  }
-  if (!effective.overrides.max_intra_op_parallelism.has_value() &&
-      options_.default_max_intra_op_parallelism > 0) {
-    effective.overrides.max_intra_op_parallelism =
-        options_.default_max_intra_op_parallelism;
   }
 
   // The serve.query span parents the query's own span tree, so a served
   // trace shows the serving layer on top of the usual lifecycle.
-  const bool collect_trace = effective.overrides.collect_trace.value_or(
+  const bool collect_trace = request.overrides.collect_trace.value_or(
       system_->options().collect_trace);
   std::shared_ptr<Trace> trace;
   if (collect_trace) trace = std::make_shared<Trace>();
@@ -314,11 +216,11 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
   {
     // Null-trace ScopedSpan is a no-op, so the flow stays unconditional.
     ScopedSpan serve_span(trace.get(), telemetry::kSpanServeQuery, kNoSpan);
-    if (!effective.client_tag.empty()) {
-      serve_span.AddAttr("client", effective.client_tag);
+    if (!request.client_tag.empty()) {
+      serve_span.AddAttr("client", request.client_tag);
     }
     serve_span.AddAttr("queue_wall_seconds", queue_wall_seconds);
-    result = system_->AnswerInternal(effective, &pool_, trace,
+    result = system_->AnswerInternal(request, &pool_, trace,
                                      serve_span.id());
     serve_span.AddAttr("status", result.status.ok()
                                      ? std::string("ok")
@@ -327,93 +229,112 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
                                   result.completion_seconds);
   }
   result.queue_wall_seconds = queue_wall_seconds;
+  return result;
+}
 
+QueryResult UnifyService::Finish(const QueryRequest& request,
+                                 QueryOutcome outcome) {
+  const QueryResult& result = outcome.result;
+  const bool served = outcome.kind == ServeEventKind::kComplete;
+  const bool admitted = served || outcome.kind == ServeEventKind::kShed;
   {
+    // Each counter moves in the same mu_ section as its tenant
+    // attribution, and stats() samples both under mu_, so a snapshot's
+    // tenant sums always equal its counters (lock-order note in
+    // service.h).
     std::lock_guard<std::mutex> lock(mu_);
-    inflight_ -= 1;
-    completed_ += 1;
-    if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      deadline_exceeded_ += 1;
-      MetricAddCounter(telemetry::kMetricServeDeadlineExceeded);
+    if (!admitted) {
+      rejected_ += 1;
+      MetricAddCounter(telemetry::kMetricServeRejected);
+      tenant_ledger_.RecordRejection(result.client_tag);
+    } else {
+      inflight_ -= 1;
+      MetricSetGauge(telemetry::kMetricServeInflight,
+                     static_cast<double>(inflight_));
+      if (served) {
+        completed_ += 1;
+        if (result.status.code() == StatusCode::kDeadlineExceeded) {
+          deadline_exceeded_ += 1;
+          MetricAddCounter(telemetry::kMetricServeDeadlineExceeded);
+        }
+        if (result.phase == QueryPhase::kDegraded) {
+          degraded_ += 1;
+          MetricAddCounter(telemetry::kMetricServeDegraded);
+        }
+      } else {
+        // A shed counts for the tenant as a failed query with a deadline
+        // miss, but in neither completed_ nor deadline_exceeded_ (those
+        // are for served queries): stats().shed carries it.
+        shed_ += 1;
+      }
+      tenant_ledger_.RecordCompletion(result);
     }
-    if (result.phase == QueryPhase::kDegraded) {
-      degraded_ += 1;
-      MetricAddCounter(telemetry::kMetricServeDegraded);
-    }
-    MetricSetGauge(telemetry::kMetricServeInflight,
-                   static_cast<double>(inflight_));
-    // Per-tenant attribution (exact, from the query's own metrics) in the
-    // same mu_ section as the counters it must agree with: stats() also
-    // samples both under mu_, so a snapshot never shows a completion the
-    // tenant map has not absorbed yet (lock-order note in service.h).
-    tenant_ledger_.RecordCompletion(result);
   }
 
-  // The SLO ledger runs outside any per-query metrics sink, so the
-  // serve.slo.* telemetry never leaks into QueryResult::metrics.
-  const double now_uptime = UptimeSeconds();
-  const bool slo_good = slo_.IsGood(result.status.ok(), result.total_seconds);
-  const SloTracker::Outcome slo = slo_.Record(now_uptime, slo_good);
-  MetricAddCounter(slo_good ? telemetry::kMetricSloGood
-                            : telemetry::kMetricSloBad);
-  MetricSetGauge(telemetry::kMetricSloBurnRateFast, slo.burn_rate_fast);
-  MetricSetGauge(telemetry::kMetricSloBurnRateSlow, slo.burn_rate_slow);
-  MetricSetGauge(telemetry::kMetricServeUptime, now_uptime);
-
-  // Postmortem events: SLO-breach, replan and deadline-miss markers
-  // first, then the terminal completion event carrying phase + timings.
-  ServeEvent completion;
-  completion.query_id = result.query_id;
-  completion.client_tag = result.client_tag;
-  completion.phase = QueryPhaseName(result.phase);
-  completion.queue_wall_seconds = queue_wall_seconds;
-  completion.plan_seconds = result.plan_seconds;
-  completion.exec_seconds = result.exec_seconds;
-  completion.total_seconds = result.total_seconds;
-  if (slo.breach_started) {
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "burn rate fast %.2f / slow %.2f over threshold %.2f "
-                  "(target %g)",
-                  slo.burn_rate_fast, slo.burn_rate_slow,
-                  slo_.options().breach_burn_rate, slo_.options().target);
-    ServeEvent breach = completion;
-    breach.kind = ServeEventKind::kSloBreach;
-    breach.detail = detail;
-    recorder_.Record(std::move(breach));
+  // Postmortem events: SLO-breach, replan, deadline-miss and degraded
+  // markers first, then the one terminal event carrying phase + timings.
+  ServeEvent event;
+  event.query_id = result.query_id;
+  event.client_tag = result.client_tag;
+  event.phase = QueryPhaseName(result.phase);
+  event.queue_wall_seconds = result.queue_wall_seconds;
+  event.plan_seconds = result.plan_seconds;
+  event.exec_seconds = result.exec_seconds;
+  event.total_seconds = result.total_seconds;
+  auto record = [this, &event](ServeEventKind kind, std::string detail) {
+    ServeEvent e = event;
+    e.kind = kind;
+    e.detail = std::move(detail);
+    recorder_.Record(std::move(e));
+  };
+  if (admitted) {
+    // A shed is a user-visible failure: it burns SLO error budget exactly
+    // like a served failure does. The SLO ledger runs outside any
+    // per-query metrics sink, so the serve.slo.* telemetry never leaks
+    // into QueryResult::metrics.
+    const double now_uptime = UptimeSeconds();
+    const bool slo_good =
+        slo_.IsGood(result.status.ok(), result.total_seconds);
+    const SloTracker::Outcome slo = slo_.Record(now_uptime, slo_good);
+    MetricAddCounter(slo_good ? telemetry::kMetricSloGood
+                              : telemetry::kMetricSloBad);
+    MetricSetGauge(telemetry::kMetricSloBurnRateFast, slo.burn_rate_fast);
+    MetricSetGauge(telemetry::kMetricSloBurnRateSlow, slo.burn_rate_slow);
+    MetricSetGauge(telemetry::kMetricServeUptime, now_uptime);
+    if (slo.breach_started) {
+      char detail[160];
+      std::snprintf(detail, sizeof(detail),
+                    "burn rate fast %.2f / slow %.2f over threshold %.2f "
+                    "(target %g)",
+                    slo.burn_rate_fast, slo.burn_rate_slow,
+                    slo_.options().breach_burn_rate, slo_.options().target);
+      record(ServeEventKind::kSloBreach, detail);
+    }
   }
+  if (!served) {
+    record(outcome.kind, result.status.message());
+    return std::move(outcome.result);
+  }
+
   if (result.adjusted || result.used_fallback) {
     MetricAddCounter(telemetry::kMetricServeReplans);
-    ServeEvent replan = completion;
-    replan.kind = ServeEventKind::kReplan;
-    replan.detail = result.adjusted ? "plan adjustment" : "planning fallback";
-    recorder_.Record(std::move(replan));
+    record(ServeEventKind::kReplan,
+           result.adjusted ? "plan adjustment" : "planning fallback");
   }
   // One event per mid-query re-optimization (docs/replanning.md), carrying
   // the pipeline's one-line summary of the trigger and the verdict.
   for (const ReplanRecord& rec : result.replans) {
     MetricAddCounter(telemetry::kMetricServeReplans);
-    ServeEvent replan = completion;
-    replan.kind = ServeEventKind::kReplan;
-    replan.detail = rec.detail;
-    recorder_.Record(std::move(replan));
+    record(ServeEventKind::kReplan, rec.detail);
   }
   if (result.status.code() == StatusCode::kDeadlineExceeded) {
-    ServeEvent miss = completion;
-    miss.kind = ServeEventKind::kDeadlineMiss;
-    miss.detail = result.status.message();
-    recorder_.Record(std::move(miss));
+    record(ServeEventKind::kDeadlineMiss, result.status.message());
   }
   if (result.phase == QueryPhase::kDegraded) {
-    ServeEvent degraded = completion;
-    degraded.kind = ServeEventKind::kDegraded;
-    degraded.detail = result.degraded_detail;
-    recorder_.Record(std::move(degraded));
+    record(ServeEventKind::kDegraded, result.degraded_detail);
   }
-  completion.kind = ServeEventKind::kComplete;
-  completion.detail =
-      result.status.ok() ? std::string("ok") : result.status.ToString();
-  recorder_.Record(std::move(completion));
+  record(ServeEventKind::kComplete,
+         result.status.ok() ? std::string("ok") : result.status.ToString());
 
   SlowQuery slow;
   slow.query_id = result.query_id;
@@ -424,7 +345,7 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
   slow.exec_seconds = result.exec_seconds;
   slow.trace = result.trace;
   recorder_.RecordSlow(std::move(slow));
-  return result;
+  return std::move(outcome.result);
 }
 
 QueryResult UnifyService::Answer(QueryRequest request) {
@@ -441,8 +362,8 @@ UnifyService::Stats UnifyService::stats() const {
   Stats s;
   {
     // One mu_ section for the counters AND the tenant/scheduler state
-    // they must agree with — the update paths (Submit, Serve, ShedResult)
-    // mutate both under the same lock, so this snapshot is consistent.
+    // they must agree with — the update paths (Submit, Finish) mutate
+    // both under the same lock, so this snapshot is consistent.
     std::lock_guard<std::mutex> lock(mu_);
     s.submitted = submitted_;
     s.rejected = rejected_;
@@ -452,10 +373,7 @@ UnifyService::Stats UnifyService::stats() const {
     s.shed = shed_;
     s.inflight = inflight_;
     s.tenants = tenant_ledger_.snapshot();
-    if (sched_ != nullptr) {
-      s.fair_scheduler = true;
-      s.sched = sched_->stats();
-    }
+    s.sched = sched_.stats();
   }
   s.uptime_seconds = UptimeSeconds();
   MetricSetGauge(telemetry::kMetricServeUptime, s.uptime_seconds);
@@ -510,17 +428,13 @@ void UnifyService::StartHttpEndpoint() {
                 [this](const serving::HttpRequest&) {
                   serving::HttpResponse response;
                   response.content_type = "application/json";
-                  if (sched_ == nullptr) {
-                    response.body = tenant_ledger_.ToJson();
-                    return response;
-                  }
-                  // Fair mode wraps the ledger with live queue state:
+                  // The ledger plus live queue state:
                   // {"usage": <ledger>, "sched": {tenant: {...}}}.
                   std::string usage = tenant_ledger_.ToJson();
                   while (!usage.empty() && usage.back() == '\n') {
                     usage.pop_back();
                   }
-                  const FairScheduler::Stats st = sched_->stats();
+                  const FairScheduler::Stats st = sched_.stats();
                   char buf[64];
                   std::ostringstream os;
                   os << "{\"usage\":" << usage << ",\"sched\":{";
@@ -621,19 +535,16 @@ serving::HttpResponse UnifyService::HandleStatusz() const {
      << ",\"target\":" << num(slo_.options().target)
      << "},\"tenants\":" << s.tenants.size()
      << ",\"workers\":" << options_.num_workers
-     << ",\"max_queue_depth\":" << options_.max_queue_depth;
-  if (s.fair_scheduler) {
-    os << ",\"sched\":{\"queued\":" << s.sched.queued
-       << ",\"running\":" << s.sched.running
-       << ",\"dispatched\":" << s.sched.dispatched
-       << ",\"shed\":" << s.sched.sheds
-       << ",\"tenant_rejects\":" << s.sched.tenant_rejects
-       << ",\"wheel_rotations\":" << s.sched.wheel_rotations
-       << ",\"queued_by_class\":{\"batch\":" << s.sched.queued_by_class[0]
-       << ",\"normal\":" << s.sched.queued_by_class[1]
-       << ",\"interactive\":" << s.sched.queued_by_class[2] << "}}";
-  }
-  os << "}\n";
+     << ",\"max_queue_depth\":" << options_.max_queue_depth
+     << ",\"sched\":{\"queued\":" << s.sched.queued
+     << ",\"running\":" << s.sched.running
+     << ",\"dispatched\":" << s.sched.dispatched
+     << ",\"shed\":" << s.sched.sheds
+     << ",\"tenant_rejects\":" << s.sched.tenant_rejects
+     << ",\"wheel_rotations\":" << s.sched.wheel_rotations
+     << ",\"queued_by_class\":{\"batch\":" << s.sched.queued_by_class[0]
+     << ",\"normal\":" << s.sched.queued_by_class[1]
+     << ",\"interactive\":" << s.sched.queued_by_class[2] << "}}}\n";
   serving::HttpResponse response;
   response.content_type = "application/json";
   response.body = os.str();

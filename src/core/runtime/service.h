@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/runtime/fair_scheduler.h"
 #include "core/runtime/flight_recorder.h"
 #include "core/runtime/query.h"
@@ -31,6 +30,10 @@ namespace unify::core {
 /// queueing for the paper's 4 simulated servers, not a private pool per
 /// query.
 ///
+/// Every request takes one dispatch path: Submit() enqueues it into a
+/// FairScheduler, and Options::num_workers threads dequeue and serve it.
+/// The Scheduler option only configures that scheduler.
+///
 /// Admission control keeps the service responsive under overload: when
 /// queued + running requests reach Options::max_queue_depth, Submit()
 /// resolves immediately with kResourceExhausted (phase kAdmission)
@@ -38,22 +41,23 @@ namespace unify::core {
 /// (QueryRequest::deadline_seconds, with an optional service-wide
 /// default) bound each query's virtual completion.
 ///
-/// Operator-facing observability (docs/observability.md): every
-/// completion feeds a per-tenant usage ledger (keyed by
-/// QueryRequest::client_tag) and an SLO burn-rate tracker, and
-/// Options::http_port starts an embedded HTTP endpoint serving /metrics,
-/// health/readiness probes, and the postmortem surfaces to an external
-/// monitoring stack.
+/// Operator-facing observability (docs/observability.md): each request
+/// ends in one outcome (reject, tenant reject, shed or completion) that
+/// one function hands to the serving counters, a per-tenant usage ledger
+/// (keyed by QueryRequest::client_tag), an SLO burn-rate tracker and the
+/// flight recorder, and Options::http_port starts an embedded HTTP
+/// endpoint serving /metrics, health/readiness probes, and the postmortem
+/// surfaces to an external monitoring stack.
 class UnifyService {
  public:
-  /// How Submit() hands admitted work to the workers.
+  /// How the FairScheduler between Submit() and the workers is
+  /// configured.
   enum class Scheduler {
-    /// The original single FIFO queue — behavior and telemetry are
-    /// byte-identical to builds that predate the fair scheduler.
+    /// One shared queue, every request at QueryPriority::kNormal, no
+    /// weights, caps or shedding: dispatch in arrival order.
     kFifo,
-    /// core::FairScheduler: per-tenant DRR queues with priority tiers,
-    /// per-tenant caps, and queue-age shedding (docs/api.md,
-    /// "Scheduling & tenant isolation").
+    /// Per-tenant DRR queues with priority tiers, per-tenant caps, and
+    /// queue-age shedding (docs/api.md, "Scheduling & tenant isolation").
     kFair,
   };
 
@@ -128,11 +132,10 @@ class UnifyService {
     /// Per-tenant usage, keyed by client_tag ("(untagged)" for requests
     /// without one).
     std::map<std::string, TenantUsage> tenants;
-    /// True when Options::scheduler == Scheduler::kFair; `sched` is only
-    /// populated then.
-    bool fair_scheduler = false;
-    /// Fair-scheduler queue state and counters (per-tenant queue depths,
-    /// dispatches, sheds, tenant rejects, wheel rotations).
+    /// Scheduler queue state and counters (per-tenant queue depths,
+    /// dispatches, sheds, tenant rejects, wheel rotations). Fair mode
+    /// keys tenants by their `tenants` bucket; FIFO mode has one
+    /// "(fifo)" queue.
     FairScheduler::Stats sched;
   };
 
@@ -169,10 +172,6 @@ class UnifyService {
   /// The per-tenant usage ledger (thread-safe to read while serving).
   const TenantLedger& tenant_ledger() const { return tenant_ledger_; }
 
-  /// The fair scheduler; null in kFifo mode. Read its state via
-  /// stats().sched.
-  const FairScheduler* fair_scheduler() const { return sched_.get(); }
-
   /// The SLO burn-rate tracker; read its state via stats().slo.
   const SloTracker& slo_tracker() const { return slo_; }
 
@@ -187,20 +186,25 @@ class UnifyService {
   const Options& options() const { return options_; }
 
  private:
+  /// A request's terminal outcome: the event kind that ends its serving
+  /// lifecycle (kReject, kTenantReject, kShed or kComplete) and the
+  /// result its future resolves with.
+  struct QueryOutcome {
+    ServeEventKind kind = ServeEventKind::kComplete;
+    QueryResult result;
+  };
+
   /// Runs one admitted request on a worker thread.
   QueryResult Serve(const QueryRequest& request, double queue_wall_seconds);
 
-  /// Fair mode's Submit() tail: admission + enqueue into sched_.
-  void SubmitFair(std::shared_ptr<std::promise<QueryResult>> promise,
-                  QueryRequest request, uint64_t query_id);
+  /// The one place an outcome reaches the serving counters, the tenant
+  /// ledger, the SLO tracker, the flight recorder's terminal events and
+  /// the slow log. Called exactly once per submitted request; returns the
+  /// result for its future.
+  QueryResult Finish(const QueryRequest& request, QueryOutcome outcome);
 
-  /// Fair mode: one dedicated worker's Dequeue/run/OnComplete loop.
-  void SchedulerWorkerLoop();
-
-  /// Fair mode: resolves a queued request the scheduler shed (deadline
-  /// unmeetable) with kDeadlineExceeded at phase kAdmission.
-  QueryResult ShedResult(const QueryRequest& request, uint64_t query_id,
-                         double queue_wall_seconds);
+  /// One worker's Dequeue/run/OnComplete loop.
+  void WorkerLoop();
 
   /// Wall-clock seconds since construction (the SLO/uptime clock).
   double UptimeSeconds() const;
@@ -219,14 +223,16 @@ class UnifyService {
   SloTracker slo_;
   std::chrono::steady_clock::time_point epoch_;
 
-  /// Lock order (see the audit note in service.cc): `mu_` is the
-  /// service's root lock; the TenantLedger, FairScheduler, FlightRecorder,
-  /// SloTracker, and metrics-registry locks are leaves that may be
-  /// acquired WHILE holding `mu_` but never hold `mu_` themselves (none of
-  /// them calls back into the service). Counter updates and their matching
-  /// ledger/scheduler mutations happen under one `mu_` critical section,
-  /// and stats() samples under the same section, so a Stats snapshot is
-  /// internally consistent (counters never disagree with the tenant map).
+  /// Lock order: `mu_` is the service's root lock; the TenantLedger,
+  /// FairScheduler, FlightRecorder, SloTracker, and metrics-registry locks
+  /// are leaves that may be acquired WHILE holding `mu_` but never hold
+  /// `mu_` themselves (none of them calls back into the service). Counter
+  /// updates and their matching ledger/scheduler mutations happen under
+  /// one `mu_` critical section, and stats() samples under the same
+  /// section, so a Stats snapshot is internally consistent (counters
+  /// never disagree with the tenant map). Submit() records `admit` under
+  /// `mu_`, and a worker takes `mu_` before its first event for a
+  /// request, so `admit` precedes that request's every other event.
   mutable std::mutex mu_;
   int64_t submitted_ = 0;
   int64_t rejected_ = 0;
@@ -236,23 +242,17 @@ class UnifyService {
   int64_t shed_ = 0;
   int64_t inflight_ = 0;
 
-  /// Destroyed after workers_ (construction order), but explicitly
-  /// stopped FIRST in the destructor: its handlers read the members
-  /// above, so no connection may be in flight once member destruction
-  /// begins.
+  /// Explicitly stopped FIRST in the destructor: its handlers read the
+  /// members above, so no connection may be in flight once member
+  /// destruction begins.
   std::unique_ptr<serving::HttpServer> http_;
 
-  /// Fair mode only (null otherwise). The destructor calls Shutdown()
-  /// and joins sched_workers_ before member destruction begins.
-  std::unique_ptr<FairScheduler> sched_;
-  /// Fair mode's dedicated worker threads (Options::num_workers of them);
-  /// each runs SchedulerWorkerLoop() until the scheduler drains.
-  std::vector<std::thread> sched_workers_;
-
-  /// Last member: destroyed (and drained) first, so worker tasks never
-  /// outlive the state above. Fair mode leaves it one idle thread and
-  /// dispatches through sched_ instead.
-  ThreadPool workers_;
+  /// The destructor calls Shutdown() and joins workers_ before member
+  /// destruction begins.
+  FairScheduler sched_;
+  /// Options::num_workers threads, each running WorkerLoop() until the
+  /// scheduler drains.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace unify::core

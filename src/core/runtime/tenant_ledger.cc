@@ -34,21 +34,29 @@ int64_t SumCountersAsInt(const MetricsSnapshot& metrics, const char* base) {
 
 }  // namespace
 
-TenantUsage& TenantLedger::BucketLocked(const std::string& client_tag) {
+std::map<std::string, TenantUsage>::iterator TenantLedger::BucketLocked(
+    const std::string& client_tag) {
   static const std::string* untagged = new std::string(kUntagged);
   const std::string& key = client_tag.empty() ? *untagged : client_tag;
   auto it = tenants_.find(key);
-  if (it != tenants_.end()) return it->second;
+  if (it != tenants_.end()) return it;
   if (key != kUntagged && key != kOverflow) {
-    if (tagged_buckets_ >= kMaxTaggedTenants) return tenants_[kOverflow];
+    if (tagged_buckets_ >= kMaxTaggedTenants) {
+      return tenants_.try_emplace(kOverflow).first;
+    }
     tagged_buckets_ += 1;
   }
-  return tenants_[key];
+  return tenants_.try_emplace(key).first;
+}
+
+std::string TenantLedger::BucketKey(const std::string& client_tag) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return BucketLocked(client_tag)->first;
 }
 
 void TenantLedger::RecordCompletion(const QueryResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
-  TenantUsage& usage = BucketLocked(result.client_tag);
+  TenantUsage& usage = BucketLocked(result.client_tag)->second;
   usage.queries += 1;
   if (!result.status.ok()) usage.failed += 1;
   if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -69,7 +77,7 @@ void TenantLedger::RecordCompletion(const QueryResult& result) {
 
 void TenantLedger::RecordRejection(const std::string& client_tag) {
   std::lock_guard<std::mutex> lock(mu_);
-  BucketLocked(client_tag).rejected += 1;
+  BucketLocked(client_tag)->second.rejected += 1;
 }
 
 std::map<std::string, TenantUsage> TenantLedger::snapshot() const {

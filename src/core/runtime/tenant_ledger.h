@@ -50,7 +50,10 @@ struct TenantUsage {
 /// Bounded: the first kMaxTaggedTenants distinct tags get a bucket each;
 /// every later tag is accounted in the one "(overflow)" bucket, so a
 /// client sending random tags cannot grow memory or scrape size without
-/// bound. Sums across buckets still cover every query.
+/// bound. Sums across buckets still cover every query. The ledger is the
+/// one place that maps a tag to its bucket: a fair-mode UnifyService
+/// queues each request under BucketKey(), so the scheduler's tenants are
+/// bounded the same way.
 class TenantLedger {
  public:
   /// The bucket untagged requests are accounted under.
@@ -71,6 +74,10 @@ class TenantLedger {
   /// Accounts one admission-control rejection.
   void RecordRejection(const std::string& client_tag);
 
+  /// The bucket `client_tag` is accounted in, claiming one for a new tag
+  /// while fewer than kMaxTaggedTenants are taken.
+  std::string BucketKey(const std::string& client_tag);
+
   /// Point-in-time copy of every tenant's usage.
   std::map<std::string, TenantUsage> snapshot() const;
 
@@ -90,7 +97,8 @@ class TenantLedger {
 
  private:
   /// The bucket `client_tag` is accounted in. Requires mu_.
-  TenantUsage& BucketLocked(const std::string& client_tag);
+  std::map<std::string, TenantUsage>::iterator BucketLocked(
+      const std::string& client_tag);
 
   mutable std::mutex mu_;
   std::map<std::string, TenantUsage> tenants_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -427,7 +428,6 @@ TEST_F(ServiceTest, FairSchedulerServesIdenticalAnswersToSequential) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     const auto stats = service.stats();
-    EXPECT_TRUE(stats.fair_scheduler);
     EXPECT_EQ(stats.completed, static_cast<int64_t>(queries.size()));
     EXPECT_EQ(stats.sched.enqueued, static_cast<int64_t>(queries.size()));
     EXPECT_EQ(stats.sched.dispatched, static_cast<int64_t>(queries.size()));
@@ -542,14 +542,21 @@ TEST_F(ServiceTest, FairSchedulerShedsQueuedWorkWhoseDeadlinePassed) {
   EXPECT_EQ(stats.deadline_exceeded, 0);   // sheds are not served misses
   EXPECT_EQ(stats.tenants.at("latecomer").deadline_misses, 1);
   int shed_events = 0;
+  std::optional<uint64_t> admit_seq, shed_seq;
   for (const auto& e : service.flight_recorder().events()) {
+    if (e.kind == ServeEventKind::kAdmit && e.client_tag == "latecomer") {
+      admit_seq = e.seq;
+    }
     if (e.kind == ServeEventKind::kShed) {
       shed_events += 1;
+      shed_seq = e.seq;
       EXPECT_EQ(e.client_tag, "latecomer");
       EXPECT_GE(e.queue_wall_seconds, 0);
     }
   }
   EXPECT_EQ(shed_events, 1);
+  ASSERT_TRUE(admit_seq.has_value() && shed_seq.has_value());
+  EXPECT_LT(*admit_seq, *shed_seq);  // admitted before it was shed
 }
 
 // Satellite fix regression: stats() must snapshot the counters and the
@@ -619,87 +626,188 @@ TEST_F(ServiceTest, StatsStayConsistentWhileSubmitsHammerTheLedger) {
 
 // Satellite coverage gap: max_queue_depth rejections racing deadline
 // misses on queued work — and the flight recorder must reconcile 1:1
-// with the QueryPhases the futures returned.
+// with the QueryPhases the futures returned, under both schedulers.
 TEST_F(ServiceTest, QueueFullRejectsRaceDeadlineMissesAndEventsReconcile) {
+  for (UnifyService::Scheduler scheduler :
+       {UnifyService::Scheduler::kFifo, UnifyService::Scheduler::kFair}) {
+    SCOPED_TRACE(scheduler == UnifyService::Scheduler::kFifo ? "fifo"
+                                                             : "fair");
+    UnifyService::Options sopts;
+    sopts.num_workers = 2;
+    sopts.max_queue_depth = 3;
+    sopts.flight_recorder_capacity = 1024;  // retain the whole storm
+    sopts.scheduler = scheduler;
+    UnifyService service(system_, sopts);
+    const std::vector<std::string> queries = Queries();
+
+    // Unique client_tag per submission, so each future's outcome can be
+    // matched to exactly its own flight-recorder events.
+    std::vector<std::future<QueryResult>> futures;
+    for (int i = 0; i < 24; ++i) {
+      QueryRequest request;
+      request.text = queries[static_cast<size_t>(i) % queries.size()];
+      request.client_tag = "storm-" + std::to_string(i);
+      // The first two are admitted for sure (empty queue) and carry a
+      // hopeless deadline: guaranteed deadline misses on admitted work,
+      // racing the rejects the rest of the storm provokes.
+      if (i < 2 || i % 2 == 0) request.deadline_seconds = 1e-3;
+      futures.push_back(service.Submit(std::move(request)));
+    }
+
+    int ok_n = 0, miss_n = 0, rejected_n = 0;
+    std::map<std::string, QueryResult> outcomes;
+    for (int i = 0; i < 24; ++i) {
+      QueryResult result = futures[static_cast<size_t>(i)].get();
+      const std::string tag = "storm-" + std::to_string(i);
+      EXPECT_EQ(result.client_tag, tag);
+      if (result.status.code() == StatusCode::kResourceExhausted) {
+        EXPECT_EQ(result.phase, QueryPhase::kAdmission);
+        rejected_n += 1;
+      } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
+        miss_n += 1;
+      } else {
+        EXPECT_TRUE(result.status.ok()) << result.status;
+        ok_n += 1;
+      }
+      outcomes.emplace(tag, std::move(result));
+    }
+    EXPECT_EQ(ok_n + miss_n + rejected_n, 24);
+    EXPECT_GE(miss_n, 2);      // the two guaranteed-admitted hopeless ones
+    EXPECT_GE(rejected_n, 1);  // the storm overflowed the depth-3 queue
+
+    // Reconcile events against returned phases, 1:1 per submission.
+    std::map<std::string, std::map<ServeEventKind, std::vector<uint64_t>>>
+        seqs_by_tag;
+    for (const auto& e : service.flight_recorder().events()) {
+      if (e.client_tag.rfind("storm-", 0) == 0) {
+        seqs_by_tag[e.client_tag][e.kind].push_back(e.seq);
+      }
+    }
+    for (const auto& [tag, result] : outcomes) {
+      auto& seqs = seqs_by_tag[tag];
+      auto count = [&seqs](ServeEventKind kind) {
+        return static_cast<int>(seqs[kind].size());
+      };
+      // Exactly one terminal event per submission.
+      EXPECT_EQ(count(ServeEventKind::kReject) +
+                    count(ServeEventKind::kTenantReject) +
+                    count(ServeEventKind::kShed) +
+                    count(ServeEventKind::kComplete),
+                1)
+          << tag;
+      if (result.status.code() == StatusCode::kResourceExhausted) {
+        // A rejected submission records exactly one terminal reject event
+        // and nothing else — it never entered the serving lifecycle.
+        EXPECT_EQ(count(ServeEventKind::kReject), 1) << tag;
+        EXPECT_EQ(count(ServeEventKind::kAdmit), 0) << tag;
+        EXPECT_EQ(count(ServeEventKind::kStart), 0) << tag;
+        EXPECT_EQ(count(ServeEventKind::kComplete), 0) << tag;
+      } else {
+        EXPECT_EQ(count(ServeEventKind::kReject), 0) << tag;
+        EXPECT_EQ(count(ServeEventKind::kAdmit), 1) << tag;
+        EXPECT_EQ(count(ServeEventKind::kStart), 1) << tag;
+        EXPECT_EQ(count(ServeEventKind::kComplete), 1) << tag;
+        // A deadline-missed future gets its miss marker; a clean one must
+        // not.
+        EXPECT_EQ(count(ServeEventKind::kDeadlineMiss),
+                  result.status.code() == StatusCode::kDeadlineExceeded ? 1
+                                                                        : 0)
+            << tag;
+        // The lifecycle is ordered: admit, then start, then complete.
+        if (count(ServeEventKind::kAdmit) == 1 &&
+            count(ServeEventKind::kStart) == 1 &&
+            count(ServeEventKind::kComplete) == 1) {
+          EXPECT_LT(seqs[ServeEventKind::kAdmit][0],
+                    seqs[ServeEventKind::kStart][0])
+              << tag;
+          EXPECT_LT(seqs[ServeEventKind::kStart][0],
+                    seqs[ServeEventKind::kComplete][0])
+              << tag;
+        }
+      }
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.rejected, rejected_n);
+    EXPECT_EQ(stats.deadline_exceeded, miss_n);
+    EXPECT_EQ(stats.completed, ok_n + miss_n);
+  }
+}
+
+// What bench_scheduler's FIFO baseline relies on: with one worker, FIFO
+// mode starts queued requests in submission order whatever their
+// priority override says.
+TEST_F(ServiceTest, FifoStartsQueuedRequestsInSubmissionOrder) {
   UnifyService::Options sopts;
-  sopts.num_workers = 2;
-  sopts.max_queue_depth = 3;
-  sopts.flight_recorder_capacity = 1024;  // retain the whole storm
+  sopts.num_workers = 1;
   UnifyService service(system_, sopts);
   const std::vector<std::string> queries = Queries();
 
-  // Unique client_tag per submission, so each future's outcome can be
-  // matched to exactly its own flight-recorder events.
+  // The first query holds the worker while the rest queue behind it.
   std::vector<std::future<QueryResult>> futures;
-  for (int i = 0; i < 24; ++i) {
+  QueryRequest first;
+  first.text = queries.front();
+  first.client_tag = "holder";
+  futures.push_back(service.Submit(std::move(first)));
+  std::vector<std::string> submitted;
+  for (int i = 0; i < 8; ++i) {
     QueryRequest request;
     request.text = queries[static_cast<size_t>(i) % queries.size()];
-    request.client_tag = "storm-" + std::to_string(i);
-    // The first two are admitted for sure (empty queue) and carry a
-    // hopeless deadline: guaranteed deadline misses on admitted work,
-    // racing the rejects the rest of the storm provokes.
-    if (i < 2 || i % 2 == 0) request.deadline_seconds = 1e-3;
+    request.client_tag = "fifo-" + std::to_string(i);
+    request.overrides.priority = static_cast<QueryPriority>((i * 2) % 3);
+    submitted.push_back(request.client_tag);
     futures.push_back(service.Submit(std::move(request)));
   }
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
 
-  int ok_n = 0, miss_n = 0, rejected_n = 0;
-  std::map<std::string, QueryResult> outcomes;
-  for (int i = 0; i < 24; ++i) {
-    QueryResult result = futures[static_cast<size_t>(i)].get();
-    const std::string tag = "storm-" + std::to_string(i);
-    EXPECT_EQ(result.client_tag, tag);
-    if (result.status.code() == StatusCode::kResourceExhausted) {
-      EXPECT_EQ(result.phase, QueryPhase::kAdmission);
-      rejected_n += 1;
-    } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      miss_n += 1;
-    } else {
-      EXPECT_TRUE(result.status.ok()) << result.status;
-      ok_n += 1;
-    }
-    outcomes.emplace(tag, std::move(result));
-  }
-  EXPECT_EQ(ok_n + miss_n + rejected_n, 24);
-  EXPECT_GE(miss_n, 2);      // the two guaranteed-admitted hopeless ones
-  EXPECT_GE(rejected_n, 1);  // the storm overflowed the depth-3 queue
-
-  // Reconcile events against returned phases, 1:1 per submission.
-  std::map<std::string, std::map<ServeEventKind, int>> events_by_tag;
+  std::vector<std::string> started;
   for (const auto& e : service.flight_recorder().events()) {
-    if (e.client_tag.rfind("storm-", 0) == 0) {
-      events_by_tag[e.client_tag][e.kind] += 1;
+    if (e.kind == ServeEventKind::kStart &&
+        e.client_tag.rfind("fifo-", 0) == 0) {
+      started.push_back(e.client_tag);
     }
   }
-  for (const auto& [tag, result] : outcomes) {
-    const auto& kinds = events_by_tag[tag];
-    auto count = [&kinds](ServeEventKind kind) {
-      auto it = kinds.find(kind);
-      return it == kinds.end() ? 0 : it->second;
-    };
-    if (result.status.code() == StatusCode::kResourceExhausted) {
-      // A rejected submission records exactly one terminal reject event
-      // and nothing else — it never entered the serving lifecycle.
-      EXPECT_EQ(count(ServeEventKind::kReject), 1) << tag;
-      EXPECT_EQ(count(ServeEventKind::kAdmit), 0) << tag;
-      EXPECT_EQ(count(ServeEventKind::kStart), 0) << tag;
-      EXPECT_EQ(count(ServeEventKind::kComplete), 0) << tag;
-    } else {
-      EXPECT_EQ(count(ServeEventKind::kReject), 0) << tag;
-      EXPECT_EQ(count(ServeEventKind::kAdmit), 1) << tag;
-      EXPECT_EQ(count(ServeEventKind::kStart), 1) << tag;
-      EXPECT_EQ(count(ServeEventKind::kComplete), 1) << tag;
-      // A deadline-missed future gets its miss marker; a clean one must
-      // not.
-      EXPECT_EQ(count(ServeEventKind::kDeadlineMiss),
-                result.status.code() == StatusCode::kDeadlineExceeded ? 1
-                                                                      : 0)
-          << tag;
-    }
+  EXPECT_EQ(started, submitted);
+}
+
+// The scheduler's tenants are the ledger's buckets, so client_tag
+// cardinality cannot grow the scheduler without bound either.
+TEST_F(ServiceTest, FairSchedulerTenantsStayWithinTheLedgerBound) {
+  constexpr int kTags = 2000;
+  UnifyService::Options sopts;
+  sopts.num_workers = 2;
+  sopts.max_queue_depth = kTags;
+  sopts.scheduler = UnifyService::Scheduler::kFair;
+  UnifyService service(system_, sopts);
+
+  // Empty text fails in the pipeline's admission stage, after dispatch:
+  // every request is scheduled and served, cheaply.
+  std::vector<std::future<QueryResult>> futures;
+  for (int i = 0; i < kTags; ++i) {
+    QueryRequest request;
+    request.client_tag = "tag-" + std::to_string(i);
+    futures.push_back(service.Submit(std::move(request)));
   }
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status.code(), StatusCode::kInvalidArgument);
+  }
+
   const auto stats = service.stats();
-  EXPECT_EQ(stats.rejected, rejected_n);
-  EXPECT_EQ(stats.deadline_exceeded, miss_n);
-  EXPECT_EQ(stats.completed, ok_n + miss_n);
+  EXPECT_LE(stats.sched.tenants.size(), TenantLedger::kMaxTaggedTenants + 2);
+  EXPECT_EQ(stats.sched.tenants.count(TenantLedger::kOverflow), 1u);
+  int64_t dispatched = 0;
+  for (const auto& [tenant, t] : stats.sched.tenants) {
+    EXPECT_EQ(stats.tenants.count(tenant), 1u) << tenant;
+    dispatched += t.dispatched;
+  }
+  EXPECT_EQ(dispatched, kTags);
+  int64_t tenant_queries = 0, tenant_failed = 0;
+  for (const auto& [tag, usage] : stats.tenants) {
+    tenant_queries += usage.queries;
+    tenant_failed += usage.failed;
+  }
+  EXPECT_EQ(stats.completed, kTags);
+  EXPECT_EQ(tenant_queries, stats.completed);
+  EXPECT_EQ(tenant_failed, stats.completed);
 }
 
 TEST_F(ServiceTest, DollarsObjectiveOverrideProducesAResult) {

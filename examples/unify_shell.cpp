@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
                   "Chrome JSON\n");
       std::printf("  \\prom             Prometheus text exposition of the "
                   "metrics registry\n");
-      std::printf("  \\accuracy         prediction-accuracy ledger "
+      std::printf("  \\accuracy         prediction-accuracy report "
                   "(q-errors, cost calibration, replans)\n");
       std::printf("  \\replan           last query's mid-query "
                   "re-optimizations (docs/replanning.md)\n");
@@ -220,7 +220,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (input == "\\accuracy") {
-      std::printf("%s", AccuracyLedger::Global().ToText().c_str());
+      std::printf(
+          "%s",
+          AccuracyReport(MetricsRegistry::Global().Snapshot()).text.c_str());
       continue;
     }
     if (input == "\\tenants") {
@@ -277,13 +279,13 @@ int main(int argc, char** argv) {
                     rec.decision_seconds, rec.decision_dollars, rec.est_bias,
                     rec.suffix_nodes.size(), rec.relowered_nodes.size());
       }
-      const auto ledger = AccuracyLedger::Global().snapshot();
+      const AccuracyReport report(MetricsRegistry::Global().Snapshot());
       std::printf("  session: %lld considered, %lld adopted, %lld improved, "
                   "%lld not improved\n",
-                  static_cast<long long>(ledger.replan_considered),
-                  static_cast<long long>(ledger.replan_triggered),
-                  static_cast<long long>(ledger.replan_improved),
-                  static_cast<long long>(ledger.replan_not_improved));
+                  static_cast<long long>(report.replans_considered),
+                  static_cast<long long>(report.replans_adopted),
+                  static_cast<long long>(report.replans_improved),
+                  static_cast<long long>(report.replans_not_improved));
       continue;
     }
     if (input == "\\explain analyze") {

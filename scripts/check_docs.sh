@@ -1,28 +1,60 @@
 #!/usr/bin/env bash
 # Documentation lint, wired into ctest as `check_docs`:
-#   1. every span/metric/accuracy/serve-event name in
-#      src/common/telemetry_names.h is documented in
-#      docs/observability.md;
+#   1. every row of the telemetry catalog (src/common/telemetry_names.h)
+#      is documented in its kind's section of docs/observability.md (Span
+#      taxonomy, Counters, Gauges, Histograms or Flight recorder) and in
+#      its owning guide, as `name`, or as `name.<placeholder>` for a
+#      family of series;
 #   2. relative Markdown links in README.md and docs/*.md resolve;
 #   3. every `src/...` path mentioned in the docs exists (supports
 #      {h,cc}-style brace lists);
 #   4. docs/benchmarks.md covers every bench/bench_*.cc binary;
-#   5. docs/resilience.md's telemetry table covers every llm.fault.* /
-#      llm.retry.* / llm.hedge.* / breaker.* name;
-#   6. the seven guides (api, architecture, observability, benchmarks,
+#   5. the seven guides (api, architecture, observability, benchmarks,
 #      resilience, caching, replanning) and README.md cross-link each
 #      other;
-#   7. docs/caching.md's telemetry table covers every llm.cache.* name;
-#   8. docs/replanning.md's telemetry table covers every
-#      plan.reoptimize.* name plus the exec.replan span;
-#   9. docs/observability.md's "HTTP endpoint" route table covers every
-#      route defined in src/serving/http_endpoint.cc, and the serve.slo.*
-#      / tenant.* serving telemetry is documented there;
-#  10. docs/api.md covers the scheduler (src/core/runtime/fair_scheduler
-#      and its shed / tenant_reject event kinds).
+#   6. docs/observability.md's "HTTP endpoint" route table covers every
+#      route defined in src/serving/http_endpoint.cc;
+#   7. docs/api.md covers the scheduler (src/core/runtime/fair_scheduler).
 #
 # Usage: scripts/check_docs.sh [repo_root]
+#        scripts/check_docs.sh --selftest [repo_root]
+#
+# `--selftest` proves stage 1 can fail: it lints a temporary copy of the
+# tracked tree twice, once as is (must pass) and once with
+# `llm.retry.attempts` deleted from docs/resilience.md and one gauge row
+# moved under Counters (must report exactly those two failures). Wired
+# into ctest as `check_docs_selftest`.
 set -u
+
+if [[ "${1:-}" == "--selftest" ]]; then
+  root="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
+  tmp=$(mktemp -d) || exit 1
+  trap 'rm -rf "$tmp"' EXIT
+  # The tracked tree, plus files not yet added; minus deleted ones.
+  (cd "$root" && git ls-files -z --cached --others --exclude-standard |
+      while IFS= read -r -d '' f; do [[ -e "$f" ]] && printf '%s\0' "$f"
+      done | xargs -0 cp --parents -t "$tmp") || exit 1
+  if ! "$0" "$tmp" >/dev/null 2>&1; then
+    echo "check_docs: selftest: the unmutated tree fails the lint" >&2
+    exit 1
+  fi
+  sed -i '/`llm\.retry\.attempts`/d' "$tmp/docs/resilience.md"
+  obs="$tmp/docs/observability.md"
+  row=$(grep -F '| `serve.inflight` |' "$obs")
+  grep -vF "$row" "$obs" | ROW="$row" awk '{ print }
+      /^### Counters/ { c = 1 } c && /^\|---/ { print ENVIRON["ROW"]; c = 0 }' \
+      > "$tmp/moved.md" && mv "$tmp/moved.md" "$obs"
+  expected=$(printf 'check_docs: %s\n' \
+      'Counter `llm.retry.attempts` is not in docs/resilience.md' \
+      'Gauge `serve.inflight` is not under Gauges in docs/observability.md')
+  got=$("$0" "$tmp" 2>&1 >/dev/null | grep -v 'FAILED with' | sort)
+  if [[ "$got" != "$expected" ]]; then
+    printf 'check_docs: selftest: the mutated tree reported:\n%s\n' "$got" >&2
+    exit 1
+  fi
+  echo "check_docs: selftest OK (both mutations caught, nothing else)"
+  exit 0
+fi
 
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$ROOT" || exit 1
@@ -35,26 +67,42 @@ fail() {
 
 DOC_FILES=(README.md docs/*.md)
 
-# --- 1. telemetry names are documented -------------------------------------
+# --- 1. telemetry catalog rows are documented -----------------------------
 OBS=docs/observability.md
+CATALOG=src/common/telemetry_names.h
+declare -A HEADING=([Span]="## Span taxonomy" [Counter]="### Counters"
+                    [Gauge]="### Gauges" [Histogram]="### Histograms"
+                    [Event]="## Flight recorder")
 if [[ ! -f "$OBS" ]]; then
   fail "$OBS is missing"
 else
-  # Every quoted string literal in the catalog header is a span, metric,
-  # accuracy-ledger, or flight-recorder event name. Joining lines first
-  # keeps declarations that wrap onto a continuation line in scope.
-  names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/')
-  [[ -n "$names" ]] || fail "no names extracted from telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    # Accept either the exact name or a parameterized form like
-    # `llm.calls.<type>` for per-PromptType counter prefixes.
-    if ! grep -qF "\`$name\`" "$OBS" && ! grep -qF "\`$name." "$OBS"; then
-      fail "telemetry name '$name' is not documented in $OBS"
+  # The text of each kind's section: from its heading to the next one.
+  declare -A SECTION
+  for kind in "${!HEADING[@]}"; do
+    SECTION[$kind]=$(awk -v h="${HEADING[$kind]}" \
+        '$0 == h { on = 1; next } on && /^#/ { exit } on' "$OBS")
+    [[ -n "${SECTION[$kind]}" ]] ||
+        fail "$OBS has no \"${HEADING[$kind]}\" section"
+  done
+  # One `kind|name|family|guide` line per row; joining lines first keeps
+  # rows that wrap in scope.
+  str=' *"\([^"]*\)",'
+  rows=$(tr '\n\\' '  ' < "$CATALOG" |
+      grep -o 'X([A-Za-z]*, *k[A-Za-z0-9]*, *"[^"]*", *"[^"]*", *"[^"]*",' |
+      sed "s/X(\([A-Za-z]*\), *k[A-Za-z0-9]*,$str$str$str/\1|\2|\3|\4/")
+  [[ -n "$rows" ]] || fail "no rows extracted from $CATALOG"
+  while IFS='|' read -r kind name family guide; do
+    doc_name="\`$name\`"
+    [[ -z "$family" ]] || doc_name="\`$name.$family\`"
+    if [[ -z "${HEADING[$kind]:-}" ]]; then
+      fail "$CATALOG: '$name' has unknown kind '$kind'"
+    elif ! grep -qF "$doc_name" <<< "${SECTION[$kind]}"; then
+      fail "$kind $doc_name is not under ${HEADING[$kind]##*# } in $OBS"
     fi
-  done <<< "$names"
+    if [[ -n "$guide" ]] && ! grep -qF "$doc_name" "docs/$guide.md"; then
+      fail "$kind $doc_name is not in docs/$guide.md"
+    fi
+  done <<< "$rows"
 fi
 
 # --- 2. relative markdown links resolve ------------------------------------
@@ -120,26 +168,7 @@ else
   done
 fi
 
-# --- 5. resilience.md covers the resilience telemetry names ----------------
-RES_DOC=docs/resilience.md
-if [[ ! -f "$RES_DOC" ]]; then
-  fail "$RES_DOC is missing"
-else
-  res_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(llm\.fault\.|llm\.retry\.|llm\.hedge\.|breaker\.)')
-  [[ -n "$res_names" ]] || fail "no resilience names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$RES_DOC" && ! grep -qF "\`$name." "$RES_DOC"
-    then
-      fail "resilience telemetry name '$name' is not in $RES_DOC"
-    fi
-  done <<< "$res_names"
-fi
-
-# --- 6. the guides cross-link each other -----------------------------------
+# --- 5. the guides cross-link each other -----------------------------------
 GUIDES=(docs/api.md docs/architecture.md docs/observability.md
         docs/benchmarks.md docs/resilience.md docs/caching.md
         docs/replanning.md README.md)
@@ -154,44 +183,7 @@ for doc in "${GUIDES[@]}"; do
   done
 done
 
-# --- 7. caching.md covers the cache telemetry names ------------------------
-CACHE_DOC=docs/caching.md
-if [[ ! -f "$CACHE_DOC" ]]; then
-  fail "$CACHE_DOC is missing"
-else
-  cache_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^llm\.cache\.')
-  [[ -n "$cache_names" ]] || fail "no llm.cache.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$CACHE_DOC"; then
-      fail "cache telemetry name '$name' is not in $CACHE_DOC"
-    fi
-  done <<< "$cache_names"
-fi
-
-# --- 8. replanning.md covers the re-optimization telemetry names -----------
-REPLAN_DOC=docs/replanning.md
-if [[ ! -f "$REPLAN_DOC" ]]; then
-  fail "$REPLAN_DOC is missing"
-else
-  replan_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(plan\.reoptimize\.|exec\.replan$)')
-  [[ -n "$replan_names" ]] ||
-      fail "no plan.reoptimize.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$REPLAN_DOC"; then
-      fail "re-optimization telemetry name '$name' is not in $REPLAN_DOC"
-    fi
-  done <<< "$replan_names"
-fi
-
-# --- 9. observability.md covers the HTTP routes + serving SLO telemetry ----
+# --- 6. observability.md covers the HTTP routes ---------------------------
 ENDPOINT_SRC=src/serving/http_endpoint.cc
 if [[ ! -f "$ENDPOINT_SRC" ]]; then
   fail "$ENDPOINT_SRC is missing"
@@ -205,32 +197,15 @@ else
       fail "HTTP route '$route' is not in $OBS's route table"
     fi
   done <<< "$routes"
-
-  slo_names=$(tr '\n' ' ' < src/common/telemetry_names.h |
-      grep -o 'inline constexpr char k[A-Za-z0-9]*\[\] *= *"[^"]*"' |
-      sed 's/.*"\([^"]*\)"/\1/' |
-      grep -E '^(serve\.slo\.|serve\.uptime_seconds$|tenant\.)')
-  [[ -n "$slo_names" ]] ||
-      fail "no serve.slo.*/tenant.* names in telemetry_names.h"
-  while IFS= read -r name; do
-    [[ -n "$name" ]] || continue
-    if ! grep -qF "\`$name\`" "$OBS"; then
-      fail "serving telemetry name '$name' is not in $OBS"
-    fi
-  done <<< "$slo_names"
 fi
 
-# --- 10. scheduler guide coverage -----------------------------------------
+# --- 7. scheduler guide coverage ------------------------------------------
 API_DOC=docs/api.md
 if [[ ! -f "$API_DOC" ]]; then
   fail "$API_DOC is missing"
 else
   grep -q 'src/core/runtime/fair_scheduler' "$API_DOC" ||
       fail "$API_DOC does not cover src/core/runtime/fair_scheduler"
-  for kind in shed tenant_reject; do
-    grep -qF "\`$kind\`" "$API_DOC" ||
-        fail "$API_DOC does not mention the '$kind' event kind"
-  done
 fi
 
 if [[ $failures -gt 0 ]]; then

@@ -2,156 +2,110 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
-#include "common/metrics.h"
 #include "common/telemetry_names.h"
 
 namespace unify {
 
 namespace {
 
-void AppendHistLine(std::ostringstream& os, const std::string& label,
+void AppendHistLine(std::ostringstream& os, std::string_view label,
                     const Histogram& h) {
   char buf[192];
+  const std::string name(label);
   if (h.count() == 0) {
-    std::snprintf(buf, sizeof(buf), "  %-28s (no samples)\n", label.c_str());
+    std::snprintf(buf, sizeof(buf), "  %-28s (no samples)\n", name.c_str());
   } else {
     std::snprintf(buf, sizeof(buf),
                   "  %-28s n=%-6zu p50=%-9.4g p90=%-9.4g max=%.4g\n",
-                  label.c_str(), h.count(), h.Quantile(0.5), h.Quantile(0.9),
+                  name.c_str(), h.count(), h.Quantile(0.5), h.Quantile(0.9),
                   h.Max());
   }
   os << buf;
 }
 
+/// Calls `fn(suffix, value)` for each `base.<suffix>` series in `map`, in
+/// name order.
+template <typename V, typename Fn>
+void ForEachInFamily(const MetricMap<V>& map, std::string_view base,
+                     Fn fn) {
+  const std::string prefix = std::string(base) + ".";
+  for (auto it = map.lower_bound(prefix);
+       it != map.end() && it->first.starts_with(prefix); ++it) {
+    fn(std::string_view(it->first).substr(prefix.size()), it->second);
+  }
+}
+
 }  // namespace
 
-void AccuracyLedger::RecordSceQError(const std::string& method,
-                                     double qerror) {
-  MetricObserve(std::string(telemetry::kMetricSceQError) + "." + method,
-                qerror);
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.sce_qerror[method].Add(qerror);
-}
+AccuracyReport::AccuracyReport(const MetricsSnapshot& snapshot) {
+  auto counter = [&snapshot](std::string_view name) {
+    auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? int64_t{0}
+                                         : static_cast<int64_t>(it->second);
+  };
+  auto histogram = [&snapshot](std::string_view name) {
+    auto it = snapshot.histograms.find(name);
+    return it == snapshot.histograms.end() ? Histogram() : it->second;
+  };
+  replans_considered = counter(telemetry::kMetricReplanConsidered);
+  replans_adopted = counter(telemetry::kMetricReplanTriggered);
+  replans_improved = counter(telemetry::kMetricReplanImproved);
+  replans_not_improved = replans_adopted - replans_improved;
 
-void AccuracyLedger::RecordCardQError(double qerror) {
-  MetricObserve(telemetry::kMetricCardQError, qerror);
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.card_qerror.Add(qerror);
-}
-
-void AccuracyLedger::RecordMakespanRelError(double rel_error) {
-  MetricObserve(telemetry::kMetricMakespanRelError, rel_error);
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.makespan_rel_error.Add(rel_error);
-}
-
-void AccuracyLedger::RecordDollarsRelError(double rel_error) {
-  MetricObserve(telemetry::kMetricDollarsRelError, rel_error);
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.dollars_rel_error.Add(rel_error);
-}
-
-void AccuracyLedger::RecordImplChoice(const std::string& impl_name,
-                                      bool hindsight_optimal) {
-  MetricAddCounter(std::string(telemetry::kMetricImplChosen) + "." +
-                   impl_name);
-  MetricAddCounter(hindsight_optimal
-                       ? telemetry::kMetricImplChoiceOptimal
-                       : telemetry::kMetricImplChoiceSuboptimal);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++data_.impl_chosen[impl_name];
-  if (hindsight_optimal) {
-    ++data_.impl_optimal;
-  } else {
-    ++data_.impl_suboptimal;
-  }
-}
-
-void AccuracyLedger::RecordReplanConsidered() {
-  MetricAddCounter(telemetry::kMetricReplanConsidered);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++data_.replan_considered;
-}
-
-void AccuracyLedger::RecordReplanTriggered() {
-  MetricAddCounter(telemetry::kMetricReplanTriggered);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++data_.replan_triggered;
-}
-
-void AccuracyLedger::RecordReplanOutcome(bool improved) {
-  if (improved) MetricAddCounter(telemetry::kMetricReplanImproved);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (improved) {
-    ++data_.replan_improved;
-  } else {
-    ++data_.replan_not_improved;
-  }
-}
-
-AccuracyLedger::Snapshot AccuracyLedger::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return data_;
-}
-
-std::string AccuracyLedger::ToText() const {
-  Snapshot snap = snapshot();
   std::ostringstream os;
   os << "prediction accuracy\n";
   os << "SCE q-error by method:\n";
-  if (snap.sce_qerror.empty()) os << "  (no estimates recorded)\n";
-  for (const auto& [method, hist] : snap.sce_qerror) {
-    AppendHistLine(os, method, hist);
-  }
+  bool any_estimate = false;
+  ForEachInFamily(snapshot.histograms, telemetry::kMetricSceQError,
+                  [&](std::string_view method, const Histogram& hist) {
+                    AppendHistLine(os, method, hist);
+                    any_estimate = true;
+                  });
+  if (!any_estimate) os << "  (no estimates recorded)\n";
   os << "plan vs execution:\n";
-  AppendHistLine(os, "node card q-error", snap.card_qerror);
-  AppendHistLine(os, "makespan rel error", snap.makespan_rel_error);
-  AppendHistLine(os, "dollars rel error", snap.dollars_rel_error);
-  int64_t audited = snap.impl_optimal + snap.impl_suboptimal;
+  AppendHistLine(os, "node card q-error",
+                 histogram(telemetry::kMetricCardQError));
+  AppendHistLine(os, "makespan rel error",
+                 histogram(telemetry::kMetricMakespanRelError));
+  AppendHistLine(os, "dollars rel error",
+                 histogram(telemetry::kMetricDollarsRelError));
+  const int64_t optimal = counter(telemetry::kMetricImplChoiceOptimal);
+  const int64_t audited =
+      optimal + counter(telemetry::kMetricImplChoiceSuboptimal);
   os << "impl choice (hindsight audit):\n";
+  char buf[192];
   if (audited == 0) {
     os << "  (no executed nodes audited)\n";
   } else {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "  optimal %lld / %lld (%.1f%%)\n",
-                  static_cast<long long>(snap.impl_optimal),
+    std::snprintf(buf, sizeof(buf), "  optimal %lld / %lld (%.1f%%)\n",
+                  static_cast<long long>(optimal),
                   static_cast<long long>(audited),
-                  100.0 * static_cast<double>(snap.impl_optimal) /
+                  100.0 * static_cast<double>(optimal) /
                       static_cast<double>(audited));
     os << buf;
-    for (const auto& [impl, count] : snap.impl_chosen) {
-      std::snprintf(buf, sizeof(buf), "  chosen %-22s %lld\n", impl.c_str(),
-                    static_cast<long long>(count));
-      os << buf;
-    }
+    ForEachInFamily(snapshot.counters, telemetry::kMetricImplChosen,
+                    [&](std::string_view impl, double count) {
+                      std::snprintf(buf, sizeof(buf), "  chosen %-22s %lld\n",
+                                    std::string(impl).c_str(),
+                                    static_cast<long long>(count));
+                      os << buf;
+                    });
   }
   os << "mid-query replanning:\n";
-  if (snap.replan_considered == 0) {
+  if (replans_considered == 0) {
     os << "  (no replans considered)\n";
   } else {
-    int64_t audited = snap.replan_improved + snap.replan_not_improved;
-    char buf[192];
     std::snprintf(buf, sizeof(buf),
                   "  considered %lld, adopted %lld, improved %lld/%lld\n",
-                  static_cast<long long>(snap.replan_considered),
-                  static_cast<long long>(snap.replan_triggered),
-                  static_cast<long long>(snap.replan_improved),
-                  static_cast<long long>(audited));
+                  static_cast<long long>(replans_considered),
+                  static_cast<long long>(replans_adopted),
+                  static_cast<long long>(replans_improved),
+                  static_cast<long long>(replans_adopted));
     os << buf;
   }
-  return os.str();
-}
-
-void AccuracyLedger::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_ = Snapshot();
-}
-
-AccuracyLedger& AccuracyLedger::Global() {
-  static AccuracyLedger* ledger = new AccuracyLedger();
-  return *ledger;
+  text = os.str();
 }
 
 }  // namespace unify

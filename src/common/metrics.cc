@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/telemetry_names.h"
+
 namespace unify {
 
 MetricsSnapshot MetricsSnapshot::DeltaSince(
@@ -18,6 +20,18 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
   delta.gauges = gauges;
   delta.histograms = histograms;
   return delta;
+}
+
+double MetricsSnapshot::FamilySum(std::string_view base) const {
+  double sum = 0;
+  for (auto it = counters.lower_bound(base);
+       it != counters.end() && it->first.starts_with(base); ++it) {
+    const std::string& name = it->first;
+    if (name.size() == base.size() || name[base.size()] == '.') {
+      sum += it->second;
+    }
+  }
+  return sum;
 }
 
 std::string MetricsSnapshot::ToText() const {
@@ -57,9 +71,13 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
+/// The HELP text is the name's catalog row (its family's, for a family
+/// member); a name outside the catalog is its own help.
 void AppendHelpType(std::ostringstream& os, const std::string& prom,
                     const std::string& name, const char* type) {
-  os << "# HELP " << prom << " Unify metric " << name << "\n";
+  const telemetry::Entry* row = telemetry::Find(name);
+  os << "# HELP " << prom << " "
+     << (row != nullptr ? row->help : std::string_view(name)) << "\n";
   os << "# TYPE " << prom << " " << type << "\n";
 }
 

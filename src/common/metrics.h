@@ -34,16 +34,22 @@ struct MetricsSnapshot {
   /// level/distribution metrics, not monotone sums.
   MetricsSnapshot DeltaSince(const MetricsSnapshot& earlier) const;
 
+  /// Sums the counter `base` and every `base.<suffix>` counter: a whole
+  /// family such as the per-prompt-type `llm.calls.<type>`.
+  double FamilySum(std::string_view base) const;
+
   /// One metric per line: `name value` for counters/gauges,
   /// `name count/mean/p50/p99` for histograms. Sorted by name.
   std::string ToText() const;
 
   /// Prometheus text exposition format (version 0.0.4). Metric names are
   /// sanitized to [a-zA-Z0-9_:] and prefixed with `unify_`; every metric
-  /// gets `# HELP` and `# TYPE` lines. Counters expose as `counter`,
-  /// gauges as `gauge`, histograms as `summary` with quantile 0.5/0.9/
-  /// 0.99 series plus `_sum`/`_count`. Values use the shortest text that
-  /// reads back as the same double, so counters stay exact at any size.
+  /// gets `# HELP` and `# TYPE` lines, the HELP text from its row in the
+  /// telemetry catalog (common/telemetry_names.h). Counters expose as
+  /// `counter`, gauges as `gauge`, histograms as `summary` with quantile
+  /// 0.5/0.9/0.99 series plus `_sum`/`_count`. Values use the shortest
+  /// text that reads back as the same double, so counters stay exact at
+  /// any size.
   ///
   /// Labeled series: a registry name of the form `base{key="value"}`
   /// (compose with LabeledMetricName so the value is escaped) renders as

@@ -76,8 +76,9 @@ class PlanGenerator {
                 Options options);
 
   /// Generates up to n_c candidate logical plans for `query`. When
-  /// `trace` is non-null, a "plan.logical" span (child of `parent`) is
-  /// recorded with one nested "plan.reduce" span per reduction step.
+  /// `trace` is non-null, a telemetry::kSpanPlanLogical span (child of
+  /// `parent`) is recorded with one nested kSpanPlanReduce span per
+  /// reduction step.
   /// Thread-safe: all search state lives on the caller's stack, so
   /// concurrent queries may share one generator (provided the LLM client
   /// is itself thread-safe).

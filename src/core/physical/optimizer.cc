@@ -783,9 +783,13 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::SelectBest(
   std::optional<PhysicalPlan> best;
   double accumulated_llm_seconds = 0;
   int64_t accumulated_llm_calls = 0;
+  Status first_failure;
   for (const auto& lp : plans) {
     auto optimized = OptimizeCandidate(lp, opts, &cache, trace, span.id());
-    if (!optimized.ok()) continue;  // a malformed candidate is skipped
+    if (!optimized.ok()) {  // a failed candidate is skipped
+      if (first_failure.ok()) first_failure = optimized.status();
+      continue;
+    }
     accumulated_llm_seconds += optimized->optimize_llm_seconds;
     accumulated_llm_calls += optimized->optimize_llm_calls;
     // Prefer structurally complete plans; among equals, the cheapest.
@@ -806,7 +810,11 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::SelectBest(
     if (opts.mode == PhysicalMode::kRule) break;  // no plan selection
   }
   if (!best.has_value()) {
-    return Status::Internal("all candidate plans failed to optimize");
+    // Keep the first failure's code: a transient LLM failure (an open
+    // circuit breaker during SCE sampling) stays transient.
+    return Status(first_failure.code(),
+                  "all candidate plans failed to optimize: " +
+                      first_failure.message());
   }
   best->optimize_llm_seconds = accumulated_llm_seconds;
   best->optimize_llm_calls = accumulated_llm_calls;

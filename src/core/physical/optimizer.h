@@ -116,9 +116,10 @@ class PhysicalOptimizer {
                     const CardinalityEstimator* estimator,
                     OptimizerOptions options);
 
-  /// Lowers one logical plan. When `trace` is non-null an
-  /// "optimize.candidate" span (child of `parent`) records per-node
-  /// cardinality/cost estimates and nests the "sce.estimate" spans.
+  /// Lowers one logical plan. When `trace` is non-null a
+  /// telemetry::kSpanOptimizeCandidate span (child of `parent`) records
+  /// per-node cardinality/cost estimates and nests the kSpanSceEstimate
+  /// spans.
   StatusOr<PhysicalPlan> Optimize(const LogicalPlan& plan,
                                   Trace* trace = nullptr,
                                   SpanId parent = kNoSpan) const;
@@ -126,7 +127,7 @@ class PhysicalOptimizer {
   /// Plan selection (Section VI-C): optimizes every candidate and returns
   /// the one with the smallest predicted makespan. SCE results are cached
   /// across candidates, so shared predicates are estimated once. Traced
-  /// as a "plan.physical" span over the per-candidate spans.
+  /// as a telemetry::kSpanPlanPhysical span over the per-candidate spans.
   StatusOr<PhysicalPlan> SelectBest(const std::vector<LogicalPlan>& plans,
                                     Trace* trace = nullptr,
                                     SpanId parent = kNoSpan) const;

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <string>
 
-#include "common/accuracy.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -216,12 +215,12 @@ StatusOr<SceEstimate> CardinalityEstimator::EstimateCondition(
     MetricAddCounter(telemetry::kMetricSceSamples,
                      static_cast<double>(est->samples));
     MetricAddCounter(telemetry::kMetricSceLlmSeconds, est->llm_seconds);
-    // Accuracy ledger: the simulated corpus carries latent ground truth,
-    // so every estimate's q-error is observable at estimation time (no
-    // extra LLM cost — TrueCardinality reads latent attributes directly).
-    AccuracyLedger::Global().RecordSceQError(
-        SceMethodName(method), QError(est->cardinality,
-                                      TrueCardinality(condition)));
+    // The simulated corpus carries latent ground truth, so every
+    // estimate's q-error is observable at estimation time (no extra LLM
+    // cost — TrueCardinality reads latent attributes directly).
+    MetricObserve(std::string(telemetry::kMetricSceQError) + "." +
+                      SceMethodName(method),
+                  QError(est->cardinality, TrueCardinality(condition)));
     span.AddAttr("cardinality", est->cardinality);
     span.AddAttr("samples", est->samples);
     span.AddAttr("llm_calls", est->llm_calls);

@@ -74,9 +74,9 @@ class CardinalityEstimator {
   /// `condition` (the operator-argument map: kind/phrase or
   /// attribute/cmp/value). Numeric conditions are probed with
   /// pre-programmed sampling (no LLM). `salt` decorrelates repeated
-  /// estimates of the same predicate. When `trace` is non-null, an
-  /// "sce.estimate" span (child of `parent`) records the method, sample
-  /// count, and resulting cardinality.
+  /// estimates of the same predicate. When `trace` is non-null, a
+  /// telemetry::kSpanSceEstimate span (child of `parent`) records the
+  /// method, sample count, and resulting cardinality.
   /// Thread-safe: estimation state is per-call (the RNG is seeded from the
   /// condition and salt) and the memos are locked, so concurrent queries
   /// may share one estimator.

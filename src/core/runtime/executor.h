@@ -269,11 +269,11 @@ class PlanExecutor {
   ExecutionResult Execute(const PhysicalPlan& plan, Trace* trace = nullptr,
                           SpanId parent = kNoSpan);
 
-  /// Initializes `state` for executing `plan`. When `trace` is non-null an
-  /// "execute" span (child of `parent`) is recorded with one "exec.node"
-  /// span per DAG node, annotated by Finish() with the node's virtual-time
-  /// interval on the simulated server pool. A plan whose DAG has a cycle
-  /// fails here, before any node runs.
+  /// Initializes `state` for executing `plan`. When `trace` is non-null a
+  /// telemetry::kSpanExecute span (child of `parent`) is recorded with one
+  /// kSpanExecNode span per DAG node, annotated by Finish() with the node's
+  /// virtual-time interval on the simulated server pool. A plan whose DAG
+  /// has a cycle fails here, before any node runs.
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
              Trace* trace = nullptr, SpanId parent = kNoSpan);
 

@@ -5,9 +5,10 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/accuracy.h"
+#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "common/telemetry_names.h"
 #include "core/operators/physical.h"
 
 namespace unify::core {
@@ -57,7 +58,6 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     const PhysicalPlan& plan, const PlanExecutor& executor,
     const CostModel& cost_model, OptimizeObjective objective,
     const std::vector<ReplanRecord>& replans) {
-  auto& ledger = AccuracyLedger::Global();
   const auto& stats = executor.node_stats();
   const auto& actuals = executor.node_executions();
   // Which replan (1-based ordinal) re-lowered each node.
@@ -117,9 +117,13 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     a.replanned_by = replanned_by[u];
     if (actual.executed) {
       a.card_qerror = QError(a.est_out_card, a.actual_out_card);
-      ledger.RecordCardQError(a.card_qerror);
-      ledger.RecordImplChoice(
-          a.impl, HindsightOptimal(node, actual, cost_model, objective));
+      MetricObserve(telemetry::kMetricCardQError, a.card_qerror);
+      MetricAddCounter(std::string(telemetry::kMetricImplChosen) + "." +
+                       a.impl);
+      MetricAddCounter(
+          HindsightOptimal(node, actual, cost_model, objective)
+              ? telemetry::kMetricImplChoiceOptimal
+              : telemetry::kMetricImplChoiceSuboptimal);
     }
     analysis.push_back(std::move(a));
   }
@@ -149,13 +153,11 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
   return analysis;
 }
 
-int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
-                        const PlanExecutor& executor,
-                        OptimizeObjective objective, double base_seconds) {
-  auto& ledger = AccuracyLedger::Global();
+void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
+                         const PlanExecutor& executor,
+                         OptimizeObjective objective, double base_seconds) {
   const auto& stats = executor.node_stats();
   const auto& actuals = executor.node_executions();
-  int improved_count = 0;
   for (const ReplanRecord& rec : replans) {
     if (!rec.adopted) continue;
     bool complete = !rec.suffix_nodes.empty();
@@ -181,10 +183,8 @@ int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
                      ? suffix_dollars < rec.old_suffix_cost
                      : suffix_completion < rec.old_suffix_cost;
     }
-    ledger.RecordReplanOutcome(improved);
-    if (improved) ++improved_count;
+    if (improved) MetricAddCounter(telemetry::kMetricReplanImproved);
   }
-  return improved_count;
 }
 
 std::string QueryResult::explain_analyze() const {

@@ -15,10 +15,11 @@ namespace unify::core {
 /// optimizer's estimates next to what execution measured, in the plan's
 /// topological render order, with replanned-node markers and (when the
 /// Section V-D fallback produced the answer) a trailing synthetic record
-/// for the fallback generation. Every executed node also feeds the
-/// process-wide AccuracyLedger: its cardinality q-error and the hindsight
-/// impl-choice audit (is the chosen impl still the cost-model argmin when
-/// re-costed with measured cardinalities under `objective`?).
+/// for the fallback generation. Every executed node also records its
+/// cardinality q-error (`card.qerror`) and the hindsight impl-choice
+/// audit (`plan.impl_chosen.<impl>`, `plan.impl_choice.*`: is the chosen
+/// impl still the cost-model argmin when re-costed with measured
+/// cardinalities under `objective`?).
 std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
     const PhysicalPlan& plan, const PlanExecutor& executor,
     const CostModel& cost_model, OptimizeObjective objective,
@@ -31,12 +32,11 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
 /// kTime, suffix dollars under kDollars. `base_seconds` is the absolute
 /// virtual time execution became ready (0 for a private pool), lifting
 /// the executor's query-relative node times onto the clock the record's
-/// predictions use. Outcomes are recorded into the AccuracyLedger
-/// (plan.reoptimize.improved) and returned as the number of improved
-/// replans.
-int AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
-                        const PlanExecutor& executor,
-                        OptimizeObjective objective, double base_seconds);
+/// predictions use. Improved replans are counted in
+/// `plan.reoptimize.improved`.
+void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
+                         const PlanExecutor& executor,
+                         OptimizeObjective objective, double base_seconds);
 
 }  // namespace unify::core
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/accuracy.h"
 #include "common/string_util.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/plan_analysis.h"
@@ -251,7 +250,7 @@ void QueryPipeline::ExecutePlan() {
 void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
                                    PlanExecutor& executor,
                                    PlanExecutor::ExecutionState& state) {
-  AccuracyLedger::Global().RecordReplanConsidered();
+  MetricAddCounter(telemetry::kMetricReplanConsidered);
   ReplanRecord record;
   record.trigger_node = request.node;
   record.trigger_var = request.output_var;
@@ -301,7 +300,7 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
     }
   }
   if (adopt_plan != nullptr) {
-    AccuracyLedger::Global().RecordReplanTriggered();
+    MetricAddCounter(telemetry::kMetricReplanTriggered);
   }
 
   std::ostringstream detail;
@@ -326,8 +325,8 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
 void QueryPipeline::Analyze(PlanExecutor& executor,
                             const PhysicalPlan& executed_plan) {
   QueryResult& result = ctx_.result;
-  // EXPLAIN ANALYZE + accuracy ledger: the optimizer's estimates next to
-  // what execution measured, per node and plan-wide.
+  // EXPLAIN ANALYZE + prediction accuracy: the optimizer's estimates
+  // next to what execution measured, per node and plan-wide.
   result.plan_analysis =
       BuildPlanAnalysis(executed_plan, executor, system_.cost_model_,
                         ctx_.oopts.objective, result.replans);
@@ -342,16 +341,17 @@ void QueryPipeline::Analyze(PlanExecutor& executor,
     AuditReplanOutcomes(result.replans, executor, ctx_.oopts.objective,
                         base_seconds);
   }
-  auto& ledger = AccuracyLedger::Global();
   if (result.exec_seconds > 0) {
-    ledger.RecordMakespanRelError(
+    MetricObserve(
+        telemetry::kMetricMakespanRelError,
         std::abs(result.predicted_exec_seconds - result.exec_seconds) /
-        result.exec_seconds);
+            result.exec_seconds);
   }
   if (result.exec_dollars > 0) {
-    ledger.RecordDollarsRelError(
+    MetricObserve(
+        telemetry::kMetricDollarsRelError,
         std::abs(result.predicted_exec_dollars - result.exec_dollars) /
-        result.exec_dollars);
+            result.exec_dollars);
   }
 
   // Feed measured costs back into the model (running calibration), against

@@ -24,7 +24,7 @@ class UnifySystem;
 /// parse (logical plan generation) -> optimize (physical lowering + plan
 /// selection + deadline pre-check) -> execute (the resumable engine with
 /// the mid-query replan loop, docs/replanning.md) -> analyze (EXPLAIN
-/// ANALYZE + accuracy ledger + cost-model feedback). The stages share one
+/// ANALYZE + accuracy metrics + cost-model feedback). The stages share one
 /// QueryContext; each reads what earlier stages left there and the
 /// pipeline finalizes the QueryResult exactly once, whatever stage
 /// stopped the query.

@@ -421,7 +421,8 @@ void UnifyService::StartHttpEndpoint() {
   http_->Handle(serving::kRouteAccuracy,
                 [](const serving::HttpRequest&) {
                   serving::HttpResponse response;
-                  response.body = AccuracyLedger::Global().ToText();
+                  response.body =
+                      AccuracyReport(MetricsRegistry::Global().Snapshot()).text;
                   return response;
                 });
   http_->Handle(serving::kRouteTenants,

@@ -1,6 +1,7 @@
 #include "core/runtime/tenant_ledger.h"
 
 #include <cstdio>
+#include <iomanip>
 #include <sstream>
 
 #include "common/status.h"
@@ -11,25 +12,10 @@ namespace unify::core {
 
 namespace {
 
-/// Sums `base` and every `base.<suffix>` counter: the LLM telemetry is
-/// recorded per prompt type (`llm.calls.eval_predicate`, ...), and the
-/// ledger accounts the whole family to the tenant.
-double SumCounters(const MetricsSnapshot& metrics, const char* base) {
-  const std::string stem(base);
-  double sum = 0;
-  for (auto it = metrics.counters.lower_bound(stem);
-       it != metrics.counters.end(); ++it) {
-    const std::string& name = it->first;
-    if (name.compare(0, stem.size(), stem) != 0) break;
-    if (name.size() == stem.size() || name[stem.size()] == '.') {
-      sum += it->second;
-    }
-  }
-  return sum;
-}
-
-int64_t SumCountersAsInt(const MetricsSnapshot& metrics, const char* base) {
-  return static_cast<int64_t>(SumCounters(metrics, base) + 0.5);
+/// The LLM telemetry is recorded per prompt type (`llm.calls.<type>`,
+/// ...); the ledger accounts the whole family to the tenant.
+int64_t FamilyCount(const MetricsSnapshot& metrics, const char* base) {
+  return static_cast<int64_t>(metrics.FamilySum(base) + 0.5);
 }
 
 }  // namespace
@@ -63,13 +49,11 @@ void TenantLedger::RecordCompletion(const QueryResult& result) {
     usage.deadline_misses += 1;
   }
   if (result.phase == QueryPhase::kDegraded) usage.degraded += 1;
-  usage.dollars += SumCounters(result.metrics, telemetry::kMetricLlmDollars);
-  usage.in_tokens +=
-      SumCountersAsInt(result.metrics, telemetry::kMetricLlmInTokens);
+  usage.dollars += result.metrics.FamilySum(telemetry::kMetricLlmDollars);
+  usage.in_tokens += FamilyCount(result.metrics, telemetry::kMetricLlmInTokens);
   usage.out_tokens +=
-      SumCountersAsInt(result.metrics, telemetry::kMetricLlmOutTokens);
-  usage.llm_calls +=
-      SumCountersAsInt(result.metrics, telemetry::kMetricLlmCalls);
+      FamilyCount(result.metrics, telemetry::kMetricLlmOutTokens);
+  usage.llm_calls += FamilyCount(result.metrics, telemetry::kMetricLlmCalls);
   usage.cache_item_hits += result.cache_item_hits;
   usage.cache_coalesced += result.cache_coalesced;
   usage.latency.Add(result.total_seconds);
@@ -172,10 +156,13 @@ std::string TenantLedger::ToText() const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [tag, usage] : tenants_) {
     const bool has_latency = usage.latency.count() > 0;
+    // The tag goes through the stream: a client-chosen tag of any length
+    // must not cut off the counts after it.
+    os << "  " << std::left << std::setw(16) << tag;
     std::snprintf(
         line, sizeof(line),
-        "  %-16s %8lld %7lld %6lld %6lld %5lld %10.4f %8.1f %8.1f %8lld\n",
-        tag.c_str(), static_cast<long long>(usage.queries),
+        " %8lld %7lld %6lld %6lld %5lld %10.4f %8.1f %8.1f %8lld\n",
+        static_cast<long long>(usage.queries),
         static_cast<long long>(usage.rejected),
         static_cast<long long>(usage.deadline_misses),
         static_cast<long long>(usage.degraded),

@@ -26,7 +26,7 @@ extern const char kRouteReadyz[];    // GET /readyz   — readiness (503 + why)
 extern const char kRouteStatusz[];   // GET /statusz  — JSON status summary
 extern const char kRouteEvents[];    // GET /events   — flight-recorder JSONL
 extern const char kRouteSlow[];      // GET /slow     — slow queries JSONL
-extern const char kRouteAccuracy[];  // GET /accuracy — accuracy ledger text
+extern const char kRouteAccuracy[];  // GET /accuracy — accuracy report
 extern const char kRouteTenants[];   // GET /tenants  — per-tenant ledger JSON
 
 /// One parsed HTTP/1.1 request. Only what the observability routes need:

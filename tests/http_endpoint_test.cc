@@ -26,6 +26,8 @@
 #include "corpus/workload.h"
 #include "llm/sim_llm.h"
 
+#include "catalog_util.h"
+
 namespace unify {
 namespace {
 
@@ -344,6 +346,31 @@ TEST(TenantLedgerTest, AnnotateSnapshotEmitsLabeledSeries) {
   EXPECT_NE(ledger.ToText().find("team \"x\""), std::string::npos);
 }
 
+// A tag of any length keeps its row whole: its counts and its newline
+// survive, so the next row starts on a line of its own.
+TEST(TenantLedgerTest, LongTagKeepsItsRowInTheTextReport) {
+  core::TenantLedger ledger;
+  const std::string long_tag(300, 't');
+  ledger.RecordCompletion(MakeResult(long_tag, 0.5, 2, 1.0));
+  ledger.RecordCompletion(MakeResult(long_tag, 0.5, 2, 1.0));
+  ledger.RecordCompletion(MakeResult("short", 0.5, 2, 1.0));
+  std::istringstream text(ledger.ToText());
+  std::string header, line;
+  ASSERT_TRUE(std::getline(text, header));
+  std::map<std::string, std::string> rows;  // tag -> query count
+  while (std::getline(text, line)) {
+    std::istringstream fields(line);
+    std::string tag, queries;
+    fields >> tag >> queries;
+    rows[tag] = queries;
+  }
+  EXPECT_TRUE(text.eof());
+  ASSERT_EQ(rows.size(), 2u) << ledger.ToText();
+  EXPECT_EQ(rows[long_tag], "2");
+  EXPECT_EQ(rows["short"], "1");
+  EXPECT_EQ(ledger.ToText().back(), '\n');
+}
+
 // A client that sends a fresh tag per request cannot grow the ledger past
 // its cap: the first 1,024 tags get buckets, later tags share the overflow
 // bucket, and the buckets still sum to what the queries merged globally.
@@ -594,21 +621,11 @@ TEST_F(ServiceEndpointTest, ScrapeDuringBurstAndTenantSumsMatchGlobals) {
   scraper.join();
   EXPECT_GE(scrapes_ok.load(), 1);
 
+  // The LLM telemetry is recorded per prompt type (`llm.calls.<type>`);
+  // FamilySum adds up the family, mirroring what the tenant ledger
+  // accounts.
   MetricsSnapshot delta =
       MetricsRegistry::Global().Snapshot().DeltaSince(before);
-  // The LLM telemetry is recorded per prompt type (`llm.calls.<type>`);
-  // sum the family, mirroring what the tenant ledger accounts.
-  auto family_of = [](const MetricsSnapshot& snapshot, const char* base) {
-    const std::string stem(base);
-    double sum = 0;
-    for (const auto& [name, value] : snapshot.counters) {
-      if (name.compare(0, stem.size(), stem) == 0 &&
-          (name.size() == stem.size() || name[stem.size()] == '.')) {
-        sum += value;
-      }
-    }
-    return sum;
-  };
 
   // With a depth-64 queue nothing rejects: all 16 complete.
   ASSERT_EQ(ok.load(), kClients);
@@ -628,18 +645,16 @@ TEST_F(ServiceEndpointTest, ScrapeDuringBurstAndTenantSumsMatchGlobals) {
   }
   EXPECT_EQ(queries_sum, kClients);
   // Integer counters: per-tenant sums reproduce the global delta exactly.
-  EXPECT_EQ(calls_sum, static_cast<int64_t>(
-                           family_of(delta, telemetry::kMetricLlmCalls)));
-  EXPECT_EQ(in_tokens_sum,
-            static_cast<int64_t>(
-                family_of(delta, telemetry::kMetricLlmInTokens)));
-  EXPECT_EQ(out_tokens_sum,
-            static_cast<int64_t>(
-                family_of(delta, telemetry::kMetricLlmOutTokens)));
+  EXPECT_EQ(calls_sum,
+            static_cast<int64_t>(delta.FamilySum(telemetry::kMetricLlmCalls)));
+  EXPECT_EQ(in_tokens_sum, static_cast<int64_t>(delta.FamilySum(
+                               telemetry::kMetricLlmInTokens)));
+  EXPECT_EQ(out_tokens_sum, static_cast<int64_t>(delta.FamilySum(
+                                telemetry::kMetricLlmOutTokens)));
   EXPECT_GT(calls_sum, 0);
   // Dollars accumulate fractional doubles whose addition order differs
   // under concurrency: near-equality, not byte equality.
-  EXPECT_NEAR(dollars_sum, family_of(delta, telemetry::kMetricLlmDollars),
+  EXPECT_NEAR(dollars_sum, delta.FamilySum(telemetry::kMetricLlmDollars),
               1e-9);
   EXPECT_GT(dollars_sum, 0);
 
@@ -687,19 +702,6 @@ std::map<std::string, double> ScrapedCounters(const std::string& body) {
     counters[line.substr(0, space)] = std::stod(line.substr(space + 1));
   }
   return counters;
-}
-
-/// Sums `base` and every `base.<suffix>` counter, as the ledger does.
-double FamilySum(const MetricsSnapshot& snapshot, const char* base) {
-  const std::string stem(base);
-  double sum = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.compare(0, stem.size(), stem) == 0 &&
-        (name.size() == stem.size() || name[stem.size()] == '.')) {
-      sum += value;
-    }
-  }
-  return sum;
 }
 
 // Serving under a scraper: each query's metrics reach the registry in one
@@ -800,13 +802,21 @@ TEST_F(ServiceEndpointTest, ScrapesNeverSeeACounterDecreaseAndDrainReconciles) {
     dollars_sum += usage.dollars;
   }
   EXPECT_EQ(queries_sum, kQueries);
-  EXPECT_EQ(calls_sum, static_cast<int64_t>(
-                           FamilySum(delta, telemetry::kMetricLlmCalls)));
-  EXPECT_EQ(in_tokens_sum, static_cast<int64_t>(FamilySum(
-                               delta, telemetry::kMetricLlmInTokens)));
-  EXPECT_NEAR(dollars_sum, FamilySum(delta, telemetry::kMetricLlmDollars),
+  EXPECT_EQ(calls_sum,
+            static_cast<int64_t>(delta.FamilySum(telemetry::kMetricLlmCalls)));
+  EXPECT_EQ(in_tokens_sum, static_cast<int64_t>(delta.FamilySum(
+                               telemetry::kMetricLlmInTokens)));
+  EXPECT_NEAR(dollars_sum, delta.FamilySum(telemetry::kMetricLlmDollars),
               1e-9);
   EXPECT_GT(calls_sum, 0);
+
+  // Every series the run left in the registry, and every tenant-labeled
+  // series, has a catalog row of the kind its map holds.
+  testing::ExpectCatalogKinds(delta);
+  MetricsSnapshot tenant_series;
+  service.tenant_ledger().AnnotateSnapshot(&tenant_series);
+  EXPECT_FALSE(tenant_series.counters.empty());
+  testing::ExpectCatalogKinds(tenant_series);
 }
 
 }  // namespace

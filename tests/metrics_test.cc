@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/accuracy.h"
+#include "common/telemetry_names.h"
 #include "common/thread_pool.h"
 
 namespace unify {
@@ -231,21 +233,42 @@ TEST(MetricsTest, PrometheusTextWithoutLabelsIsUnchangedByLabelSupport) {
   registry.SetGauge("exec.pool.occupancy", 0.5);
   registry.Observe("serve.queue_wait_seconds", 2.0);
   EXPECT_EQ(registry.Snapshot().ToPrometheusText(),
-            "# HELP unify_llm_calls Unify metric llm.calls\n"
+            "# HELP unify_llm_calls LLM calls per prompt type.\n"
             "# TYPE unify_llm_calls counter\n"
             "unify_llm_calls 3\n"
-            "# HELP unify_exec_pool_occupancy Unify metric "
-            "exec.pool.occupancy\n"
+            "# HELP unify_exec_pool_occupancy LLM-server busy fraction of "
+            "the last executed plan.\n"
             "# TYPE unify_exec_pool_occupancy gauge\n"
             "unify_exec_pool_occupancy 0.5\n"
-            "# HELP unify_serve_queue_wait_seconds Unify metric "
-            "serve.queue_wait_seconds\n"
+            "# HELP unify_serve_queue_wait_seconds Wall seconds a served "
+            "request waited for a worker.\n"
             "# TYPE unify_serve_queue_wait_seconds summary\n"
             "unify_serve_queue_wait_seconds{quantile=\"0.5\"} 2\n"
             "unify_serve_queue_wait_seconds{quantile=\"0.9\"} 2\n"
             "unify_serve_queue_wait_seconds{quantile=\"0.99\"} 2\n"
             "unify_serve_queue_wait_seconds_sum 2\n"
             "unify_serve_queue_wait_seconds_count 1\n");
+}
+
+TEST(MetricsTest, PrometheusHelpComesFromTheCatalog) {
+  MetricsRegistry registry;
+  registry.AddCounter("llm.dollars.eval_predicate", 1);  // family member
+  registry.AddCounter(
+      LabeledMetricName(telemetry::kMetricTenantQueries, "tenant", "a"), 1);
+  registry.AddCounter("test.uncatalogued", 1);
+  const std::string text = registry.Snapshot().ToPrometheusText();
+  EXPECT_NE(text.find("# HELP unify_llm_dollars_eval_predicate LLM API "
+                      "dollars per prompt type.\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# HELP unify_tenant_queries Queries completed for "
+                      "the tenant.\n"),
+            std::string::npos)
+      << text;
+  // A name outside the catalog is its own help.
+  EXPECT_NE(text.find("# HELP unify_test_uncatalogued test.uncatalogued\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(MetricsTest, PrometheusTextPrintsExactValues) {
@@ -327,6 +350,96 @@ TEST(MetricsTest, ToTextListsEveryMetric) {
   EXPECT_NE(text.find("llm.calls"), std::string::npos);
   EXPECT_NE(text.find("exec.pool.occupancy"), std::string::npos);
   EXPECT_NE(text.find("exec.queue_wait_seconds"), std::string::npos);
+}
+
+TEST(TelemetryCatalogTest, FindResolvesRowsFamiliesAndLabels) {
+  const telemetry::Entry* row = telemetry::Find(telemetry::kMetricLlmCacheBytes);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->name, telemetry::kMetricLlmCacheBytes);
+  EXPECT_EQ(row->kind, telemetry::Kind::kGauge);
+  EXPECT_FALSE(row->family);
+  EXPECT_FALSE(row->help.empty());
+  // A family member resolves to its family's row, a labeled series to its
+  // base's row, and spans and events have rows too.
+  row = telemetry::Find("llm.calls.eval_predicate");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->name, telemetry::kMetricLlmCalls);
+  EXPECT_TRUE(row->family);
+  row = telemetry::Find("tenant.latency_seconds{tenant=\"a.b\"}");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->kind, telemetry::Kind::kHistogram);
+  ASSERT_NE(telemetry::Find(telemetry::kSpanExecReplan), nullptr);
+  EXPECT_EQ(telemetry::Find(telemetry::kSpanExecReplan)->kind,
+            telemetry::Kind::kSpan);
+  ASSERT_NE(telemetry::Find(telemetry::kEventShed), nullptr);
+  EXPECT_EQ(telemetry::Find(telemetry::kEventShed)->kind,
+            telemetry::Kind::kEvent);
+  // Only family rows take a suffix; unknown names have no row.
+  EXPECT_EQ(telemetry::Find("exec.nodes.extra"), nullptr);
+  EXPECT_EQ(telemetry::Find("no.such.metric"), nullptr);
+  EXPECT_EQ(telemetry::Find(""), nullptr);
+}
+
+TEST(AccuracyReportTest, EmptySnapshotReportsNothingRecorded) {
+  const AccuracyReport report{MetricsSnapshot()};
+  EXPECT_EQ(report.text,
+            "prediction accuracy\n"
+            "SCE q-error by method:\n"
+            "  (no estimates recorded)\n"
+            "plan vs execution:\n"
+            "  node card q-error            (no samples)\n"
+            "  makespan rel error           (no samples)\n"
+            "  dollars rel error            (no samples)\n"
+            "impl choice (hindsight audit):\n"
+            "  (no executed nodes audited)\n"
+            "mid-query replanning:\n"
+            "  (no replans considered)\n");
+  EXPECT_EQ(report.replans_considered, 0);
+  EXPECT_EQ(report.replans_adopted, 0);
+  EXPECT_EQ(report.replans_improved, 0);
+  EXPECT_EQ(report.replans_not_improved, 0);
+}
+
+TEST(AccuracyReportTest, RendersTheRegistrySeries) {
+  // One value per distribution (or repeats of it), so every quantile is
+  // exact.
+  MetricsRegistry registry;
+  registry.Observe("sce.qerror.Unify", 1.5);
+  registry.Observe("sce.qerror.Unify", 1.5);
+  registry.Observe("sce.qerror.Sampling", 2);
+  registry.Observe(telemetry::kMetricCardQError, 1.25);
+  registry.Observe(telemetry::kMetricDollarsRelError, 0.5);
+  registry.AddCounter(telemetry::kMetricImplChoiceOptimal, 3);
+  registry.AddCounter(telemetry::kMetricImplChoiceSuboptimal, 1);
+  registry.AddCounter("plan.impl_chosen.PreCount", 2);
+  registry.AddCounter("plan.impl_chosen.LinearScan", 2);
+  registry.AddCounter(telemetry::kMetricReplanConsidered, 3);
+  registry.AddCounter(telemetry::kMetricReplanTriggered, 2);
+  registry.AddCounter(telemetry::kMetricReplanImproved, 1);
+  const AccuracyReport report(registry.Snapshot());
+  EXPECT_EQ(report.text,
+            "prediction accuracy\n"
+            "SCE q-error by method:\n"
+            "  Sampling                     n=1      p50=2         p90=2"
+            "         max=2\n"
+            "  Unify                        n=2      p50=1.5       p90=1.5"
+            "       max=1.5\n"
+            "plan vs execution:\n"
+            "  node card q-error            n=1      p50=1.25      p90=1.25"
+            "      max=1.25\n"
+            "  makespan rel error           (no samples)\n"
+            "  dollars rel error            n=1      p50=0.5       p90=0.5"
+            "       max=0.5\n"
+            "impl choice (hindsight audit):\n"
+            "  optimal 3 / 4 (75.0%)\n"
+            "  chosen LinearScan             2\n"
+            "  chosen PreCount               2\n"
+            "mid-query replanning:\n"
+            "  considered 3, adopted 2, improved 1/2\n");
+  EXPECT_EQ(report.replans_considered, 3);
+  EXPECT_EQ(report.replans_adopted, 2);
+  EXPECT_EQ(report.replans_improved, 1);
+  EXPECT_EQ(report.replans_not_improved, 1);
 }
 
 }  // namespace

@@ -131,6 +131,8 @@ TEST_F(PartitionSystemTest, AnswersByteIdenticalAcrossParallelism) {
     const auto& qc = workload[qi];
     QueryResult base = AnswerAt(qc.text, 1);
     if (!base.status.ok()) continue;  // failure parity checked below
+    const double calls = base.metrics.FamilySum(telemetry::kMetricLlmCalls);
+    EXPECT_GT(calls, 0) << qc.text;
     for (int parallelism : {2, 4, 8}) {
       QueryResult p = AnswerAt(qc.text, parallelism);
       ASSERT_TRUE(p.status.ok())
@@ -140,8 +142,7 @@ TEST_F(PartitionSystemTest, AnswersByteIdenticalAcrossParallelism) {
       EXPECT_EQ(p.answer.ToString(), base.answer.ToString())
           << qc.text << " @ parallelism " << parallelism;
       EXPECT_DOUBLE_EQ(p.exec_dollars, base.exec_dollars) << qc.text;
-      EXPECT_DOUBLE_EQ(p.metrics.counters[telemetry::kMetricLlmCalls],
-                       base.metrics.counters[telemetry::kMetricLlmCalls])
+      EXPECT_DOUBLE_EQ(p.metrics.FamilySum(telemetry::kMetricLlmCalls), calls)
           << qc.text;
     }
     ++compared;
@@ -199,10 +200,13 @@ TEST_F(PartitionSystemTest, ExplainShowsMorselsAndStatsStayEqual) {
   EXPECT_EQ(p1.plan_explain.find("morsels"), std::string::npos);
   // Total LLM resource usage (calls and seconds of stream time) is the
   // same work, just laid out differently on the servers.
-  EXPECT_DOUBLE_EQ(p1.metrics.counters[telemetry::kMetricLlmCalls],
-                   p4.metrics.counters[telemetry::kMetricLlmCalls]);
-  EXPECT_DOUBLE_EQ(p1.metrics.counters[telemetry::kMetricLlmSeconds],
-                   p4.metrics.counters[telemetry::kMetricLlmSeconds]);
+  const double calls = p1.metrics.FamilySum(telemetry::kMetricLlmCalls);
+  const double seconds = p1.metrics.FamilySum(telemetry::kMetricLlmSeconds);
+  EXPECT_GT(calls, 0);
+  EXPECT_GT(seconds, 0);
+  EXPECT_DOUBLE_EQ(p4.metrics.FamilySum(telemetry::kMetricLlmCalls), calls);
+  EXPECT_DOUBLE_EQ(p4.metrics.FamilySum(telemetry::kMetricLlmSeconds),
+                   seconds);
 }
 
 TEST_F(PartitionSystemTest, ServiceDefaultParallelismApplies) {

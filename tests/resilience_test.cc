@@ -25,6 +25,8 @@
 #include "llm/resilient_client.h"
 #include "llm/sim_llm.h"
 
+#include "catalog_util.h"
+
 namespace unify::llm {
 namespace {
 
@@ -502,6 +504,7 @@ TEST_F(ResilienceSystemTest, ConcurrentServingUnderInjectedFaultsIsSafe) {
   core::UnifyService::Options sopts;
   sopts.num_workers = 4;
   core::UnifyService service(&system, sopts);
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   std::vector<std::future<core::QueryResult>> futures;
   for (int repeat = 0; repeat < 2; ++repeat) {
     for (const auto& q : queries) {
@@ -532,6 +535,31 @@ TEST_F(ResilienceSystemTest, ConcurrentServingUnderInjectedFaultsIsSafe) {
   // The injector definitely fired at a 15% total rate over 16 queries.
   const auto fstats = system.fault_injector()->fault_stats();
   EXPECT_GT(fstats.timeouts + fstats.rate_limits + fstats.malformed, 0);
+
+  // Fault, retry, hedge and breaker series included, everything the run
+  // recorded has a catalog row of the kind its map holds.
+  testing::ExpectCatalogKinds(
+      MetricsRegistry::Global().Snapshot().DeltaSince(before));
+  MetricsSnapshot tenant_series;
+  service.tenant_ledger().AnnotateSnapshot(&tenant_series);
+  EXPECT_FALSE(tenant_series.counters.empty());
+  testing::ExpectCatalogKinds(tenant_series);
+}
+
+// When every candidate plan fails to optimize on a transient LLM failure
+// (here every SCE sampling call times out), the query reports that
+// transient failure, not a contract error. Under concurrent serving the
+// same happens when an open circuit breaker rejects the SCE calls.
+TEST_F(ResilienceSystemTest, FailedOptimizationKeepsTheTransientStatus) {
+  core::UnifyOptions opts;
+  opts.cost_feedback = false;
+  opts.faults.per_type[PromptType::kEvalPredicate].timeout = 1.0;
+  core::UnifySystem system(corpus_, llm_, opts);
+  ASSERT_TRUE(system.Setup().ok());
+  const core::QueryResult r =
+      system.Answer("How many questions about tennis are there?");
+  EXPECT_EQ(r.phase, core::QueryPhase::kOptimization) << r.status;
+  EXPECT_TRUE(IsTransientLlmFailure(r.status)) << r.status;
 }
 
 /// `r.metrics` reached the global registry exactly once between `before`

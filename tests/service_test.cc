@@ -69,7 +69,8 @@ UnifySystem* ServiceTest::system_ = nullptr;
 
 /// Counters that are sums of integers (exact, order-independent); the
 /// seconds/dollars counters accumulate fractional doubles whose addition
-/// order differs under concurrency.
+/// order differs under concurrency. Read through FamilySum, so the
+/// per-prompt-type `llm.calls.<type>` family counts as one counter.
 const char* const kExactCounters[] = {
     telemetry::kMetricLlmCalls,     telemetry::kMetricExecNodes,
     telemetry::kMetricSceEstimates, telemetry::kMetricSceSamples,
@@ -119,16 +120,14 @@ TEST_F(ServiceTest, ConcurrentAnswersMatchSequentialByteForByte) {
   // The batch did identical work: every exact counter's batch-level delta
   // matches the sequential run (DeltaSince omits zero deltas, so a missing
   // entry reads as 0).
-  auto delta_of = [](const MetricsSnapshot& snapshot, const char* name) {
-    auto it = snapshot.counters.find(name);
-    return it == snapshot.counters.end() ? 0.0 : it->second;
-  };
   for (const char* name : kExactCounters) {
-    EXPECT_DOUBLE_EQ(delta_of(seq_delta, name), delta_of(conc_delta, name))
+    EXPECT_DOUBLE_EQ(seq_delta.FamilySum(name), conc_delta.FamilySum(name))
         << name;
   }
-  // Every query executes at least one plan node, so this one cannot be 0.
-  EXPECT_GT(delta_of(conc_delta, telemetry::kMetricExecNodes), 0);
+  // Every query executes at least one plan node and calls the LLM, so
+  // these cannot be 0.
+  EXPECT_GT(conc_delta.FamilySum(telemetry::kMetricExecNodes), 0);
+  EXPECT_GT(conc_delta.FamilySum(telemetry::kMetricLlmCalls), 0);
 
   auto stats = service.stats();
   EXPECT_EQ(stats.submitted, static_cast<int64_t>(queries.size()));
@@ -326,10 +325,6 @@ TEST_F(ServiceTest, FlightRecorderCapturesLifecycleUnder64Clients) {
 
 TEST_F(ServiceTest, PerQueryMetricsAreExactUnderConcurrency) {
   const std::vector<std::string> queries = Queries();
-  auto counter_of = [](const MetricsSnapshot& snapshot, const char* name) {
-    auto it = snapshot.counters.find(name);
-    return it == snapshot.counters.end() ? 0.0 : it->second;
-  };
 
   // Sequential reference: with nothing else running, a query's attributed
   // metrics equal the global registry's delta across the call.
@@ -339,10 +334,11 @@ TEST_F(ServiceTest, PerQueryMetricsAreExactUnderConcurrency) {
   MetricsSnapshot delta =
       MetricsRegistry::Global().Snapshot().DeltaSince(before);
   for (const char* name : kExactCounters) {
-    EXPECT_DOUBLE_EQ(counter_of(solo.metrics, name), counter_of(delta, name))
+    EXPECT_DOUBLE_EQ(solo.metrics.FamilySum(name), delta.FamilySum(name))
         << name;
   }
-  EXPECT_GT(counter_of(solo.metrics, telemetry::kMetricExecNodes), 0);
+  EXPECT_GT(solo.metrics.FamilySum(telemetry::kMetricExecNodes), 0);
+  EXPECT_GT(solo.metrics.FamilySum(telemetry::kMetricLlmCalls), 0);
 
   // Concurrent batch: per-query attribution must add up to the global
   // delta exactly — nothing lost, nothing double-counted, no bleed
@@ -365,20 +361,20 @@ TEST_F(ServiceTest, PerQueryMetricsAreExactUnderConcurrency) {
   QueryResult* front_result = nullptr;
   for (auto& r : results) {
     ASSERT_TRUE(r.status.ok()) << r.status;
-    EXPECT_GT(counter_of(r.metrics, telemetry::kMetricExecNodes), 0);
+    EXPECT_GT(r.metrics.FamilySum(telemetry::kMetricExecNodes), 0);
     if (r.query_id == solo.query_id) front_result = &r;
   }
   for (const char* name : kExactCounters) {
     double sum = 0;
-    for (const auto& r : results) sum += counter_of(r.metrics, name);
-    EXPECT_DOUBLE_EQ(sum, counter_of(conc_delta, name)) << name;
+    for (const auto& r : results) sum += r.metrics.FamilySum(name);
+    EXPECT_DOUBLE_EQ(sum, conc_delta.FamilySum(name)) << name;
   }
   // The same query attributes the same exact counters whether it ran
   // alone or among 7 concurrent peers.
   ASSERT_NE(front_result, nullptr);
   for (const char* name : kExactCounters) {
-    EXPECT_DOUBLE_EQ(counter_of(front_result->metrics, name),
-                     counter_of(solo.metrics, name))
+    EXPECT_DOUBLE_EQ(front_result->metrics.FamilySum(name),
+                     solo.metrics.FamilySum(name))
         << name;
   }
 }

@@ -78,7 +78,6 @@ ServedResult RunServed(const core::UnifySystem& system,
   core::UnifyService::Options sopts;
   sopts.num_workers = clients;
   sopts.max_queue_depth = 2 * clients + 8;
-  sopts.default_max_intra_op_parallelism = parallelism;
   core::UnifyService service(&system, sopts);
 
   const int per_client = std::max(1, total_queries / clients);
@@ -94,6 +93,7 @@ ServedResult RunServed(const core::UnifySystem& system,
         core::QueryRequest request;
         request.text = queries[slot % queries.size()];
         request.arrival_seconds = clock;
+        request.overrides.max_intra_op_parallelism = parallelism;
         core::QueryResult result = service.Answer(std::move(request));
         if (!result.status.ok()) continue;
         clock = result.completion_seconds;

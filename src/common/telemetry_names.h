@@ -43,7 +43,7 @@ namespace unify::telemetry {
   X(Span, kSpanExecNode, "exec.node", "", "",                                  \
     "One DAG node's operator execution.")                                      \
   X(Span, kSpanExecPartition, "exec.partition", "", "",                        \
-    "One morsel of a partitioned operator.")                                   \
+    "One morsel of a split per-document LLM call.")                            \
   X(Span, kSpanExecFallback, "exec.fallback", "", "",                          \
     "Executor-level replanning after a terminal operator failure.")            \
   X(Span, kSpanExecReplan, "exec.replan", "", "replanning",                    \
@@ -86,10 +86,10 @@ namespace unify::telemetry {
   X(Gauge, kMetricExecPoolOccupancy, "exec.pool.occupancy", "", "",            \
     "LLM-server busy fraction of the last executed plan.")                     \
   X(Counter, kMetricExecPartitions, "exec.partitions", "", "",                 \
-    "Morsels executed by partitioned operators.")                              \
+    "Morsels executed by split per-document LLM calls.")                       \
   X(Histogram, kMetricExecPartitionMerge,                                      \
     "exec.partition.merge_seconds", "", "",                                    \
-    "Wall seconds merging a partitioned node's partial results.")              \
+    "Wall seconds concatenating a split node's morsel outputs.")               \
   /* LLM layer (llm/tracing_client.h); <type> is a PromptTypeName. */          \
   X(Counter, kMetricLlmCalls, "llm.calls", "<type>", "",                       \
     "LLM calls per prompt type.")                                              \

@@ -12,9 +12,10 @@ namespace unify {
 
 /// A fixed-size worker pool executing `std::function<void()>` tasks FIFO.
 ///
-/// Used by the execution module to run independent plan operators in
-/// parallel (the paper's "Parallel Topological Execution", Section III-C).
-/// The destructor drains outstanding tasks before joining.
+/// Used by the execution module to run one node's morsels on wall-clock
+/// workers (intra-operator parallelism); plan nodes themselves run one at
+/// a time on the query's thread. The destructor drains outstanding tasks
+/// before joining.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

@@ -224,10 +224,9 @@ StatusOr<OpOutput> ExecExtract(PhysicalImpl impl, const OpArgs& args,
   return WrongInput("Extract", "documents");
 }
 
-/// Count, the numeric folds, and Extract. Only kLlmExtract over a flat
-/// document list partitions: per-document value extraction is
-/// embarrassingly parallel, while kLlmCount / kLlmAggregate are single
-/// whole-input LLM calls with nothing to split.
+/// Count, the numeric folds, and Extract. kLlmExtract issues per-document
+/// batches (LlmPerDoc); kLlmCount / kLlmAggregate are single whole-input
+/// LLM calls.
 class AggregateOperator : public PhysicalOperator {
  public:
   std::vector<std::string> OpNames() const override {
@@ -253,51 +252,6 @@ class AggregateOperator : public PhysicalOperator {
       return {PhysicalImpl::kRegexExtract, PhysicalImpl::kLlmExtract};
     }
     return {PhysicalImpl::kPreAggregate, PhysicalImpl::kLlmAggregate};
-  }
-
-  bool SupportsPartitioning(const std::string& op_name,
-                            PhysicalImpl impl) const override {
-    return op_name == "Extract" && impl == PhysicalImpl::kLlmExtract;
-  }
-
-  StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const override {
-    std::optional<PartitionedExecution> none;
-    if (!SupportsPartitioning(op_name, impl)) return none;
-    if (inputs.empty() || !inputs[0].is<DocList>()) return none;
-    std::vector<DocList> chunks = PartitionDocs(
-        inputs[0].get<DocList>(), ctx.llm_batch_size, max_partitions);
-    if (chunks.size() <= 1) return none;
-
-    PartitionedExecution exec;
-    const std::string attr = ArgStr(args, "attribute");
-    for (DocList& chunk : chunks) {
-      OpPartition part;
-      part.num_docs = chunk.size();
-      part.run = [chunk = std::move(chunk), attr, &ctx]()
-          -> StatusOr<OpOutput> {
-        OpOutput out;
-        NumberList values;
-        UNIFY_ASSIGN_OR_RETURN(
-            values.values,
-            internal::LlmExtractValues(chunk, attr, ctx, out.stats));
-        out.value = Value(Value::Rep(std::move(values)));
-        return out;
-      };
-      exec.partitions.push_back(std::move(part));
-    }
-    exec.merge = [](const std::vector<OpOutput>& parts) -> StatusOr<Value> {
-      NumberList values;
-      for (const OpOutput& part : parts) {
-        const NumberList& chunk_values = part.value.get<NumberList>();
-        values.values.insert(values.values.end(), chunk_values.values.begin(),
-                             chunk_values.values.end());
-      }
-      return Value(Value::Rep(std::move(values)));
-    };
-    return std::optional<PartitionedExecution>(std::move(exec));
   }
 };
 

@@ -109,60 +109,6 @@ class FilterOperator : public PhysicalOperator {
     return {PhysicalImpl::kLlmFilter, PhysicalImpl::kIndexScanFilter,
             PhysicalImpl::kKeywordFilter};
   }
-
-  bool SupportsPartitioning(const std::string& op_name,
-                            PhysicalImpl impl) const override {
-    return impl == PhysicalImpl::kLlmFilter ||
-           impl == PhysicalImpl::kIndexScanFilter;
-  }
-
-  StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const override {
-    std::optional<PartitionedExecution> none;
-    if (!SupportsPartitioning(op_name, impl)) return none;
-    if (inputs.empty() || !inputs[0].is<DocList>()) return none;
-
-    PartitionedExecution exec;
-    DocList verify_docs = inputs[0].get<DocList>();
-    if (impl == PhysicalImpl::kIndexScanFilter) {
-      // The ANN probe is shared setup: run it once here, partition only
-      // the LLM verification stream over its candidates.
-      if (ctx.phrase_probes == nullptr) {
-        return none;  // sequential path reports the precondition error
-      }
-      UNIFY_ASSIGN_OR_RETURN(
-          verify_docs,
-          IndexScanCandidates(verify_docs, args, ctx, exec.base_stats));
-    }
-    std::vector<DocList> chunks =
-        PartitionDocs(verify_docs, ctx.llm_batch_size, max_partitions);
-    if (chunks.size() <= 1) return none;
-    for (DocList& chunk : chunks) {
-      OpPartition part;
-      part.num_docs = chunk.size();
-      part.run = [chunk = std::move(chunk), args, &ctx]()
-          -> StatusOr<OpOutput> {
-        OpOutput out;
-        UNIFY_ASSIGN_OR_RETURN(
-            DocList kept, internal::LlmFilterDocs(chunk, args, ctx,
-                                                  out.stats));
-        out.value = Value::Docs(std::move(kept));
-        return out;
-      };
-      exec.partitions.push_back(std::move(part));
-    }
-    exec.merge = [](const std::vector<OpOutput>& parts) -> StatusOr<Value> {
-      DocList kept;
-      for (const OpOutput& part : parts) {
-        const DocList& ids = part.value.get<DocList>();
-        kept.insert(kept.end(), ids.begin(), ids.end());
-      }
-      return Value::Docs(std::move(kept));
-    };
-    return std::optional<PartitionedExecution>(std::move(exec));
-  }
 };
 
 }  // namespace

@@ -76,59 +76,6 @@ class GroupOperator : public PhysicalOperator {
     }
     return {PhysicalImpl::kLlmClassify, PhysicalImpl::kRuleClassify};
   }
-
-  bool SupportsPartitioning(const std::string& op_name,
-                            PhysicalImpl impl) const override {
-    return impl == PhysicalImpl::kLlmGroupBy ||
-           impl == PhysicalImpl::kLlmClassify;
-  }
-
-  StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const override {
-    std::optional<PartitionedExecution> none;
-    if (!SupportsPartitioning(op_name, impl)) return none;
-    if (inputs.empty() || !inputs[0].is<DocList>()) return none;
-    const DocList& docs = inputs[0].get<DocList>();
-    std::vector<DocList> chunks =
-        PartitionDocs(docs, ctx.llm_batch_size, max_partitions);
-    if (chunks.size() <= 1) return none;
-
-    PartitionedExecution exec;
-    const std::string by = ArgStr(args, "by");
-    for (DocList& chunk : chunks) {
-      OpPartition part;
-      part.num_docs = chunk.size();
-      part.run = [chunk = std::move(chunk), by, &ctx]()
-          -> StatusOr<OpOutput> {
-        OpOutput out;
-        UNIFY_ASSIGN_OR_RETURN(
-            std::vector<std::string> labels,
-            internal::LlmClassifyDocs(chunk, by, ctx, out.stats));
-        TextList as_text(labels.begin(), labels.end());
-        out.value = Value(Value::Rep(std::move(as_text)));
-        return out;
-      };
-      exec.partitions.push_back(std::move(part));
-    }
-    bool group = op_name == "GroupBy";
-    exec.merge = [group, docs](const std::vector<OpOutput>& parts)
-        -> StatusOr<Value> {
-      std::vector<std::string> labels;
-      labels.reserve(docs.size());
-      for (const OpOutput& part : parts) {
-        const TextList& chunk_labels = part.value.get<TextList>();
-        labels.insert(labels.end(), chunk_labels.begin(), chunk_labels.end());
-      }
-      if (group) {
-        return Value(Value::Rep(GroupByLabels(docs, labels)));
-      }
-      TextList as_text(std::move(labels));
-      return Value(Value::Rep(std::move(as_text)));
-    };
-    return std::optional<PartitionedExecution>(std::move(exec));
-  }
 };
 
 }  // namespace

@@ -93,63 +93,6 @@ class OrderOperator : public PhysicalOperator {
     }
     return {PhysicalImpl::kNumericTopK, PhysicalImpl::kLlmTopK};
   }
-
-  bool SupportsPartitioning(const std::string& op_name,
-                            PhysicalImpl impl) const override {
-    return impl == PhysicalImpl::kLlmSort || impl == PhysicalImpl::kLlmTopK;
-  }
-
-  StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const override {
-    std::optional<PartitionedExecution> none;
-    if (!SupportsPartitioning(op_name, impl)) return none;
-    if (inputs.empty() || !inputs[0].is<DocList>()) return none;
-    const DocList& docs = inputs[0].get<DocList>();
-    std::vector<DocList> chunks =
-        PartitionDocs(docs, ctx.llm_batch_size, max_partitions);
-    if (chunks.size() <= 1) return none;
-
-    // Each morsel extracts its chunk's ranking keys; the merge re-pairs
-    // keys with docs (chunks are contiguous and ordered, so concatenated
-    // keys align with the input list), then sorts once.
-    PartitionedExecution exec;
-    exec.base_stats.cpu_seconds += kCpuFlat;  // the merge-side sort
-    const std::string attr = ArgStr(args, "attribute");
-    for (DocList& chunk : chunks) {
-      OpPartition part;
-      part.num_docs = chunk.size();
-      part.run = [chunk = std::move(chunk), attr, &ctx]()
-          -> StatusOr<OpOutput> {
-        OpOutput out;
-        NumberList keys;
-        UNIFY_ASSIGN_OR_RETURN(
-            keys.values,
-            internal::LlmExtractValues(chunk, attr, ctx, out.stats));
-        out.value = Value(Value::Rep(std::move(keys)));
-        return out;
-      };
-      exec.partitions.push_back(std::move(part));
-    }
-    bool desc = ArgStr(args, "desc", "true") == "true";
-    int64_t k = ArgInt(args, "k", 5);
-    std::string op = op_name;
-    exec.merge = [op, desc, k, docs, &ctx](const std::vector<OpOutput>& parts)
-        -> StatusOr<Value> {
-      std::vector<std::pair<uint64_t, double>> keyed;
-      keyed.reserve(docs.size());
-      size_t at = 0;
-      for (const OpOutput& part : parts) {
-        for (double key : part.value.get<NumberList>().values) {
-          keyed.emplace_back(docs[at++], key);
-        }
-      }
-      SortKeyed(keyed, desc);
-      return RankedValue(op, keyed, k, ctx);
-    };
-    return std::optional<PartitionedExecution>(std::move(exec));
-  }
 };
 
 }  // namespace

@@ -82,6 +82,21 @@ bool ImplUsesLlm(PhysicalImpl impl) {
   }
 }
 
+bool ImplSplitsPerDoc(PhysicalImpl impl) {
+  switch (impl) {
+    case PhysicalImpl::kLlmFilter:
+    case PhysicalImpl::kIndexScanFilter:
+    case PhysicalImpl::kLlmGroupBy:
+    case PhysicalImpl::kLlmClassify:
+    case PhysicalImpl::kLlmExtract:
+    case PhysicalImpl::kLlmSort:
+    case PhysicalImpl::kLlmTopK:
+      return true;
+    default:
+      return false;
+  }
+}
+
 bool ImplSemanticCapable(PhysicalImpl impl) {
   switch (impl) {
     // Keyword matching and rule lexicons only see surface tokens; they

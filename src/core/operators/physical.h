@@ -1,6 +1,7 @@
 #ifndef UNIFY_CORE_OPERATORS_PHYSICAL_H_
 #define UNIFY_CORE_OPERATORS_PHYSICAL_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -59,12 +60,21 @@ const char* PhysicalImplName(PhysicalImpl impl);
 /// True when the implementation invokes the LLM.
 bool ImplUsesLlm(PhysicalImpl impl);
 
+/// True when the implementation's LLM work is per-document batches
+/// (internal::LlmPerDoc) that may split into morsels over a flat document
+/// list: LlmFilter, IndexScanFilter, LlmGroupBy, LlmClassify, LlmExtract,
+/// LlmSort and LlmTopK. Single-call impls (LlmCount, LlmAggregate,
+/// LlmGenerate) and the two-input LlmJoin run whole. The optimizer's
+/// morsel estimate and the executor's runner both read this.
+bool ImplSplitsPerDoc(PhysicalImpl impl);
+
 /// True when the implementation can evaluate *semantic* conditions
 /// correctly (keyword matching cannot; it only sees surface tokens).
 bool ImplSemanticCapable(PhysicalImpl impl);
 
 /// Everything a physical operator needs at execution time.
 class CustomOpRegistry;  // custom_ops.h
+class MorselRunner;      // below
 class NumericStats;      // core/physical/numeric_stats.h
 class PhraseProbes;      // core/physical/phrase_probes.h
 
@@ -82,6 +92,9 @@ struct ExecContext {
   const PhraseProbes* phrase_probes = nullptr;
   /// Documents per batched LLM call.
   int llm_batch_size = 16;
+  /// Set by the executor for a node whose per-document LLM batches may
+  /// split into morsels; null runs every batch on the calling thread.
+  MorselRunner* morsels = nullptr;
 };
 
 /// Virtual-time and call accounting for one operator execution.
@@ -102,6 +115,27 @@ struct OpStats {
 struct OpOutput {
   Value value;
   OpStats stats;
+};
+
+/// Runs the morsels one per-document LLM call splits into (intra-operator
+/// parallelism). internal::LlmPerDoc cuts its batches into PartitionDocs
+/// chunks and hands them here; the executor implements it with worker
+/// threads, per-morsel spans and the morsels' streams on the server pool.
+class MorselRunner {
+ public:
+  virtual ~MorselRunner() = default;
+
+  /// The most morsels one call splits into.
+  virtual int max_morsels() const = 0;
+
+  /// Calls `run(i)` for every chunk i, in any order and possibly
+  /// concurrently; each returns morsel i's stats. When all succeed, calls
+  /// `merge` once on the calling thread and returns the stats in morsel
+  /// order; otherwise returns the first failure in morsel order.
+  virtual StatusOr<std::vector<OpStats>> Run(
+      const std::vector<DocList>& chunks,
+      const std::function<StatusOr<OpStats>(size_t)>& run,
+      const std::function<void()>& merge) = 0;
 };
 
 /// Operator arguments, as extracted from the matched logical

@@ -5,6 +5,8 @@
 
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "core/operators/physical_operator.h"
+#include "llm/tracing_client.h"
 #include "text/field_extractor.h"
 #include "text/tokenizer.h"
 
@@ -121,31 +123,82 @@ bool SurfaceCondition::Matches(uint64_t id) const {
   return v.has_value() && comparison_.Holds(static_cast<int64_t>(*v));
 }
 
-StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
-                                ExecContext& ctx, OpStats& stats) {
-  DocList kept;
+namespace {
+
+/// Issues `call` once per batch of `docs`, with the batch's ids as items;
+/// appends one item per document to `items`.
+Status CallPerBatch(const llm::LlmCall& call, const DocList& docs,
+                    ExecContext& ctx, OpStats& stats,
+                    std::vector<std::string>& items) {
   for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kEvalPredicate;
-    call.tier = llm::ModelTier::kWorker;
-    for (const char* key :
-         {"kind", "phrase", "attribute", "cmp", "value", "value2",
-          "condition"}) {
-      auto it = args.find(key);
-      if (it != args.end()) call.fields[key] = it->second;
-    }
-    for (uint64_t id : batch) call.items.push_back(std::to_string(id));
-    llm::LlmResult result = ctx.llm->Call(call);
+    llm::LlmCall batch_call = call;
+    for (uint64_t id : batch) batch_call.items.push_back(std::to_string(id));
+    llm::LlmResult result = ctx.llm->Call(batch_call);
     if (!result.status.ok()) return result.status;
     if (result.items.size() != batch.size()) {
-      return Status::Internal("LLM filter returned wrong item count");
+      return Status::Internal(std::string("LLM ") +
+                              llm::PromptTypeName(call.type) +
+                              " returned wrong item count");
     }
     stats.llm_seconds += result.seconds;
     stats.llm_dollars += result.dollars;
     stats.llm_calls += 1;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (result.items[i] == "yes") kept.push_back(batch[i]);
+    for (auto& item : result.items) items.push_back(std::move(item));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<std::vector<std::string>> LlmPerDoc(const llm::LlmCall& call,
+                                             const DocList& docs,
+                                             ExecContext& ctx,
+                                             OpStats& stats) {
+  std::vector<std::string> items;
+  items.reserve(docs.size());
+  std::vector<DocList> chunks;
+  if (ctx.morsels != nullptr) {
+    chunks = PartitionDocs(docs, ctx.llm_batch_size,
+                           ctx.morsels->max_morsels());
+  }
+  if (chunks.size() <= 1) {
+    UNIFY_RETURN_IF_ERROR(CallPerBatch(call, docs, ctx, stats, items));
+    return items;
+  }
+  std::vector<std::vector<std::string>> chunk_items(chunks.size());
+  auto run = [&](size_t i) -> StatusOr<OpStats> {
+    OpStats chunk_stats;
+    UNIFY_RETURN_IF_ERROR(
+        CallPerBatch(call, chunks[i], ctx, chunk_stats, chunk_items[i]));
+    return chunk_stats;
+  };
+  auto merge = [&] {
+    for (auto& chunk : chunk_items) {
+      for (auto& item : chunk) items.push_back(std::move(item));
     }
+  };
+  UNIFY_ASSIGN_OR_RETURN(std::vector<OpStats> chunk_stats,
+                         ctx.morsels->Run(chunks, run, merge));
+  for (const OpStats& s : chunk_stats) stats.Add(s);
+  return items;
+}
+
+StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
+                                ExecContext& ctx, OpStats& stats) {
+  llm::LlmCall call;
+  call.type = llm::PromptType::kEvalPredicate;
+  call.tier = llm::ModelTier::kWorker;
+  for (const char* key :
+       {"kind", "phrase", "attribute", "cmp", "value", "value2",
+        "condition"}) {
+    auto it = args.find(key);
+    if (it != args.end()) call.fields[key] = it->second;
+  }
+  UNIFY_ASSIGN_OR_RETURN(std::vector<std::string> verdicts,
+                         LlmPerDoc(call, docs, ctx, stats));
+  DocList kept;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    if (verdicts[i] == "yes") kept.push_back(docs[i]);
   }
   return kept;
 }
@@ -185,25 +238,11 @@ StatusOr<std::vector<std::string>> LlmClassifyDocs(const DocList& docs,
                                                    const std::string& by,
                                                    ExecContext& ctx,
                                                    OpStats& stats) {
-  std::vector<std::string> labels;
-  labels.reserve(docs.size());
-  for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kClassifyDoc;
-    call.tier = llm::ModelTier::kWorker;
-    call.fields["by"] = by;
-    for (uint64_t id : batch) call.items.push_back(std::to_string(id));
-    llm::LlmResult result = ctx.llm->Call(call);
-    if (!result.status.ok()) return result.status;
-    if (result.items.size() != batch.size()) {
-      return Status::Internal("LLM classify returned wrong item count");
-    }
-    stats.llm_seconds += result.seconds;
-    stats.llm_dollars += result.dollars;
-    stats.llm_calls += 1;
-    for (auto& label : result.items) labels.push_back(std::move(label));
-  }
-  return labels;
+  llm::LlmCall call;
+  call.type = llm::PromptType::kClassifyDoc;
+  call.tier = llm::ModelTier::kWorker;
+  call.fields["by"] = by;
+  return LlmPerDoc(call, docs, ctx, stats);
 }
 
 std::optional<double> RegexExtractValue(const corpus::Document& doc,
@@ -217,25 +256,16 @@ StatusOr<std::vector<double>> LlmExtractValues(const DocList& docs,
                                                const std::string& attribute,
                                                ExecContext& ctx,
                                                OpStats& stats) {
+  llm::LlmCall call;
+  call.type = llm::PromptType::kExtractValue;
+  call.tier = llm::ModelTier::kWorker;
+  call.fields["attribute"] = attribute;
+  UNIFY_ASSIGN_OR_RETURN(std::vector<std::string> items,
+                         LlmPerDoc(call, docs, ctx, stats));
   std::vector<double> values;
-  values.reserve(docs.size());
-  for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall call;
-    call.type = llm::PromptType::kExtractValue;
-    call.tier = llm::ModelTier::kWorker;
-    call.fields["attribute"] = attribute;
-    for (uint64_t id : batch) call.items.push_back(std::to_string(id));
-    llm::LlmResult result = ctx.llm->Call(call);
-    if (!result.status.ok()) return result.status;
-    if (result.items.size() != batch.size()) {
-      return Status::Internal("LLM extract returned wrong item count");
-    }
-    stats.llm_seconds += result.seconds;
-    stats.llm_dollars += result.dollars;
-    stats.llm_calls += 1;
-    for (const auto& item : result.items) {
-      values.push_back(ParseDouble(item).value_or(0.0));
-    }
+  values.reserve(items.size());
+  for (const auto& item : items) {
+    values.push_back(ParseDouble(item).value_or(0.0));
   }
   return values;
 }

@@ -83,8 +83,20 @@ class SurfaceCondition {
   std::optional<text::KeywordMatcher> keywords_;
 };
 
-/// LLM-evaluates the condition on `docs`, batched; returns the kept ids
-/// and accumulates cost into `stats`.
+/// The one loop that issues per-document batched LLM calls: `call` (type,
+/// tier and fields; no items) goes out once per batch of
+/// `ctx.llm_batch_size` documents with the batch's ids as items. Returns
+/// one item per document, in order, and accumulates cost into `stats`.
+/// With `ctx.morsels` set, the batches split into PartitionDocs chunks
+/// that the runner executes as morsels; chunk edges are batch edges, so
+/// the calls issued and the items returned are the same either way.
+StatusOr<std::vector<std::string>> LlmPerDoc(const llm::LlmCall& call,
+                                             const DocList& docs,
+                                             ExecContext& ctx,
+                                             OpStats& stats);
+
+/// LLM-evaluates the condition on `docs` (LlmPerDoc); returns the kept
+/// ids and accumulates cost into `stats`.
 StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
                                 ExecContext& ctx, OpStats& stats);
 
@@ -93,13 +105,13 @@ StatusOr<DocList> LlmFilterDocs(const DocList& docs, const OpArgs& args,
 std::string RuleClassify(const corpus::Document& doc,
                          const corpus::DatasetProfile& profile);
 
-/// LLM classification of each document (batched).
+/// LLM classification of each document (LlmPerDoc).
 StatusOr<std::vector<std::string>> LlmClassifyDocs(const DocList& docs,
                                                    const std::string& by,
                                                    ExecContext& ctx,
                                                    OpStats& stats);
 
-/// LLM attribute extraction (batched); one value per doc.
+/// LLM attribute extraction (LlmPerDoc); one value per doc.
 StatusOr<std::vector<double>> LlmExtractValues(const DocList& docs,
                                                const std::string& attribute,
                                                ExecContext& ctx,

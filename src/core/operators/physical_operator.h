@@ -1,8 +1,6 @@
 #ifndef UNIFY_CORE_OPERATORS_PHYSICAL_OPERATOR_H_
 #define UNIFY_CORE_OPERATORS_PHYSICAL_OPERATOR_H_
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,36 +8,10 @@
 
 namespace unify::core {
 
-/// One morsel of an operator's partitionable work: an independent closure
-/// that issues its own LLM stream and returns a partial result. Closures
-/// capture their document chunk by value and the ExecContext by reference
-/// (the executor keeps it alive for the node's whole run); they are safe to
-/// run concurrently with each other because the LLM client and corpus are
-/// thread-safe and every closure owns its partial OpStats.
-struct OpPartition {
-  std::function<StatusOr<OpOutput>()> run;
-  /// Documents this morsel covers (for cost attribution and telemetry).
-  size_t num_docs = 0;
-};
-
-/// A partitioned execution plan for one operator invocation, produced by
-/// PhysicalOperator::Partition. Running every partition (in any order, any
-/// concurrency) and then calling `merge` on the partial outputs — indexed
-/// in partition order — yields a value byte-identical to the sequential
-/// Execute() path. Partitions are whole LLM batches, so the set of LLM
-/// calls (and therefore OpStats totals) is also identical to sequential
-/// execution; `base_stats` accounts setup work already performed while
-/// partitioning (e.g. IndexScanFilter's ANN probe) plus any merge-side CPU.
-struct PartitionedExecution {
-  OpStats base_stats;
-  std::vector<OpPartition> partitions;
-  std::function<StatusOr<Value>(const std::vector<OpOutput>&)> merge;
-};
-
 /// A family of physical operator implementations (paper Section IV-B)
-/// behind a uniform interface: sequential execution, candidate enumeration
-/// for the optimizer, and optional morsel-driven partitioning of
-/// per-document LLM work (intra-operator parallelism). Implementations are
+/// behind a uniform interface: execution and candidate enumeration for
+/// the optimizer. Per-document LLM work splits into morsels inside the
+/// batched helper (internal::LlmPerDoc), not here. Implementations are
 /// stateless singletons; all methods are const and thread-safe.
 class PhysicalOperator {
  public:
@@ -48,8 +20,8 @@ class PhysicalOperator {
   /// Logical operator names this family implements (registry keys).
   virtual std::vector<std::string> OpNames() const = 0;
 
-  /// Whole-input sequential execution — the parallelism-1 semantics every
-  /// other path must reproduce exactly.
+  /// Executes `op_name` with `impl` over `inputs`. The value and the LLM
+  /// calls issued are the same whether or not `ctx.morsels` is set.
   virtual StatusOr<OpOutput> Execute(const std::string& op_name,
                                      PhysicalImpl impl, const OpArgs& args,
                                      const std::vector<Value>& inputs,
@@ -60,25 +32,6 @@ class PhysicalOperator {
   /// costs them).
   virtual std::vector<PhysicalImpl> Candidates(const std::string& op_name,
                                                const OpArgs& args) const = 0;
-
-  /// True when `impl` does per-document LLM work that Partition() can
-  /// split into independent morsels. CPU-only impls and single-call LLM
-  /// impls (e.g. kLlmCount) report false — they have zero LLM partitions.
-  virtual bool SupportsPartitioning(const std::string& op_name,
-                                    PhysicalImpl impl) const {
-    return false;
-  }
-
-  /// Splits this invocation into at most `max_partitions` morsels.
-  /// Returns nullopt when partitioning does not apply (unsupported impl,
-  /// grouped input, or fewer than two whole-batch morsels) — the caller
-  /// then falls back to Execute(). Never performs LLM work itself.
-  virtual StatusOr<std::optional<PartitionedExecution>> Partition(
-      const std::string& op_name, PhysicalImpl impl, const OpArgs& args,
-      const std::vector<Value>& inputs, ExecContext& ctx,
-      int max_partitions) const {
-    return std::optional<PartitionedExecution>();
-  }
 };
 
 /// Looks up the operator family implementing `op_name`; nullptr when no

@@ -56,16 +56,14 @@ std::vector<PhysicalImpl> ValidImpls(const PhysicalNode& node) {
   return valid;
 }
 
-/// Morsels the executor would split (op, impl) into: partitionable
-/// per-document LLM impls over flat inputs divide their per-element cost
-/// by up to max_intra_op_parallelism whole-batch partitions. Grouped
+/// Morsels the executor would split (op, impl) into: per-document LLM
+/// impls (ImplSplitsPerDoc) over flat inputs divide their per-element
+/// cost by up to max_intra_op_parallelism whole-batch partitions. Grouped
 /// inputs don't partition (the executor broadcasts per group instead).
 int PartitionsFor(const OptimizerOptions& opts, const PhysicalNode& node,
                   PhysicalImpl impl, const OpArgs& args, bool in_grouped) {
-  if (opts.max_intra_op_parallelism <= 1 || in_grouped) return 1;
-  const PhysicalOperator* family = FindPhysicalOperator(node.logical.op_name);
-  if (family == nullptr ||
-      !family->SupportsPartitioning(node.logical.op_name, impl)) {
+  if (opts.max_intra_op_parallelism <= 1 || in_grouped ||
+      !ImplSplitsPerDoc(impl)) {
     return 1;
   }
   return PlanPartitionCount(

@@ -41,7 +41,7 @@ struct OptimizerOptions {
   /// LLM servers assumed when predicting plan makespans.
   int num_servers = 4;
   /// Morsel-driven intra-operator parallelism the executor will run with:
-  /// a partitionable per-document LLM impl splits into up to this many
+  /// a per-document LLM impl (ImplSplitsPerDoc) splits into up to this many
   /// concurrent partition streams, so its predicted cost shrinks when
   /// servers are idle (the cost objective models it, Section III-C
   /// extended). 1 = the sequential stream model.

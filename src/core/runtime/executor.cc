@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <optional>
 
 #include "common/metrics.h"
@@ -10,9 +11,102 @@
 #include "common/telemetry_names.h"
 #include "common/thread_pool.h"
 #include "core/operators/custom_ops.h"
-#include "core/operators/physical_operator.h"
 
 namespace unify::core {
+namespace {
+
+/// The executor's MorselRunner for one node: runs the morsels on up to
+/// `threads` wall-clock workers (one after another on the calling thread
+/// when threads <= 1), each under the dispatching thread's metrics sink,
+/// retry budget and cache routing, with one exec.partition span per
+/// morsel. Keeps each morsel's LLM seconds, in morsel order, for the
+/// node's parallel stream on the server pool.
+class NodeMorselRunner : public MorselRunner {
+ public:
+  NodeMorselRunner(int max_morsels, int threads, Trace* trace,
+                   ScopedSpan& node_span)
+      : max_morsels_(max_morsels),
+        threads_(threads),
+        trace_(trace),
+        node_span_(node_span) {}
+
+  int max_morsels() const override { return max_morsels_; }
+
+  StatusOr<std::vector<OpStats>> Run(
+      const std::vector<DocList>& chunks,
+      const std::function<StatusOr<OpStats>(size_t)>& run,
+      const std::function<void()>& merge) override {
+    const size_t n = chunks.size();
+    MetricAddCounter(telemetry::kMetricExecPartitions,
+                     static_cast<double>(n));
+    node_span_.AddAttr("partitions", static_cast<int64_t>(n));
+    MetricsRegistry* const sink = MetricsRegistry::ThreadSink();
+    llm::RetryBudget* const budget = llm::RetryBudget::Current();
+    const std::optional<bool> use_cache =
+        llm::SharedCacheLlmClient::ThreadRouting();
+    std::vector<StatusOr<OpStats>> parts(n,
+                                         Status::Internal("morsel not run"));
+    auto run_one = [&](size_t i) {
+      MetricsRegistry::ScopedSink part_sink(sink);
+      llm::RetryBudget::ScopedUse part_budget(budget);
+      std::optional<llm::SharedCacheLlmClient::ScopedUse> part_cache;
+      if (use_cache.has_value()) part_cache.emplace(*use_cache);
+      // Slot i is written only by the worker running morsel i.
+      ScopedSpan part_span(trace_, telemetry::kSpanExecPartition,
+                           node_span_.id());
+      if (trace_ != nullptr) {
+        part_span.AddAttr("partition", static_cast<int64_t>(i));
+        part_span.AddAttr("docs", static_cast<int64_t>(chunks[i].size()));
+      }
+      parts[i] = run(i);
+      if (trace_ != nullptr) {
+        if (parts[i].ok()) {
+          part_span.AddAttr("llm_seconds", parts[i]->llm_seconds);
+          part_span.AddAttr("llm_calls", parts[i]->llm_calls);
+        } else {
+          part_span.AddAttr("status", parts[i].status().ToString());
+        }
+      }
+    };
+    if (threads_ > 1) {
+      ThreadPool pool(std::min(static_cast<size_t>(threads_), n));
+      for (size_t i = 0; i < n; ++i) {
+        pool.Schedule([&run_one, i] { run_one(i); });
+      }
+      pool.Wait();
+    } else {
+      for (size_t i = 0; i < n; ++i) run_one(i);
+    }
+    std::vector<OpStats> stats;
+    stats.reserve(n);
+    for (StatusOr<OpStats>& part : parts) {
+      if (!part.ok()) return part.status();
+      stats.push_back(*part);
+    }
+    const auto merge_start = std::chrono::steady_clock::now();
+    merge();
+    const double merge_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      merge_start)
+            .count();
+    MetricObserve(telemetry::kMetricExecPartitionMerge, merge_seconds);
+    node_span_.AddAttr("merge_seconds", merge_seconds);
+    for (const OpStats& s : stats) llm_seconds_.push_back(s.llm_seconds);
+    return stats;
+  }
+
+  /// Each successful morsel's LLM seconds, in morsel order.
+  std::vector<double>& llm_seconds() { return llm_seconds_; }
+
+ private:
+  const int max_morsels_;
+  const int threads_;
+  Trace* const trace_;
+  ScopedSpan& node_span_;
+  std::vector<double> llm_seconds_;
+};
+
+}  // namespace
 
 void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
                          Trace* trace, SpanId parent) {
@@ -94,108 +188,26 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
 
   ExecContext ctx = ctx_;  // per-node copy (cheap; pointers only)
 
-  // Runs one partitioned execution: every morsel is an independent LLM
-  // stream (concurrent on the wall-clock pool when threads are
-  // configured), merged order-stably into the node's output. Partitions
-  // are whole LLM batches, so the calls issued — and therefore the
-  // answer and the summed OpStats — are byte-identical to sequential.
-  auto run_partitioned =
-      [&](const PartitionedExecution& pe) -> StatusOr<OpOutput> {
-    const size_t num_parts = pe.partitions.size();
-    MetricAddCounter(telemetry::kMetricExecPartitions,
-                       static_cast<double>(num_parts));
-    node_span.AddAttr("partitions", static_cast<int64_t>(num_parts));
-    std::vector<StatusOr<OpOutput>> parts(
-        num_parts, Status::Internal("partition not run"));
-    auto run_one = [&](size_t i) {
-      // Morsel workers need the query's sink and budget too (fresh pool
-      // threads).
-      std::optional<MetricsRegistry::ScopedSink> part_sink;
-      if (options_.metrics_sink != nullptr) {
-        part_sink.emplace(options_.metrics_sink);
-      }
-      std::optional<llm::RetryBudget::ScopedUse> part_budget;
-      if (options_.retry_budget != nullptr) {
-        part_budget.emplace(options_.retry_budget);
-      }
-      std::optional<llm::SharedCacheLlmClient::ScopedUse> part_cache;
-      if (options_.use_llm_cache.has_value()) {
-        part_cache.emplace(*options_.use_llm_cache);
-      }
-      // Slot i is written only by the worker running morsel i.
-      ScopedSpan part_span(trace, telemetry::kSpanExecPartition,
-                           node_span.id());
-      if (trace != nullptr) {
-        part_span.AddAttr("partition", static_cast<int64_t>(i));
-        part_span.AddAttr("docs",
-                          static_cast<int64_t>(pe.partitions[i].num_docs));
-      }
-      parts[i] = pe.partitions[i].run();
-      if (trace != nullptr) {
-        if (parts[i].ok()) {
-          part_span.AddAttr("llm_seconds", parts[i]->stats.llm_seconds);
-          part_span.AddAttr("llm_calls", parts[i]->stats.llm_calls);
-        } else {
-          part_span.AddAttr("status", parts[i].status().ToString());
-        }
-      }
-    };
-    if (options_.threads > 1) {
-      ThreadPool part_pool(std::min(static_cast<size_t>(options_.threads),
-                                    num_parts));
-      for (size_t i = 0; i < num_parts; ++i) {
-        part_pool.Schedule([&run_one, i] { run_one(i); });
-      }
-      part_pool.Wait();
-    } else {
-      for (size_t i = 0; i < num_parts; ++i) run_one(i);
-    }
-    OpOutput out;
-    out.stats = pe.base_stats;
-    std::vector<double> part_llm;
-    part_llm.reserve(num_parts);
-    std::vector<OpOutput> outputs;
-    outputs.reserve(num_parts);
-    for (StatusOr<OpOutput>& part : parts) {
-      if (!part.ok()) return part.status();
-      out.stats.Add(part->stats);
-      part_llm.push_back(part->stats.llm_seconds);
-      outputs.push_back(std::move(*part));
-    }
-    const auto merge_start = std::chrono::steady_clock::now();
-    UNIFY_ASSIGN_OR_RETURN(out.value, pe.merge(outputs));
-    const double merge_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      merge_start)
-            .count();
-    MetricObserve(telemetry::kMetricExecPartitionMerge, merge_seconds);
-    node_span.AddAttr("merge_seconds", merge_seconds);
-    state.node_partitions[u] = std::move(part_llm);
-    return out;
-  };
-
-  // Try morsel-driven execution first; anything unpartitionable (CPU
-  // impls, grouped inputs, custom ops, single-batch inputs) falls back
-  // to the whole-input path with identical semantics.
-  std::optional<StatusOr<OpOutput>> partitioned_output;
-  if (options_.max_intra_op_parallelism > 1 && ctx.llm != nullptr &&
+  // Morsel-driven intra-operator parallelism: a per-document LLM impl
+  // over a flat document list lets its batched helper split into morsels
+  // that the runner spreads over the worker threads. Only the first
+  // attempt splits; grouped inputs, custom ops and plan-adjustment
+  // alternatives run whole.
+  std::optional<NodeMorselRunner> morsels;
+  if (options_.max_intra_op_parallelism > 1 && ImplSplitsPerDoc(node.impl) &&
+      !inputs.empty() && inputs[0].is<DocList>() &&
       (ctx.custom_ops == nullptr ||
        ctx.custom_ops->Find(node.logical.op_name) == nullptr)) {
-    if (const PhysicalOperator* family =
-            FindPhysicalOperator(node.logical.op_name);
-        family != nullptr) {
-      auto pe = family->Partition(node.logical.op_name, node.impl,
-                                  node.logical.args, inputs, ctx,
-                                  options_.max_intra_op_parallelism);
-      if (pe.ok() && pe->has_value()) {
-        partitioned_output = run_partitioned(**pe);
-      }
-    }
+    morsels.emplace(options_.max_intra_op_parallelism, options_.threads,
+                    trace, node_span);
+    ctx.morsels = &*morsels;
   }
-  auto output = partitioned_output.has_value()
-                    ? std::move(*partitioned_output)
-                    : ExecuteOp(node.logical.op_name, node.impl,
-                                node.logical.args, inputs, ctx);
+  auto output = ExecuteOp(node.logical.op_name, node.impl, node.logical.args,
+                          inputs, ctx);
+  ctx.morsels = nullptr;
+  if (output.ok() && morsels.has_value()) {
+    state.node_partitions[u] = std::move(morsels->llm_seconds());
+  }
 
   // Plan adjustment (Section III-C): when an operator fails to produce
   // the expected result, retry with alternative physical

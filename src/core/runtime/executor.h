@@ -150,15 +150,16 @@ class PlanExecutor {
     int num_servers = 4;
     /// Disable DAG parallelism (the Unify–noLO ablation, Section VII-D).
     bool parallel = true;
-    /// Wall-clock worker threads for a partitioned node's morsels; 0 or 1
-    /// runs them one after another on the calling thread. Virtual time is
-    /// unaffected.
+    /// Wall-clock worker threads for a node's morsels; 0 or 1 runs them
+    /// one after another on the calling thread. Each worker inherits the
+    /// calling thread's metrics sink, retry budget and cache routing.
+    /// Virtual time is unaffected.
     int threads = 0;
     /// Retries per failing operator during plan adjustment.
     int max_adjustments = 2;
-    /// Morsel-driven intra-operator parallelism: a partitionable
-    /// per-document LLM operator splits into up to this many independent
-    /// whole-batch partitions that occupy distinct virtual servers
+    /// Morsel-driven intra-operator parallelism: a per-document LLM impl
+    /// (ImplSplitsPerDoc) splits its batches into up to this many
+    /// whole-batch morsels that occupy distinct virtual servers
     /// concurrently (and run on `threads` wall-clock workers when set).
     /// Answers are byte-identical for every setting; 1 reproduces the
     /// sequential single-stream model exactly.
@@ -180,28 +181,11 @@ class PlanExecutor {
     /// `shared_pool` (the query's arrival + planning time). Ignored for a
     /// private pool, which always starts at 0.
     double start_seconds = 0;
-    /// Per-query metrics sink: installed (MetricsRegistry::ScopedSink) on
-    /// every worker thread that runs a morsel, so this query's
-    /// execution-side metrics land in its own registry even when other
-    /// queries share the process. Nodes run on the calling thread, which
-    /// carries the query's own scopes. Null = global registry only.
-    MetricsRegistry* metrics_sink = nullptr;
-    /// The query's shared retry budget, installed
-    /// (llm::RetryBudget::ScopedUse) on every morsel worker alongside the
-    /// metrics sink so concurrent morsels drain one pool of virtual
-    /// retry seconds. Null = unlimited retrying (policy caps still apply).
-    llm::RetryBudget* retry_budget = nullptr;
     /// When the DAG fails with a *transient* LLM failure
     /// (llm::IsTransientLlmFailure) that even the Section V-D fallback
     /// replan could not cure, finish with ExecutionResult::degraded and an
     /// empty answer instead of a failed status (docs/resilience.md).
     bool graceful_degradation = false;
-    /// The query's resolved shared-LLM-cache routing, installed
-    /// (llm::SharedCacheLlmClient::ScopedUse) on every morsel worker
-    /// alongside the metrics sink, so coalescing fires across the
-    /// morsels of one operator as well as across queries. Unset = leave
-    /// each worker thread's default (the system-wide cache.enabled).
-    std::optional<bool> use_llm_cache;
   };
 
   /// Everything one plan execution carries across the engine's pauses:
@@ -316,8 +300,9 @@ class PlanExecutor {
   const OpStats& fallback_stats() const { return fallback_stats_; }
 
  private:
-  /// Executes one DAG node: morsel-driven partitioning when possible,
-  /// plan adjustment on failure, stats + execution-record bookkeeping.
+  /// Executes one DAG node: through ExecuteOp with a morsel runner armed
+  /// when the node may split, plan adjustment on failure, stats +
+  /// execution-record bookkeeping.
   Status RunNode(ExecutionState& state, int u);
 
   /// Schedules one measured stream — a node's, or the Section V-D fallback

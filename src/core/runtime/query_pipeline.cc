@@ -80,11 +80,11 @@ bool QueryPipeline::Admit() {
           : (shared_pool_ != nullptr ? shared_pool_->Now() : 0.0);
 
   // Per-query metrics: a local registry installed as this thread's sink
-  // (and, via PlanExecutor::Options::metrics_sink, on every morsel
-  // worker that touches this query). Instrumented sites record counters
-  // and histograms into the installed sink only, so result.metrics is
-  // exact even when other queries run concurrently in the process;
-  // Finalize merges it into the global registry once.
+  // (and copied by the executor onto every morsel worker that touches
+  // this query). Instrumented sites record counters and histograms into
+  // the installed sink only, so result.metrics is exact even when other
+  // queries run concurrently in the process; Finalize merges it into the
+  // global registry once.
   metrics_scope_.emplace(&ctx_.query_metrics);
 
   // Retry budget: one shared pool of virtual backoff/retry seconds per
@@ -97,13 +97,11 @@ bool QueryPipeline::Admit() {
   }
   ctx_.retry_budget.emplace(budget_seconds);
   // Covers planning, SCE and plan nodes on this thread; PlanExecutor
-  // installs the same budget on its morsel workers via
-  // Options::retry_budget.
+  // copies it onto its morsel workers.
   budget_scope_.emplace(&*ctx_.retry_budget);
 
   // Shared-cache routing for this query's calls on this thread; the
-  // executor re-installs the same choice on its morsel workers via
-  // Options::use_llm_cache.
+  // executor copies it onto its morsel workers.
   cache_scope_.emplace(ctx_.resolved.use_llm_cache);
 
   root_ = std::make_unique<ScopedSpan>(ctx_.trace.get(),
@@ -195,10 +193,7 @@ void QueryPipeline::ExecutePlan() {
   // Execution streams become ready once planning finishes on the virtual
   // clock (planning runs on the planner tier, not the worker pool).
   eopts.start_seconds = result.arrival_seconds + result.plan_seconds;
-  eopts.metrics_sink = &ctx_.query_metrics;
-  eopts.retry_budget = &*ctx_.retry_budget;
   eopts.graceful_degradation = ctx_.resolved.graceful_degradation;
-  eopts.use_llm_cache = ctx_.resolved.use_llm_cache;
   PlanExecutor executor(ectx, eopts);
 
   // Execute one node at a time in virtual dispatch order; while the

@@ -59,7 +59,7 @@ class QueryPipeline {
     OptimizerOptions oopts;
     std::shared_ptr<Trace> trace;
     /// This query's own metrics registry (installed as the thread-local
-    /// sink; the executor re-installs it on its workers). Finalize merges
+    /// sink; the executor copies it onto its morsel workers). Finalize merges
     /// it into MetricsRegistry::Global().
     MetricsRegistry query_metrics;
     /// The query's shared pool of virtual retry seconds.

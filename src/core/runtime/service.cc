@@ -118,11 +118,6 @@ std::future<QueryResult> UnifyService::Submit(QueryRequest request) {
   if (request.deadline_seconds <= 0) {
     request.deadline_seconds = options_.default_deadline_seconds;
   }
-  if (!request.overrides.max_intra_op_parallelism.has_value() &&
-      options_.default_max_intra_op_parallelism > 0) {
-    request.overrides.max_intra_op_parallelism =
-        options_.default_max_intra_op_parallelism;
-  }
   auto req = std::make_shared<const QueryRequest>(std::move(request));
 
   FairScheduler::Task task;

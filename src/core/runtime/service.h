@@ -83,10 +83,6 @@ class UnifyService {
     int per_tenant_max_concurrency = 0;
     /// Deadline applied to requests that carry none (0 = unlimited).
     double default_deadline_seconds = 0;
-    /// Intra-operator parallelism applied to requests that carry no
-    /// max_intra_op_parallelism override (0 = keep the system-wide
-    /// UnifyOptions::exec setting).
-    int default_max_intra_op_parallelism = 0;
     /// Flight-recorder event ring size (postmortem window).
     size_t flight_recorder_capacity = 256;
     /// Slowest queries the flight recorder retains with their traces.

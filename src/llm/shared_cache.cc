@@ -378,6 +378,11 @@ bool SharedCacheLlmClient::EnabledOnThisThread() const {
   return default_enabled_;
 }
 
+std::optional<bool> SharedCacheLlmClient::ThreadRouting() {
+  if (tls_cache_use == 0) return std::nullopt;
+  return tls_cache_use > 0;
+}
+
 SharedCacheLlmClient::ScopedUse::ScopedUse(bool enabled)
     : previous_(tls_cache_use) {
   tls_cache_use = enabled ? 1 : -1;

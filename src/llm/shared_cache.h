@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -205,11 +206,15 @@ class SharedCacheLlmClient : public LlmClient {
   LlmUsage usage() const override { return base_->usage(); }
   void ResetUsage() override { base_->ResetUsage(); }
 
+  /// The calling thread's installed ScopedUse override, or nullopt when
+  /// none is installed (the client default applies).
+  static std::optional<bool> ThreadRouting();
+
   /// RAII thread-local override of the client's default enablement
   /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink): the
   /// runtime installs the query's resolved `use_llm_cache` on the query
-  /// thread and on every executor node/morsel worker, so one query's
-  /// choice never leaks into another's calls.
+  /// thread, and the executor copies it onto every morsel worker, so one
+  /// query's choice never leaks into another's calls.
   class ScopedUse {
    public:
     explicit ScopedUse(bool enabled);

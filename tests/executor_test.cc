@@ -8,6 +8,7 @@
 #include "exec/schedule.h"
 #include "index/hnsw_index.h"
 #include "llm/sim_llm.h"
+#include "llm/tracing_client.h"
 
 namespace unify::core {
 namespace {
@@ -231,6 +232,37 @@ TEST_F(ExecutorTest, ScheduleMatchesListSchedulerOnMeasuredCosts) {
     }
     EXPECT_EQ(result.virtual_seconds, reference->makespan);
   }
+}
+
+// Morsel workers inherit the dispatching thread's scopes: every LLM call
+// a split node makes on a worker thread lands in the query's sink, none
+// in the global registry.
+TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
+  llm::TracingLlmClient traced(llm_);
+  ExecContext ctx = Ctx();
+  ctx.llm = &traced;
+  PlanExecutor::Options options;
+  options.max_intra_op_parallelism = 4;
+  options.threads = 2;
+  PlanExecutor executor(ctx, options);
+  const std::string calls = std::string(telemetry::kMetricLlmCalls) + "." +
+                            llm::PromptTypeName(llm::PromptType::kEvalPredicate);
+  const MetricsSnapshot global_before = MetricsRegistry::Global().Snapshot();
+  MetricsRegistry sink;
+  ExecutionResult result;
+  {
+    MetricsRegistry::ScopedSink scope(&sink);
+    result = executor.Execute(DiamondPlan());
+  }
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_GT(executor.node_executions()[1].partitions, 1);
+  EXPECT_GT(executor.node_executions()[2].partitions, 1);
+  MetricsSnapshot local = sink.Snapshot();
+  EXPECT_EQ(local.counters[calls], static_cast<double>(result.llm_calls));
+  EXPECT_GT(local.counters[calls], 0);
+  MetricsSnapshot global_delta =
+      MetricsRegistry::Global().Snapshot().DeltaSince(global_before);
+  EXPECT_EQ(global_delta.counters[calls], 0);
 }
 
 // A cycle anywhere in the DAG is rejected before any node runs: the

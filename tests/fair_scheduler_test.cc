@@ -118,7 +118,9 @@ TEST(FairSchedulerDeterminismTest, SameArrivalsSameDispatchOrderAndCounters) {
   for (const Dispatched& d : order1) {
     const auto key = std::make_pair(d.tenant, d.priority);
     auto it = last_seq.find(key);
-    if (it != last_seq.end()) EXPECT_GT(d.seq, it->second) << d.tenant;
+    if (it != last_seq.end()) {
+      EXPECT_GT(d.seq, it->second) << d.tenant;
+    }
     last_seq[key] = d.seq;
   }
 }

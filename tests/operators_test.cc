@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -638,6 +640,82 @@ TEST_F(OperatorsTest, CustomOperatorsDispatchBeforeBuiltins) {
                            {Value::Docs({1, 2})}, ctx);
   ASSERT_TRUE(builtin.ok());
   EXPECT_DOUBLE_EQ(builtin->value.get<double>(), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Morsels: per-document LLM batches split inside the batched helper
+// ---------------------------------------------------------------------------
+
+/// Runs every morsel in order on the calling thread, at most 4 per call,
+/// and counts the morsels it was handed.
+class InOrderMorselRunner : public MorselRunner {
+ public:
+  int max_morsels() const override { return 4; }
+
+  StatusOr<std::vector<OpStats>> Run(
+      const std::vector<DocList>& chunks,
+      const std::function<StatusOr<OpStats>(size_t)>& run,
+      const std::function<void()>& merge) override {
+    morsels += chunks.size();
+    std::vector<OpStats> stats;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      UNIFY_ASSIGN_OR_RETURN(OpStats s, run(i));
+      stats.push_back(s);
+    }
+    merge();
+    return stats;
+  }
+
+  size_t morsels = 0;
+};
+
+TEST_F(OperatorsTest, SplittingImplsMatchWholeExecution) {
+  struct Case {
+    std::string op;
+    PhysicalImpl impl;
+    OpArgs args;
+  };
+  const std::vector<Case> cases = {
+      {"Filter", PhysicalImpl::kLlmFilter,
+       {{"kind", "semantic"}, {"phrase", "tennis"}}},
+      {"Filter", PhysicalImpl::kIndexScanFilter,
+       {{"kind", "semantic"}, {"phrase", "tennis"},
+        {"index_candidates", "200"}}},
+      {"GroupBy", PhysicalImpl::kLlmGroupBy, {{"by", "sport"}}},
+      {"Classify", PhysicalImpl::kLlmClassify, {{"by", "sport"}}},
+      {"Extract", PhysicalImpl::kLlmExtract, {{"attribute", "score"}}},
+      {"OrderBy", PhysicalImpl::kLlmSort,
+       {{"attribute", "views"}, {"desc", "true"}}},
+      {"TopK", PhysicalImpl::kLlmTopK,
+       {{"k", "5"}, {"attribute", "views"}, {"desc", "true"}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(PhysicalImplName(c.impl));
+    EXPECT_TRUE(ImplSplitsPerDoc(c.impl));
+    auto whole_ctx = Ctx();
+    auto whole = ExecuteOp(c.op, c.impl, c.args, {Value::Docs(AllDocs())},
+                           whole_ctx);
+    InOrderMorselRunner runner;
+    auto split_ctx = Ctx();
+    split_ctx.morsels = &runner;
+    auto split = ExecuteOp(c.op, c.impl, c.args, {Value::Docs(AllDocs())},
+                           split_ctx);
+    ASSERT_TRUE(whole.ok()) << whole.status();
+    ASSERT_TRUE(split.ok()) << split.status();
+    EXPECT_GE(runner.morsels, 2u);
+    EXPECT_TRUE(split->value.rep() == whole->value.rep())
+        << split->value.ToString() << " vs " << whole->value.ToString();
+    EXPECT_EQ(split->stats.llm_calls, whole->stats.llm_calls);
+    // Morsel subtotals add up in a different order than the batches.
+    EXPECT_DOUBLE_EQ(split->stats.llm_seconds, whole->stats.llm_seconds);
+    EXPECT_DOUBLE_EQ(split->stats.llm_dollars, whole->stats.llm_dollars);
+    EXPECT_DOUBLE_EQ(split->stats.cpu_seconds, whole->stats.cpu_seconds);
+  }
+  for (PhysicalImpl impl :
+       {PhysicalImpl::kLlmJoin, PhysicalImpl::kLlmCount,
+        PhysicalImpl::kLlmAggregate, PhysicalImpl::kLlmGenerate}) {
+    EXPECT_FALSE(ImplSplitsPerDoc(impl)) << PhysicalImplName(impl);
+  }
 }
 
 TEST_F(OperatorsTest, ValueToAnswerConversions) {

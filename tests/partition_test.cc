@@ -26,7 +26,7 @@ namespace {
 using corpus::Answer;
 
 // ---------------------------------------------------------------------------
-// Partition planning (pure functions)
+// Morsel planning (pure functions)
 // ---------------------------------------------------------------------------
 
 TEST(PartitionPlanningTest, PlanPartitionCountRespectsBatchFloor) {
@@ -209,29 +209,27 @@ TEST_F(PartitionSystemTest, ExplainShowsMorselsAndStatsStayEqual) {
                    seconds);
 }
 
-TEST_F(PartitionSystemTest, ServiceDefaultParallelismApplies) {
+TEST_F(PartitionSystemTest, ServedOverrideReachesExecutor) {
   UnifyService::Options sopts;
   sopts.num_workers = 2;
-  sopts.default_max_intra_op_parallelism = 4;
   UnifyService service(system_, sopts);
   const std::string query = SemanticCountQuery();
 
-  QueryRequest plain;
-  plain.text = query;
-  QueryResult served = service.Answer(plain);
-  ASSERT_TRUE(served.status.ok()) << served.status;
-  // The service-wide default kicked in: morsels ran.
-  EXPECT_GE(served.metrics.counters[telemetry::kMetricExecPartitions], 2.0);
+  QueryRequest parallel;
+  parallel.text = query;
+  parallel.overrides.max_intra_op_parallelism = 4;
+  QueryResult split = service.Answer(parallel);
+  ASSERT_TRUE(split.status.ok()) << split.status;
+  EXPECT_GE(split.metrics.counters[telemetry::kMetricExecPartitions], 2.0);
 
-  // An explicit per-request override beats the service default.
   QueryRequest sequential;
   sequential.text = query;
   sequential.overrides.max_intra_op_parallelism = 1;
-  QueryResult seq = service.Answer(sequential);
-  ASSERT_TRUE(seq.status.ok()) << seq.status;
+  QueryResult whole = service.Answer(sequential);
+  ASSERT_TRUE(whole.status.ok()) << whole.status;
   EXPECT_DOUBLE_EQ(
-      seq.metrics.counters[telemetry::kMetricExecPartitions], 0.0);
-  EXPECT_EQ(served.answer.ToString(), seq.answer.ToString());
+      whole.metrics.counters[telemetry::kMetricExecPartitions], 0.0);
+  EXPECT_EQ(split.answer.ToString(), whole.answer.ToString());
 }
 
 }  // namespace

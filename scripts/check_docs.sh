@@ -20,20 +20,20 @@
 #        scripts/check_docs.sh --selftest [repo_root]
 #
 # `--selftest` proves stage 1 can fail: it lints a temporary copy of the
-# tracked tree twice, once as is (must pass) and once with
-# `llm.retry.attempts` deleted from docs/resilience.md and one gauge row
-# moved under Counters (must report exactly those two failures). Wired
-# into ctest as `check_docs_selftest`.
+# tree, minus .git and the build and tool directories .gitignore names,
+# twice: once as is (must pass) and once with `llm.retry.attempts`
+# deleted from docs/resilience.md and one gauge row moved under Counters
+# (must report exactly those two failures). Wired into ctest as
+# `check_docs_selftest`.
 set -u
 
 if [[ "${1:-}" == "--selftest" ]]; then
   root="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
   tmp=$(mktemp -d) || exit 1
   trap 'rm -rf "$tmp"' EXIT
-  # The tracked tree, plus files not yet added; minus deleted ones.
-  (cd "$root" && git ls-files -z --cached --others --exclude-standard |
-      while IFS= read -r -d '' f; do [[ -e "$f" ]] && printf '%s\0' "$f"
-      done | xargs -0 cp --parents -t "$tmp") || exit 1
+  tar -C "$root" --exclude=./.git --exclude='./build*' \
+      --exclude='./cmake-build-*' --exclude=./.bench_build \
+      --exclude=./.cache -cf - . | tar -C "$tmp" -xf - || exit 1
   if ! "$0" "$tmp" >/dev/null 2>&1; then
     echo "check_docs: selftest: the unmutated tree fails the lint" >&2
     exit 1

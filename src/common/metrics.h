@@ -115,8 +115,9 @@ class MetricsRegistry {
   /// histograms into it *instead of* Global(); its owner merges it into
   /// Global() once, when the query ends (QueryPipeline). That keeps
   /// `QueryResult::metrics` exact under concurrent serving — each query
-  /// installs its own registry on every thread that works on it — and
-  /// makes one write per event.
+  /// installs its own registry on its thread, and each of its morsel
+  /// workers one that the executor merges into it — and makes one write
+  /// per event.
   static MetricsRegistry* ThreadSink();
 
   /// RAII installer for ThreadSink(). Restores the previous sink on

@@ -224,6 +224,26 @@ CardPropagation PropagateCards(PhysicalPlan& plan,
   return prop;
 }
 
+/// The list scheduler's view of a lowered node's estimate: an LLM impl is
+/// one stream of `est_seconds`, split into `est_partitions` equal morsel
+/// streams when `max_parallelism` > 1 lets more than one run at once;
+/// anything else is CPU time.
+exec::NodeCost EstimatedCost(const PhysicalNode& node, int max_parallelism) {
+  exec::NodeCost cost;
+  if (!ImplUsesLlm(node.impl)) {
+    cost.cpu_seconds = node.est_seconds;
+    return cost;
+  }
+  cost.llm_seconds = node.est_seconds;
+  if (node.est_partitions > 1 && max_parallelism > 1) {
+    cost.llm_partitions.assign(
+        static_cast<size_t>(node.est_partitions),
+        node.est_seconds / static_cast<double>(node.est_partitions));
+    cost.max_parallelism = max_parallelism;
+  }
+  return cost;
+}
+
 }  // namespace
 
 std::string PhysicalPlan::DebugString() const {
@@ -569,43 +589,25 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
   }
 
   // --- Predicted makespan for plan selection ---
-  std::vector<exec::NodeCost> costs;
-  costs.reserve(plan.nodes.size());
-  for (const auto& node : plan.nodes) {
-    exec::NodeCost c;
-    if (ImplUsesLlm(node.impl)) {
-      c.llm_seconds = node.est_seconds;
-      if (node.est_partitions > 1) {
-        c.llm_partitions.assign(
-            static_cast<size_t>(node.est_partitions),
-            node.est_seconds / static_cast<double>(node.est_partitions));
-        c.max_parallelism = opts.max_intra_op_parallelism;
-      }
-    } else {
-      c.cpu_seconds = node.est_seconds;
-    }
-    costs.push_back(c);
-  }
-  UNIFY_ASSIGN_OR_RETURN(
-      exec::ScheduleResult sched,
-      exec::ScheduleDag(plan.dag, costs, opts.num_servers,
-                        /*sequential=*/false));
-  plan.est_makespan = sched.makespan;
-  // Parallelism-independent ranking key: the same schedule with every
-  // node as one sequential stream.
-  if (opts.max_intra_op_parallelism > 1) {
-    std::vector<exec::NodeCost> seq_costs = costs;
-    for (auto& c : seq_costs) {
-      c.llm_partitions.clear();
-      c.max_parallelism = 1;
+  auto makespan = [&](int max_parallelism) -> StatusOr<double> {
+    std::vector<exec::NodeCost> costs;
+    costs.reserve(plan.nodes.size());
+    for (const auto& node : plan.nodes) {
+      costs.push_back(EstimatedCost(node, max_parallelism));
     }
     UNIFY_ASSIGN_OR_RETURN(
-        exec::ScheduleResult seq_sched,
-        exec::ScheduleDag(plan.dag, seq_costs, opts.num_servers,
+        exec::ScheduleResult sched,
+        exec::ScheduleDag(plan.dag, costs, opts.num_servers,
                           /*sequential=*/false));
-    plan.est_seq_makespan = seq_sched.makespan;
-  } else {
-    plan.est_seq_makespan = sched.makespan;
+    return sched.makespan;
+  };
+  UNIFY_ASSIGN_OR_RETURN(plan.est_makespan,
+                         makespan(opts.max_intra_op_parallelism));
+  // Parallelism-independent ranking key: the same schedule with every
+  // node as one sequential stream.
+  plan.est_seq_makespan = plan.est_makespan;
+  if (opts.max_intra_op_parallelism > 1) {
+    UNIFY_ASSIGN_OR_RETURN(plan.est_seq_makespan, makespan(1));
   }
   for (auto& node : plan.nodes) {
     node.est_dollars = cost_model_->EstimateDollars(
@@ -727,25 +729,11 @@ StatusOr<ReoptimizeResult> PhysicalOptimizer::Reoptimize(
   // `elapsed_seconds`), every root becomes ready at the elapsed clock.
   auto probe = [&](const std::vector<PhysicalNode>& nodes)
       -> StatusOr<double> {
-    std::vector<exec::NodeCost> costs;
-    costs.reserve(nodes.size());
+    std::vector<exec::NodeCost> costs(nodes.size());
     for (size_t u = 0; u < nodes.size(); ++u) {
-      exec::NodeCost c;
       if (!executed[u]) {
-        const PhysicalNode& node = nodes[u];
-        if (ImplUsesLlm(node.impl)) {
-          c.llm_seconds = node.est_seconds;
-          if (node.est_partitions > 1) {
-            c.llm_partitions.assign(
-                static_cast<size_t>(node.est_partitions),
-                node.est_seconds / static_cast<double>(node.est_partitions));
-            c.max_parallelism = opts.max_intra_op_parallelism;
-          }
-        } else {
-          c.cpu_seconds = node.est_seconds;
-        }
+        costs[u] = EstimatedCost(nodes[u], opts.max_intra_op_parallelism);
       }
-      costs.push_back(c);
     }
     exec::VirtualLlmPool pool(std::max(1, opts.num_servers));
     UNIFY_ASSIGN_OR_RETURN(

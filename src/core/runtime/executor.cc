@@ -15,12 +15,18 @@
 namespace unify::core {
 namespace {
 
+/// Retries per failing operator during plan adjustment.
+constexpr int kMaxAdjustments = 2;
+
 /// The executor's MorselRunner for one node: runs the morsels on up to
 /// `threads` wall-clock workers (one after another on the calling thread
-/// when threads <= 1), each under the dispatching thread's metrics sink,
-/// retry budget and cache routing, with one exec.partition span per
-/// morsel. Keeps each morsel's LLM seconds, in morsel order, for the
-/// node's parallel stream on the server pool.
+/// when threads <= 1), each under the dispatching thread's retry budget
+/// and cache routing, with one exec.partition span per morsel. Each
+/// morsel records its metrics into a registry of its own, merged into the
+/// dispatching thread's sink in morsel order once they all finish, so the
+/// sink's sums do not depend on which worker finished first. Keeps each
+/// morsel's LLM seconds, in morsel order, for the node's parallel stream
+/// on the server pool.
 class NodeMorselRunner : public MorselRunner {
  public:
   NodeMorselRunner(int max_morsels, int threads, Trace* trace,
@@ -46,8 +52,9 @@ class NodeMorselRunner : public MorselRunner {
         llm::SharedCacheLlmClient::ThreadRouting();
     std::vector<StatusOr<OpStats>> parts(n,
                                          Status::Internal("morsel not run"));
+    std::vector<MetricsRegistry> part_metrics(n);
     auto run_one = [&](size_t i) {
-      MetricsRegistry::ScopedSink part_sink(sink);
+      MetricsRegistry::ScopedSink part_sink(&part_metrics[i]);
       llm::RetryBudget::ScopedUse part_budget(budget);
       std::optional<llm::SharedCacheLlmClient::ScopedUse> part_cache;
       if (use_cache.has_value()) part_cache.emplace(*use_cache);
@@ -76,6 +83,19 @@ class NodeMorselRunner : public MorselRunner {
       pool.Wait();
     } else {
       for (size_t i = 0; i < n; ++i) run_one(i);
+    }
+    MetricsRegistry& target =
+        sink != nullptr ? *sink : MetricsRegistry::Global();
+    for (const MetricsRegistry& part : part_metrics) {
+      const MetricsSnapshot snapshot = part.Snapshot();
+      target.Merge(snapshot);
+      // Merge skips gauges: they were written through to Global(), which
+      // holds the latest level, and the query's sink takes it from there.
+      if (sink == nullptr) continue;
+      for (const auto& gauge : snapshot.gauges) {
+        sink->SetGauge(gauge.first,
+                       MetricsRegistry::Global().gauge(gauge.first));
+      }
     }
     std::vector<OpStats> stats;
     stats.reserve(n);
@@ -109,7 +129,9 @@ class NodeMorselRunner : public MorselRunner {
 }  // namespace
 
 void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
-                         Trace* trace, SpanId parent) {
+                         Trace* trace, SpanId parent,
+                         exec::VirtualLlmPool* shared_pool,
+                         double start_seconds) {
   const size_t n = plan.nodes.size();
   state.plan = plan;
   state.trace = trace;
@@ -120,44 +142,22 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
   fallback_execution_.reset();
   fallback_stats_ = OpStats{};
   state.node_spans.assign(n, kNoSpan);
-  state.node_partitions.assign(n, {});
   state.done.assign(n, false);
-  if (options_.shared_pool != nullptr) {
-    state.pool = options_.shared_pool;
-    state.base = options_.start_seconds;
-  } else {
+  exec::VirtualLlmPool* pool = shared_pool;
+  if (pool == nullptr) {
     state.local_pool = std::make_unique<exec::VirtualLlmPool>(
         std::max(1, options_.num_servers));
-    state.pool = state.local_pool.get();
+    pool = state.local_pool.get();
+    start_seconds = 0;
   }
-  state.sched_start.assign(n, state.base);
-  state.sched_finish.assign(n, state.base);
-  state.makespan = state.base;
-  state.seq_clock = state.base;
-  state.resume_floor = state.base;
-
+  state.schedule.emplace(state.plan.dag, pool,
+                         /*sequential=*/!options_.parallel, start_seconds);
   // A cycle is rejected before any node runs (and pays for LLM calls).
-  auto order = plan.dag.TopologicalOrder();
-  if (!order.ok()) {
-    state.run_status = order.status();
-    return;
-  }
-  if (!options_.parallel) {
-    // The whole topological order, walked front to back.
-    for (int u : *order) state.frontier.push_back({state.base, u});
-    return;
-  }
-  state.pending_parents.assign(n, 0);
-  for (size_t u = 0; u < n; ++u) {
-    state.pending_parents[u] =
-        static_cast<int>(plan.dag.parents(static_cast<int>(u)).size());
-    if (state.pending_parents[u] == 0) {
-      state.frontier.push_back({state.base, static_cast<int>(u)});
-    }
-  }
+  state.run_status = state.schedule->status();
 }
 
-Status PlanExecutor::RunNode(ExecutionState& state, int u) {
+StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
+                                               int u) {
   const PhysicalNode& node = state.plan.nodes[u];
   Trace* trace = state.trace;
   NodeExecution& record = node_executions_[u];
@@ -205,8 +205,10 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   auto output = ExecuteOp(node.logical.op_name, node.impl, node.logical.args,
                           inputs, ctx);
   ctx.morsels = nullptr;
+  exec::NodeCost cost;
+  cost.max_parallelism = options_.max_intra_op_parallelism;
   if (output.ok() && morsels.has_value()) {
-    state.node_partitions[u] = std::move(morsels->llm_seconds());
+    cost.llm_partitions = std::move(morsels->llm_seconds());
   }
 
   // Plan adjustment (Section III-C): when an operator fails to produce
@@ -217,8 +219,8 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
     node_span.AddAttr("adjusted", true);
     record.adjusted = true;
     MetricAddCounter(telemetry::kMetricExecAdjustments);
-    for (int attempt = 0;
-         attempt < options_.max_adjustments && !output.ok(); ++attempt) {
+    for (int attempt = 0; attempt < kMaxAdjustments && !output.ok();
+         ++attempt) {
       bool retried = false;
       for (PhysicalImpl alt :
            CandidateImpls(node.logical.op_name, node.logical.args)) {
@@ -252,89 +254,28 @@ Status PlanExecutor::RunNode(ExecutionState& state, int u) {
   node_stats_[u] = output->stats;
   record.executed = true;
   record.actual_out_card = static_cast<double>(output->value.Cardinality());
-  record.partitions = state.node_partitions[u].size() > 1
-                          ? static_cast<int>(state.node_partitions[u].size())
-                          : 1;
+  record.partitions = std::max(1, static_cast<int>(cost.llm_partitions.size()));
   state.done[u] = true;
   if (!node.logical.output_var.empty()) {
     state.vars[node.logical.output_var] = output->value;
   }
-  return Status::OK();
-}
-
-double PlanExecutor::ScheduleNode(ExecutionState& state,
-                                  const OpStats& stats,
-                                  const std::vector<double>& partitions,
-                                  double ready) {
-  if (options_.max_intra_op_parallelism > 1 && partitions.size() > 1) {
-    return state.pool->ScheduleParallelStream(
-        ready + stats.cpu_seconds, partitions,
-        options_.max_intra_op_parallelism);
-  }
-  return state.pool->ScheduleStream(ready + stats.cpu_seconds,
-                                    stats.llm_seconds);
-}
-
-void PlanExecutor::AdvanceFrontier(ExecutionState& state, int u) {
-  for (int v : state.plan.dag.children(u)) {
-    if (--state.pending_parents[v] == 0) {
-      double ready = state.base;
-      for (int p : state.plan.dag.parents(v)) {
-        ready = std::max(ready, state.sched_finish[p]);
-      }
-      state.frontier.push_back({ready, v});
-    }
-  }
+  cost.cpu_seconds = output->stats.cpu_seconds;
+  cost.llm_seconds = output->stats.llm_seconds;
+  return cost;
 }
 
 std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
-  const bool sequential = !options_.parallel;
   const size_t n = state.plan.nodes.size();
   while (state.run_status.ok()) {
-    // Pick the next node the list scheduler would dispatch: sequential
-    // mode walks the topological order; parallel mode takes the
-    // earliest-ready frontier entry (ties to the lower node index).
-    int u = -1;
-    double ready = 0;
-    if (sequential) {
-      if (state.frontier_pos < state.frontier.size()) {
-        u = state.frontier[state.frontier_pos].second;
-        ++state.frontier_pos;
-        ready = std::max(state.seq_clock, state.resume_floor);
-      }
-    } else {
-      size_t best = state.frontier.size();
-      for (size_t i = 0; i < state.frontier.size(); ++i) {
-        if (best == state.frontier.size() ||
-            state.frontier[i].first < state.frontier[best].first ||
-            (state.frontier[i].first == state.frontier[best].first &&
-             state.frontier[i].second < state.frontier[best].second)) {
-          best = i;
-        }
-      }
-      if (best < state.frontier.size()) {
-        u = state.frontier[best].second;
-        ready = std::max(state.frontier[best].first, state.resume_floor);
-        state.frontier.erase(state.frontier.begin() +
-                             static_cast<long>(best));
-      }
-    }
-    // Begin() checked the DAG is acyclic, so an empty frontier means
+    // Begin() checked the DAG is acyclic, so an exhausted schedule means
     // every node ran.
-    if (u < 0) return std::nullopt;
-
-    state.run_status = RunNode(state, u);
-    if (!state.run_status.ok()) return std::nullopt;
-    const double finish =
-        ScheduleNode(state, node_stats_[u], state.node_partitions[u], ready);
-    state.sched_start[u] = ready;
-    state.sched_finish[u] = finish;
-    state.makespan = std::max(state.makespan, finish);
-    if (sequential) {
-      state.seq_clock = finish;
-    } else {
-      AdvanceFrontier(state, u);
-    }
+    const std::optional<exec::Dispatch> next = state.schedule->Next();
+    if (!next.has_value()) return std::nullopt;
+    const int u = next->node;
+    StatusOr<exec::NodeCost> cost = RunNode(state, u);
+    state.run_status = cost.status();
+    if (!cost.ok()) return std::nullopt;
+    const double finish = state.schedule->Complete(*next, *cost);
 
     // Materialization-point trigger: while the re-optimization budget
     // lasts, pause when the node's observed cardinality diverges from the
@@ -378,10 +319,7 @@ void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
   state.replan_seconds += record.decision_seconds;
   state.replan_dollars += record.decision_dollars;
   state.replan_calls += 1;
-  state.resume_floor =
-      std::max(state.resume_floor,
-               record.elapsed_seconds + record.decision_seconds);
-  state.makespan = std::max(state.makespan, state.resume_floor);
+  state.schedule->Floor(record.elapsed_seconds + record.decision_seconds);
   record.adopted = new_plan != nullptr;
   for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
     if (!state.done[i]) record.suffix_nodes.push_back(static_cast<int>(i));
@@ -433,28 +371,31 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   // Report times relative to the query's own ready time, so standalone
   // and served queries read the same way; contention shows up as a
   // longer makespan and per-node queue waits.
-  result.virtual_seconds = state.makespan - state.base;
+  const exec::ScheduleResult& sched = state.schedule->result();
+  const double base = state.schedule->base();
+  result.virtual_seconds = sched.makespan - base;
   // Annotate each node span with its virtual interval on the server
   // pool, plus the time it spent waiting for a free server.
   for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
     const double busy = node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
     const double queue_wait =
-        std::max(0.0, state.sched_finish[i] - state.sched_start[i] - busy);
+        std::max(0.0, sched.finish[i] - sched.start[i] - busy);
     MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
-    node_executions_[i].virt_start = state.sched_start[i] - state.base;
-    node_executions_[i].virt_finish = state.sched_finish[i] - state.base;
-    node_executions_[i].queue_wait_seconds = queue_wait;
+    NodeExecution& record = node_executions_[i];
+    record.virt_start = sched.start[i] - base;
+    record.virt_finish = sched.finish[i] - base;
+    record.queue_wait_seconds = queue_wait;
     if (trace != nullptr && state.node_spans[i] != kNoSpan) {
-      trace->SetVirtualInterval(state.node_spans[i],
-                                state.sched_start[i] - state.base,
-                                state.sched_finish[i] - state.base);
+      trace->SetVirtualInterval(state.node_spans[i], record.virt_start,
+                                record.virt_finish);
       trace->AddAttr(state.node_spans[i], "queue_wait_seconds", queue_wait);
     }
   }
   // Fraction of the pool's capacity the plan actually kept busy.
   if (result.virtual_seconds > 0) {
     const double capacity =
-        static_cast<double>(state.pool->num_servers()) * result.virtual_seconds;
+        static_cast<double>(state.schedule->pool()->num_servers()) *
+        result.virtual_seconds;
     const double occupancy = result.llm_seconds_total / capacity;
     MetricSetGauge(telemetry::kMetricExecPoolOccupancy, occupancy);
     exec_span.AddAttr("pool_occupancy", occupancy);
@@ -467,8 +408,8 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     std::snprintf(line, sizeof(line),
                   "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
                   "calls)\n",
-                  state.sched_start[i] - state.base,
-                  state.sched_finish[i] - state.base,
+                  node_executions_[i].virt_start,
+                  node_executions_[i].virt_finish,
                   state.plan.nodes[i].logical.op_name.c_str(),
                   PhysicalImplName(state.plan.nodes[i].impl),
                   state.plan.nodes[i].logical.output_var.c_str(),
@@ -481,7 +422,7 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     std::snprintf(line, sizeof(line),
                   "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
                   "est %.0f (q-err %.1f) -> %s\n",
-                  rec.elapsed_seconds - state.base, r + 1,
+                  rec.elapsed_seconds - base, r + 1,
                   rec.trigger_var.c_str(), rec.observed_card,
                   rec.estimated_card, rec.qerror,
                   rec.adopted ? "suffix re-lowered" : "kept plan");
@@ -506,8 +447,7 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     // every implementation (e.g. a zero-denominator ratio, an empty
     // aggregate). Instead of restarting from scratch, replan the query
     // through the Section V-D fallback strategies.
-    if (ctx_.llm != nullptr && !state.plan.query_text.empty() &&
-        options_.max_adjustments > 0) {
+    if (ctx_.llm != nullptr && !state.plan.query_text.empty()) {
       ScopedSpan fallback_span(trace, telemetry::kSpanExecFallback,
                                exec_span.id());
       fallback_span.AddAttr("failed_status", state.run_status.ToString());
@@ -545,10 +485,12 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
         result.llm_dollars_total += fallback->stats.llm_dollars;
         result.llm_calls += fallback->stats.llm_calls;
         // The fallback generation is one more stream on the server pool.
-        const double fb_start = state.base + result.virtual_seconds;
-        const double fb_ready = fb_start + fallback->stats.cpu_seconds;
+        const double fb_ready =
+            base + result.virtual_seconds + fallback->stats.cpu_seconds;
         result.virtual_seconds =
-            ScheduleNode(state, fallback->stats, {}, fb_start) - state.base;
+            state.schedule->pool()->ScheduleStream(
+                fb_ready, fallback->stats.llm_seconds) -
+            base;
         // A synthetic execution record for the fallback generation — it
         // has no plan node, but EXPLAIN ANALYZE should still show what
         // actually produced the answer (docs/replanning.md).
@@ -562,7 +504,7 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
         fb.actual_in_card = static_cast<double>(ctx_.corpus->size());
         fb.actual_out_card =
             static_cast<double>(fallback->value.Cardinality());
-        fb.virt_start = fb_ready - state.base;
+        fb.virt_start = fb_ready - base;
         fb.virt_finish = result.virtual_seconds;
         fb.queue_wait_seconds =
             std::max(0.0, fb.virt_finish - fb.virt_start -
@@ -573,21 +515,6 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
         finalize();
         return result;
       }
-    }
-    // Graceful degradation, the last line of defense: a *transient* LLM
-    // failure that survived retries, plan adjustment AND the fallback
-    // replan becomes a degraded (partial/empty) answer instead of a
-    // failed query, when the caller opted in.
-    if (options_.graceful_degradation &&
-        llm::IsTransientLlmFailure(state.run_status)) {
-      result.degraded = true;
-      result.degraded_detail =
-          "graceful degradation absorbed: " + state.run_status.ToString();
-      result.answer = corpus::Answer::None();
-      exec_span.AddAttr("degraded", true);
-      exec_span.AddAttr("degraded_detail", result.degraded_detail);
-      finalize();
-      return result;
     }
     result.status = state.run_status;
     result.answer = corpus::Answer::None();

@@ -11,7 +11,7 @@
 #include "common/trace.h"
 #include "core/physical/physical_plan.h"
 #include "corpus/answer.h"
-#include "exec/virtual_pool.h"
+#include "exec/schedule.h"
 #include "llm/resilient_client.h"
 #include "llm/shared_cache.h"
 
@@ -32,11 +32,6 @@ struct ExecutionResult {
   /// True when plan adjustment fired (an operator failed and was retried
   /// with a different implementation).
   bool adjusted = false;
-  /// True when graceful degradation absorbed a terminal transient failure:
-  /// `status` is OK, the answer is partial/empty, and `degraded_detail`
-  /// names the failure (Options::graceful_degradation must be set).
-  bool degraded = false;
-  std::string degraded_detail;
   /// Human-readable execution timeline: one line per operator with its
   /// virtual start/finish on the server pool and measured LLM usage,
   /// followed by one marker line per mid-query replan (when any fired).
@@ -134,15 +129,16 @@ struct ReplanRecord {
 /// failure, and virtual-time accounting on the simulated LLM server pool.
 ///
 /// One engine, driven by Begin()/Run()/ApplyReplan()/Finish(): Run()
-/// materializes one node at a time on the calling thread, in the order
-/// the list scheduler (exec::ScheduleDag) would dispatch them, and
-/// schedules each node's measured stream on the pool the moment it
-/// finishes. While the query's re-optimization budget
-/// (`max_reoptimizations`) lasts, Run() also pauses at materialization
-/// points whose observed cardinality diverges from the optimizer's
-/// estimate, so the query pipeline can re-optimize the un-executed
-/// suffix mid-flight (docs/replanning.md). Execute() drives the same
-/// calls to completion for callers without a re-optimizer.
+/// materializes one node at a time on the calling thread, in the order an
+/// exec::ListSchedule hands them out, and completes each node on that
+/// schedule with its measured cost the moment it finishes — the same
+/// scheduler the optimizer predicts makespans with. While the query's
+/// re-optimization budget (`max_reoptimizations`) lasts, Run() also
+/// pauses at materialization points whose observed cardinality diverges
+/// from the optimizer's estimate, so the query pipeline can re-optimize
+/// the un-executed suffix mid-flight (docs/replanning.md). Execute()
+/// drives the same calls to completion for callers without a
+/// re-optimizer.
 class PlanExecutor {
  public:
   struct Options {
@@ -152,11 +148,10 @@ class PlanExecutor {
     bool parallel = true;
     /// Wall-clock worker threads for a node's morsels; 0 or 1 runs them
     /// one after another on the calling thread. Each worker inherits the
-    /// calling thread's metrics sink, retry budget and cache routing.
-    /// Virtual time is unaffected.
+    /// calling thread's retry budget and cache routing, and records its
+    /// metrics into a registry of its own that is merged into the
+    /// calling thread's sink in morsel order. Virtual time is unaffected.
     int threads = 0;
-    /// Retries per failing operator during plan adjustment.
-    int max_adjustments = 2;
     /// Morsel-driven intra-operator parallelism: a per-document LLM impl
     /// (ImplSplitsPerDoc) splits its batches into up to this many
     /// whole-batch morsels that occupy distinct virtual servers
@@ -171,27 +166,12 @@ class PlanExecutor {
     /// pauses per query, each costing one planner-tier decision call.
     /// 0 never pauses; any positive value arms the q-error trigger.
     int max_reoptimizations = 0;
-    /// Shared virtual LLM server pool (a UnifyService serving session):
-    /// this plan's operator streams compete with every other in-flight
-    /// query's streams, so the reported virtual times include cross-query
-    /// queueing. Null = a fresh private pool of `num_servers` (the
-    /// standalone one-query-at-a-time model). Must outlive the executor.
-    exec::VirtualLlmPool* shared_pool = nullptr;
-    /// Absolute virtual time at which the plan becomes ready on
-    /// `shared_pool` (the query's arrival + planning time). Ignored for a
-    /// private pool, which always starts at 0.
-    double start_seconds = 0;
-    /// When the DAG fails with a *transient* LLM failure
-    /// (llm::IsTransientLlmFailure) that even the Section V-D fallback
-    /// replan could not cure, finish with ExecutionResult::degraded and an
-    /// empty answer instead of a failed status (docs/resilience.md).
-    bool graceful_degradation = false;
   };
 
   /// Everything one plan execution carries across the engine's pauses:
-  /// the (possibly replanned) plan, the DAG frontier, bound variable
-  /// values, the virtual-time schedule so far, and the replans applied so
-  /// far. Created by Begin(), advanced by Run(), finalized by Finish().
+  /// the (possibly replanned) plan, bound variable values, the
+  /// virtual-time schedule so far, and the replans applied so far.
+  /// Created by Begin(), advanced by Run(), finalized by Finish().
   struct ExecutionState {
     /// The plan being executed. ApplyReplan swaps in the re-lowered plan;
     /// executed nodes are pinned verbatim by the Reoptimize contract.
@@ -203,37 +183,16 @@ class PlanExecutor {
     Status run_status = Status::OK();
     /// Span of each DAG node, for post-hoc virtual-interval annotation.
     std::vector<SpanId> node_spans;
-    /// Per-partition LLM stream seconds of nodes that actually split.
-    std::vector<std::vector<double>> node_partitions;
     /// Which nodes have finished executing.
     std::vector<bool> done;
 
-    /// Virtual-time accounting: each node's stream is scheduled the
-    /// moment it materializes, so elapsed time is known at pause points.
-    /// `base` is the plan's ready time on `pool` (0 on a private pool).
-    double base = 0;
+    /// The pool a query without a shared one runs on.
     std::unique_ptr<exec::VirtualLlmPool> local_pool;
-    exec::VirtualLlmPool* pool = nullptr;
-    /// Absolute start/finish of each node on the pool.
-    std::vector<double> sched_start;
-    std::vector<double> sched_finish;
-    /// Absolute completion time of everything scheduled so far.
-    double makespan = 0;
-    /// Dispatch frontier: nodes whose dependencies finished, with their
-    /// ready times (absolute), and remaining parent counts. In sequential
-    /// mode the frontier is the whole topological order and
-    /// `frontier_pos` walks it; in parallel mode Run() pops the
-    /// earliest-ready entry (ties to the lower node index), mirroring the
-    /// list scheduler exactly.
-    std::vector<std::pair<double, int>> frontier;
-    size_t frontier_pos = 0;
-    std::vector<int> pending_parents;
-    /// Sequential-mode (parallel=false) virtual clock.
-    double seq_clock = 0;
-    /// Barrier: no node may start before this absolute time (a replan
-    /// pause floors the un-executed suffix to trigger finish + decision
-    /// time).
-    double resume_floor = 0;
+    /// Dispatch order and virtual time: each node's measured cost is
+    /// completed on the schedule the moment the node materializes, so
+    /// elapsed time is known at pause points. It reads `plan.dag` in
+    /// place, so a begun state is not moved.
+    std::optional<exec::ListSchedule> schedule;
 
     /// Replans applied so far and their charged decision costs.
     std::vector<ReplanRecord> replans;
@@ -258,15 +217,24 @@ class PlanExecutor {
   /// kSpanExecNode span per DAG node, annotated by Finish() with the node's
   /// virtual-time interval on the simulated server pool. A plan whose DAG
   /// has a cycle fails here, before any node runs.
+  ///
+  /// `shared_pool` non-null (a UnifyService serving session; must outlive
+  /// the execution) makes this plan's streams compete with every other
+  /// in-flight query's, from absolute virtual time `start_seconds` (the
+  /// query's arrival + planning time), so reported times include
+  /// cross-query queueing. Null runs on a fresh private pool of
+  /// `num_servers` from time 0.
   void Begin(const PhysicalPlan& plan, ExecutionState& state,
-             Trace* trace = nullptr, SpanId parent = kNoSpan);
+             Trace* trace = nullptr, SpanId parent = kNoSpan,
+             exec::VirtualLlmPool* shared_pool = nullptr,
+             double start_seconds = 0);
 
-  /// Executes nodes one at a time in virtual dispatch order (the order
-  /// the list scheduler would dispatch them) until either a
-  /// materialization point trips the replan trigger — returning the
-  /// ReplanRequest to answer with ApplyReplan before calling Run again —
-  /// or the DAG completes or fails (returns nullopt; call Finish). A
-  /// failing node stops the run: no further node executes.
+  /// Executes nodes one at a time in the order the list schedule hands
+  /// them out until either a materialization point trips the replan
+  /// trigger — returning the ReplanRequest to answer with ApplyReplan
+  /// before calling Run again — or the DAG completes or fails (returns
+  /// nullopt; call Finish). A failing node stops the run: no further node
+  /// executes.
   std::optional<ReplanRequest> Run(ExecutionState& state);
 
   /// Records the outcome of one replan consideration. `new_plan` non-null
@@ -279,8 +247,8 @@ class PlanExecutor {
                    const PhysicalPlan* new_plan);
 
   /// Assembles the ExecutionResult: totals (including replan decision
-  /// charges), the timeline with replan markers, the Section V-D fallback
-  /// and graceful degradation, and the answer.
+  /// charges), the timeline with replan markers, the Section V-D fallback,
+  /// and the answer.
   ExecutionResult Finish(ExecutionState& state);
 
   /// After execution, per-node measured stats (for cost-model feedback).
@@ -302,20 +270,10 @@ class PlanExecutor {
  private:
   /// Executes one DAG node: through ExecuteOp with a morsel runner armed
   /// when the node may split, plan adjustment on failure, stats +
-  /// execution-record bookkeeping.
-  Status RunNode(ExecutionState& state, int u);
-
-  /// Schedules one measured stream — a node's, or the Section V-D fallback
-  /// generation's — on the pool at `ready` (absolute): `stats.cpu_seconds`
-  /// first, then the LLM work, fanned across servers when it ran as more
-  /// than one morsel (`partitions`). The only place execution touches the
-  /// virtual clock. Returns the finish time.
-  double ScheduleNode(ExecutionState& state, const OpStats& stats,
-                      const std::vector<double>& partitions, double ready);
-
-  /// Pushes the children of completed node `u` whose dependencies are all
-  /// met onto the dispatch frontier.
-  void AdvanceFrontier(ExecutionState& state, int u);
+  /// execution-record bookkeeping. Returns the node's measured cost for
+  /// the schedule: its CPU time, then its LLM stream, split into the
+  /// morsels' streams when it ran as more than one.
+  StatusOr<exec::NodeCost> RunNode(ExecutionState& state, int u);
 
   ExecContext ctx_;
   Options options_;

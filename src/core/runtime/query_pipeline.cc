@@ -80,8 +80,8 @@ bool QueryPipeline::Admit() {
           : (shared_pool_ != nullptr ? shared_pool_->Now() : 0.0);
 
   // Per-query metrics: a local registry installed as this thread's sink
-  // (and copied by the executor onto every morsel worker that touches
-  // this query). Instrumented sites record counters and histograms into
+  // (the executor merges what each morsel records into it, in morsel
+  // order). Instrumented sites record counters and histograms into
   // the installed sink only, so result.metrics is exact even when other
   // queries run concurrently in the process; Finalize merges it into the
   // global registry once.
@@ -189,20 +189,17 @@ void QueryPipeline::ExecutePlan() {
   eopts.reoptimize_qerror_threshold =
       ctx_.resolved.reoptimize_qerror_threshold;
   eopts.max_reoptimizations = ctx_.resolved.max_reoptimizations;
-  eopts.shared_pool = shared_pool_;
-  // Execution streams become ready once planning finishes on the virtual
-  // clock (planning runs on the planner tier, not the worker pool).
-  eopts.start_seconds = result.arrival_seconds + result.plan_seconds;
-  eopts.graceful_degradation = ctx_.resolved.graceful_degradation;
   PlanExecutor executor(ectx, eopts);
 
-  // Execute one node at a time in virtual dispatch order; while the
-  // query's re-optimization budget lasts, the engine pauses at
-  // materialization points whose observed cardinality diverges from the
-  // estimate and the un-executed suffix is re-optimized there
-  // (docs/replanning.md).
+  // Execute one node at a time in virtual dispatch order, ready once
+  // planning finishes on the virtual clock (planning runs on the planner
+  // tier, not the worker pool); while the query's re-optimization budget
+  // lasts, the engine pauses at materialization points whose observed
+  // cardinality diverges from the estimate and the un-executed suffix is
+  // re-optimized there (docs/replanning.md).
   PlanExecutor::ExecutionState state;
-  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id());
+  executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id(),
+                 shared_pool_, result.arrival_seconds + result.plan_seconds);
   while (auto request = executor.Run(state)) {
     ConsiderReplan(*request, executor, state);
   }
@@ -214,8 +211,17 @@ void QueryPipeline::ExecutePlan() {
   result.adjusted = exec.adjusted;
   result.answer = exec.answer;
   result.status = exec.status;
-  result.degraded = exec.degraded;
-  result.degraded_detail = exec.degraded_detail;
+  // Graceful degradation, the last line of defense: a *transient* LLM
+  // failure that survived retries, plan adjustment AND the executor's
+  // fallback replan becomes an empty answer instead of a failed query,
+  // when the request opted in.
+  if (ctx_.resolved.graceful_degradation &&
+      llm::IsTransientLlmFailure(result.status)) {
+    result.degraded = true;
+    result.degraded_detail =
+        "graceful degradation absorbed: " + result.status.ToString();
+    result.status = Status::OK();
+  }
   if (!result.status.ok()) {
     result.phase = QueryPhase::kExecution;
   } else if (request_.deadline_seconds > 0 &&
@@ -234,11 +240,7 @@ void QueryPipeline::ExecutePlan() {
     result.degraded_detail.clear();
   }
   EndStage(telemetry::kMetricStageExecute);
-  // The plan that actually ran: the optimizer's choice, or — after an
-  // adopted mid-query replan — the re-lowered plan. Analysis and
-  // cost-model feedback must see this one, while plan_debug /
-  // plan_explain / predicted_* keep reporting the original optimization.
-  Analyze(executor, state.plan);
+  Analyze(executor, state);
   EndStage(telemetry::kMetricStageAnalyze);
 }
 
@@ -318,8 +320,13 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
 }
 
 void QueryPipeline::Analyze(PlanExecutor& executor,
-                            const PhysicalPlan& executed_plan) {
+                            const PlanExecutor::ExecutionState& state) {
   QueryResult& result = ctx_.result;
+  // The plan that actually ran: the optimizer's choice, or — after an
+  // adopted mid-query replan — the re-lowered plan. Analysis and
+  // cost-model feedback must see this one, while plan_debug /
+  // plan_explain / predicted_* keep reporting the original optimization.
+  const PhysicalPlan& executed_plan = state.plan;
   // EXPLAIN ANALYZE + prediction accuracy: the optimizer's estimates
   // next to what execution measured, per node and plan-wide.
   result.plan_analysis =
@@ -327,14 +334,9 @@ void QueryPipeline::Analyze(PlanExecutor& executor,
                         ctx_.oopts.objective, result.replans);
   if (!result.replans.empty()) {
     // Lift the executor's query-relative node times onto the absolute
-    // clock the replan predictions used: the shared pool's
-    // execution-ready time, or 0 for a private pool.
-    const double base_seconds =
-        shared_pool_ != nullptr
-            ? result.arrival_seconds + result.plan_seconds
-            : 0.0;
+    // clock the replan predictions used: the schedule's start.
     AuditReplanOutcomes(result.replans, executor, ctx_.oopts.objective,
-                        base_seconds);
+                        state.schedule->base());
   }
   if (result.exec_seconds > 0) {
     MetricObserve(

@@ -59,8 +59,8 @@ class QueryPipeline {
     OptimizerOptions oopts;
     std::shared_ptr<Trace> trace;
     /// This query's own metrics registry (installed as the thread-local
-    /// sink; the executor copies it onto its morsel workers). Finalize merges
-    /// it into MetricsRegistry::Global().
+    /// sink; the executor merges its morsels' registries into it).
+    /// Finalize merges it into MetricsRegistry::Global().
     MetricsRegistry query_metrics;
     /// The query's shared pool of virtual retry seconds.
     std::optional<llm::RetryBudget> retry_budget;
@@ -89,7 +89,8 @@ class QueryPipeline {
                       PlanExecutor::ExecutionState& state);
   /// EXPLAIN ANALYZE records + accuracy-ledger feeding + replan outcome
   /// audit + cost-model feedback, against the plan that actually ran.
-  void Analyze(PlanExecutor& executor, const PhysicalPlan& executed_plan);
+  void Analyze(PlanExecutor& executor,
+               const PlanExecutor::ExecutionState& state);
   /// Totals, phase, per-query metrics snapshot (merged into the global
   /// registry), trace attributes.
   void Finalize();

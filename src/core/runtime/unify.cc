@@ -47,7 +47,6 @@ Status UnifySystem::Setup() {
   // --- Document embedding + HNSW vector index (Section III-A) ---
   corpus::EmbeddingSpec spec = corpus::BuildEmbeddingSpec(corpus_->profile());
   embedding::TopicEmbedder::Options eopts;
-  eopts.dim = options_.embed_dim;
   eopts.seed = options_.seed ^ 0xe1be;
   doc_embedder_ = std::make_unique<embedding::TopicEmbedder>(
       eopts, spec.topic_tokens, spec.aliases);
@@ -73,7 +72,7 @@ Status UnifySystem::Setup() {
       corpus_, phrase_probes_.get(), traced_llm_.get(), options_.sce);
   estimator_->set_numeric_stats(&numeric_stats_);
   estimator_->LearnImportanceFunction(corpus::GenerateHistoricalPredicates(
-      *corpus_, options_.history_size, options_.seed ^ 0x31));
+      *corpus_, /*count=*/32, options_.seed ^ 0x31));
 
   // --- Planning engine ---
   generator_ = std::make_unique<PlanGenerator>(

@@ -45,11 +45,7 @@ struct UnifyOptions {
   /// the system.
   const CustomOpRegistry* custom_ops = nullptr;
   int llm_batch_size = 16;
-  size_t embed_dim = 64;
   uint64_t seed = 17;
-  /// Historical predicates used to learn the importance function and to
-  /// calibrate the cost model during Setup().
-  int history_size = 32;
   /// Run cost-model calibration micro-executions during Setup().
   bool calibrate = true;
   double index_candidate_factor = 9.0;

@@ -1,9 +1,78 @@
 #include "exec/schedule.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace unify::exec {
+
+ListSchedule::ListSchedule(const Dag& dag, VirtualLlmPool* pool,
+                           bool sequential, double base)
+    : dag_(dag),
+      pool_(pool),
+      sequential_(sequential),
+      base_(base),
+      floor_(base) {
+  result_.start.assign(dag.size(), base);
+  result_.finish.assign(dag.size(), base);
+  result_.makespan = base;
+  StatusOr<std::vector<int>> order = dag.TopologicalOrder();
+  if (!order.ok()) {
+    status_ = order.status();
+    return;
+  }
+  if (sequential) {
+    order_ = std::move(*order);
+    return;
+  }
+  pending_parents_.assign(dag.size(), 0);
+  for (size_t u = 0; u < dag.size(); ++u) {
+    pending_parents_[u] =
+        static_cast<int>(dag.parents(static_cast<int>(u)).size());
+    if (pending_parents_[u] == 0) ready_.push({base, static_cast<int>(u)});
+  }
+}
+
+std::optional<Dispatch> ListSchedule::Next() {
+  Dispatch dispatch;
+  if (sequential_) {
+    // One node after another: finishes only grow, so the makespan so far
+    // is when the previous node finished.
+    if (next_in_order_ == order_.size()) return std::nullopt;
+    dispatch = {order_[next_in_order_++], result_.makespan};
+  } else {
+    if (ready_.empty()) return std::nullopt;
+    dispatch = {ready_.top().node, ready_.top().time};
+    ready_.pop();
+  }
+  dispatch.ready = std::max(dispatch.ready, floor_);
+  return dispatch;
+}
+
+double ListSchedule::Complete(const Dispatch& dispatch, const NodeCost& cost) {
+  const int u = dispatch.node;
+  const double at = dispatch.ready + cost.cpu_seconds;
+  const double finish =
+      cost.max_parallelism > 1 && cost.llm_partitions.size() > 1
+          ? pool_->ScheduleParallelStream(at, cost.llm_partitions,
+                                          cost.max_parallelism)
+          : pool_->ScheduleStream(at, cost.llm_seconds);
+  result_.start[u] = dispatch.ready;
+  result_.finish[u] = finish;
+  result_.makespan = std::max(result_.makespan, finish);
+  if (!sequential_) {
+    for (int v : dag_.children(u)) {
+      if (--pending_parents_[v] > 0) continue;
+      double ready = base_;
+      for (int p : dag_.parents(v)) ready = std::max(ready, result_.finish[p]);
+      ready_.push({ready, v});
+    }
+  }
+  return finish;
+}
+
+void ListSchedule::Floor(double t) {
+  floor_ = std::max(floor_, t);
+  result_.makespan = std::max(result_.makespan, floor_);
+}
 
 StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,
                                      const std::vector<NodeCost>& costs,
@@ -15,77 +84,12 @@ StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,
   if (costs.size() != dag.size()) {
     return Status::InvalidArgument("costs/DAG size mismatch");
   }
-  UNIFY_ASSIGN_OR_RETURN(std::vector<int> order, dag.TopologicalOrder());
-
-  // Finish time of node `u` whose LLM work becomes ready at `at`:
-  // partitioned nodes fan their morsels across servers, everything else
-  // runs as one sequential stream.
-  auto finish_of = [&](int u, double at) {
-    const NodeCost& c = costs[u];
-    if (c.max_parallelism > 1 && c.llm_partitions.size() > 1) {
-      return pool->ScheduleParallelStream(at, c.llm_partitions,
-                                          c.max_parallelism);
-    }
-    return pool->ScheduleStream(at, c.llm_seconds);
-  };
-
-  ScheduleResult result;
-  result.start.assign(dag.size(), base);
-  result.finish.assign(dag.size(), base);
-
-  if (sequential) {
-    double clock = base;
-    for (int u : order) {
-      double ready = clock;
-      for (int p : dag.parents(u)) ready = std::max(ready, result.finish[p]);
-      result.start[u] = ready;
-      result.finish[u] = finish_of(u, ready + costs[u].cpu_seconds);
-      clock = result.finish[u];
-    }
-    result.makespan = clock;
-    return result;
+  ListSchedule schedule(dag, pool, sequential, base);
+  UNIFY_RETURN_IF_ERROR(schedule.status());
+  while (std::optional<Dispatch> next = schedule.Next()) {
+    schedule.Complete(*next, costs[next->node]);
   }
-
-  // List scheduling: dispatch each node the moment its dependencies
-  // complete, earliest-ready first.
-  struct Ready {
-    double time;
-    int node;
-    bool operator>(const Ready& other) const {
-      if (time != other.time) return time > other.time;
-      return node > other.node;
-    }
-  };
-  std::vector<int> pending(dag.size(), 0);
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> queue;
-  for (size_t u = 0; u < dag.size(); ++u) {
-    pending[u] = static_cast<int>(dag.parents(static_cast<int>(u)).size());
-    if (pending[u] == 0) queue.push({base, static_cast<int>(u)});
-  }
-  double makespan = base;
-  size_t done = 0;
-  while (!queue.empty()) {
-    auto [ready, u] = queue.top();
-    queue.pop();
-    result.start[u] = ready;
-    result.finish[u] = finish_of(u, ready + costs[u].cpu_seconds);
-    makespan = std::max(makespan, result.finish[u]);
-    ++done;
-    for (int v : dag.children(u)) {
-      if (--pending[v] == 0) {
-        double v_ready = base;
-        for (int p : dag.parents(v)) {
-          v_ready = std::max(v_ready, result.finish[p]);
-        }
-        queue.push({v_ready, v});
-      }
-    }
-  }
-  if (done != dag.size()) {
-    return Status::FailedPrecondition("cycle detected in plan DAG");
-  }
-  result.makespan = makespan;
-  return result;
+  return std::move(schedule).TakeResult();
 }
 
 StatusOr<ScheduleResult> ScheduleDag(const Dag& dag,

@@ -1,3 +1,5 @@
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,6 +246,103 @@ TEST(ScheduleDagTest, SizeMismatchRejected) {
   Dag dag = Diamond();
   std::vector<NodeCost> costs(2);
   EXPECT_FALSE(ScheduleDag(dag, costs, 2, false).ok());
+}
+
+TEST(ListScheduleTest, FloorDelaysLaterDispatchesAndTheMakespan) {
+  Dag dag = Diamond();
+  VirtualLlmPool pool(4);
+  ListSchedule schedule(dag, &pool, /*sequential=*/false, /*base=*/2);
+  NodeCost cost;
+  cost.llm_seconds = 1;
+  std::optional<Dispatch> root = schedule.Next();
+  ASSERT_TRUE(root.has_value());
+  EXPECT_EQ(root->node, 0);
+  EXPECT_EQ(root->ready, 2);
+  EXPECT_EQ(schedule.Complete(*root, cost), 3);
+
+  // A replan pause: nodes 1 and 2 became ready at 3, but the barrier
+  // holds them until 10, and the makespan covers it before either runs.
+  schedule.Floor(10);
+  EXPECT_EQ(schedule.result().makespan, 10);
+  schedule.Floor(5);  // a lower floor never moves the barrier back
+  for (int expected : {1, 2}) {
+    std::optional<Dispatch> next = schedule.Next();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->node, expected);
+    EXPECT_EQ(next->ready, 10);
+    EXPECT_EQ(schedule.Complete(*next, cost), 11);
+  }
+  std::optional<Dispatch> join = schedule.Next();
+  ASSERT_TRUE(join.has_value());
+  EXPECT_EQ(join->ready, 11);
+  schedule.Complete(*join, cost);
+  EXPECT_FALSE(schedule.Next().has_value());
+  EXPECT_EQ(schedule.result().makespan, 12);
+
+  // With nothing left to run, a floor still extends the makespan.
+  schedule.Floor(20);
+  EXPECT_EQ(schedule.result().makespan, 20);
+}
+
+TEST(ListScheduleTest, CycleDispatchesNothing) {
+  Dag dag = Diamond();
+  ASSERT_TRUE(dag.AddEdge(3, 1).ok());  // 1 -> 3 -> 1
+  for (bool sequential : {false, true}) {
+    SCOPED_TRACE(sequential ? "sequential" : "parallel");
+    VirtualLlmPool pool(2);
+    ListSchedule schedule(dag, &pool, sequential);
+    EXPECT_EQ(schedule.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(schedule.Next().has_value());
+  }
+}
+
+TEST(ListScheduleTest, SequentialModeWalksTheTopologicalOrder) {
+  // Roots 0 and 2 with edge 0 -> 1: the topological order is 0, 2, 1,
+  // where taking the lowest ready index would run 1 before 2.
+  Dag dag;
+  for (int i = 0; i < 3; ++i) dag.AddNode();
+  ASSERT_TRUE(dag.AddEdge(0, 1).ok());
+  ASSERT_EQ(*dag.TopologicalOrder(), (std::vector<int>{0, 2, 1}));
+  VirtualLlmPool pool(4);
+  ListSchedule schedule(dag, &pool, /*sequential=*/true);
+  NodeCost cost;
+  cost.llm_seconds = 1;
+  std::vector<int> dispatched;
+  while (std::optional<Dispatch> next = schedule.Next()) {
+    dispatched.push_back(next->node);
+    schedule.Complete(*next, cost);
+  }
+  EXPECT_EQ(dispatched, (std::vector<int>{0, 2, 1}));
+  EXPECT_LT(schedule.result().start[2], schedule.result().start[1]);
+  EXPECT_EQ(schedule.result().makespan, 3);
+}
+
+TEST(ListScheduleTest, UncompletedNodeKeepsItsIntervalAtBase) {
+  Dag dag = Diamond();
+  VirtualLlmPool pool(4);
+  ListSchedule schedule(dag, &pool, /*sequential=*/false, /*base=*/7);
+  NodeCost cost;
+  cost.llm_seconds = 1;
+  std::optional<Dispatch> root = schedule.Next();
+  ASSERT_TRUE(root.has_value());
+  schedule.Complete(*root, cost);
+  // Node 1 is handed out and fails: it is never completed.
+  std::optional<Dispatch> failed = schedule.Next();
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->node, 1);
+  std::optional<Dispatch> sibling = schedule.Next();
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sibling->node, 2);
+  schedule.Complete(*sibling, cost);
+  // The join waits on the failed node, so it is never handed out.
+  EXPECT_FALSE(schedule.Next().has_value());
+  const ScheduleResult& result = schedule.result();
+  for (int u : {1, 3}) {
+    EXPECT_EQ(result.start[u], 7) << u;
+    EXPECT_EQ(result.finish[u], 7) << u;
+  }
+  EXPECT_EQ(result.finish[2], 9);
+  EXPECT_EQ(result.makespan, 9);
 }
 
 /// Property sweep over random layered DAGs: for any plan shape,

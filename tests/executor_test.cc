@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
@@ -7,6 +11,7 @@
 #include "embedding/hashed_embedder.h"
 #include "exec/schedule.h"
 #include "index/hnsw_index.h"
+#include "llm/shared_cache.h"
 #include "llm/sim_llm.h"
 #include "llm/tracing_client.h"
 
@@ -234,9 +239,9 @@ TEST_F(ExecutorTest, ScheduleMatchesListSchedulerOnMeasuredCosts) {
   }
 }
 
-// Morsel workers inherit the dispatching thread's scopes: every LLM call
-// a split node makes on a worker thread lands in the query's sink, none
-// in the global registry.
+// Every LLM call a split node makes on a morsel worker lands in the
+// caller's sink (through the morsel's own registry), none in the global
+// registry.
 TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
   llm::TracingLlmClient traced(llm_);
   ExecContext ctx = Ctx();
@@ -263,6 +268,50 @@ TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
   MetricsSnapshot global_delta =
       MetricsRegistry::Global().Snapshot().DeltaSince(global_before);
   EXPECT_EQ(global_delta.counters[calls], 0);
+}
+
+// Holds each call that carries document 0 for 50 ms, so a split node's
+// first morsel finishes after the others.
+class FirstDocLagLlm : public llm::LlmClient {
+ public:
+  explicit FirstDocLagLlm(llm::LlmClient* inner) : inner_(inner) {}
+  llm::LlmResult Call(const llm::LlmCall& call) override {
+    if (std::find(call.items.begin(), call.items.end(), "0") !=
+        call.items.end()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return inner_->Call(call);
+  }
+  llm::LlmUsage usage() const override { return inner_->usage(); }
+  void ResetUsage() override { inner_->ResetUsage(); }
+
+ private:
+  llm::LlmClient* const inner_;
+};
+
+// A gauge set on a morsel worker (the shared cache's size, set as each
+// morsel's calls are admitted) reaches the caller's sink at Global()'s
+// latest level, although each morsel records into a registry of its own
+// and the first morsel, the one with the largest level, finishes last.
+TEST_F(ExecutorTest, MorselGaugesReachTheCallersSink) {
+  FirstDocLagLlm lagging(llm_);
+  llm::SharedLlmCache cache(llm::SharedLlmCacheOptions{});
+  llm::SharedCacheLlmClient cached(&lagging, &cache, /*default_enabled=*/true);
+  ExecContext ctx = Ctx();
+  ctx.llm = &cached;
+  PlanExecutor::Options options;
+  options.max_intra_op_parallelism = 4;
+  options.threads = 2;
+  PlanExecutor executor(ctx, options);
+  MetricsRegistry sink;
+  {
+    MetricsRegistry::ScopedSink scope(&sink);
+    ASSERT_TRUE(executor.Execute(DiamondPlan()).status.ok());
+  }
+  EXPECT_GT(executor.node_executions()[1].partitions, 1);
+  EXPECT_GT(sink.gauge(telemetry::kMetricLlmCacheBytes), 0);
+  EXPECT_EQ(sink.gauge(telemetry::kMetricLlmCacheBytes),
+            MetricsRegistry::Global().gauge(telemetry::kMetricLlmCacheBytes));
 }
 
 // A cycle anywhere in the DAG is rejected before any node runs: the

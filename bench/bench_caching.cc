@@ -6,7 +6,7 @@
 //
 //   "nocache"   — the shared cache disabled: every query pays its own
 //                 per-document LLM calls;
-//   "memoize"   — sharded LRU only (coalesce=false): completed answers
+//   "memoize"   — sharded CLOCK only (coalesce=false): completed answers
 //                 are reused, but concurrent identical misses each pay
 //                 the base client while their twin is still in flight;
 //   "coalesce"  — the full SharedLlmCache: concurrent identical misses
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   unify::bench::PrintHeaderLine(
-      "caching: shared LRU + in-flight coalescing under a 16-client "
+      "caching: shared CLOCK + in-flight coalescing under a 16-client "
       "overlapping served workload");
   return unify::bench::Run(smoke);
 }

@@ -111,7 +111,7 @@ namespace unify::telemetry {
   X(Counter, kMetricLlmCacheCoalesced, "llm.cache.coalesced", "", "caching",   \
     "Items that followed an identical call already in flight.")                \
   X(Counter, kMetricLlmCacheEvictions, "llm.cache.evictions", "", "caching",   \
-    "Shared-cache entries evicted by its LRU capacity bounds.")                \
+    "Shared-cache entries its CLOCK sweep evicted for the capacity bounds.")   \
   X(Gauge, kMetricLlmCacheBytes, "llm.cache.bytes", "", "caching",             \
     "Approximate resident bytes of the shared cache.")                         \
   /* Fault injection and resilient execution (llm/fault_client.h,              \

@@ -126,12 +126,14 @@ bool SurfaceCondition::Matches(uint64_t id) const {
 namespace {
 
 /// Issues `call` once per batch of `docs`, with the batch's ids as items;
-/// appends one item per document to `items`.
+/// appends one item per document to `items`. The call is copied once and
+/// only its items are refilled per batch.
 Status CallPerBatch(const llm::LlmCall& call, const DocList& docs,
                     ExecContext& ctx, OpStats& stats,
                     std::vector<std::string>& items) {
+  llm::LlmCall batch_call = call;
   for (const auto& batch : BatchDocs(docs, ctx)) {
-    llm::LlmCall batch_call = call;
+    batch_call.items.clear();
     for (uint64_t id : batch) batch_call.items.push_back(std::to_string(id));
     llm::LlmResult result = ctx.llm->Call(batch_call);
     if (!result.status.ok()) return result.status;

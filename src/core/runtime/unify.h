@@ -82,7 +82,7 @@ struct UnifyOptions {
   /// QueryPhase::kDegraded instead of failing (overridable per request).
   bool graceful_degradation = false;
   /// The shared cross-query LLM answer cache (docs/caching.md): sharded
-  /// bounded LRU + singleflight coalescing over per-document completions.
+  /// bounded CLOCK + singleflight coalescing over per-document completions.
   /// `cache.enabled` defaults to false (opt-in, overridable per request
   /// via QueryRequest::Overrides::use_llm_cache).
   llm::SharedLlmCacheOptions cache;

@@ -9,7 +9,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +51,7 @@ struct CacheStats {
   int64_t item_hits = 0;    ///< items served from a completed entry
   int64_t item_misses = 0;  ///< items that led a base call
   int64_t coalesced = 0;    ///< items that followed another call's leader
-  int64_t evictions = 0;    ///< entries dropped by the LRU bound
+  int64_t evictions = 0;    ///< entries the CLOCK sweep dropped for the bounds
   int64_t entries = 0;      ///< resident entries
   int64_t bytes = 0;        ///< approximate resident bytes
   /// Base-call dollars that hits and coalesced items avoided re-paying
@@ -58,8 +60,8 @@ struct CacheStats {
 };
 
 /// The cross-query LLM answer cache (docs/caching.md): a sharded,
-/// bounded LRU over per-document completions keyed by (prompt type,
-/// prompt fields, item), with singleflight in-flight coalescing.
+/// bounded CLOCK cache over per-document completions keyed by (prompt
+/// type, prompt fields, item), with singleflight in-flight coalescing.
 ///
 /// Soundness rests on one invariant: a per-document completion is a pure
 /// function of the (condition, document) pair at temperature 0, so any
@@ -81,6 +83,9 @@ struct CacheStats {
 ///
 /// Thread-safe. Locks are per shard and never held across a base call
 /// or a follower wait, so leaders of different keys proceed in parallel.
+/// A call takes each of its shards' locks once per round for lookups,
+/// shared: a hit writes nothing shared but its entry's clear reference
+/// bit.
 class SharedLlmCache {
  public:
   explicit SharedLlmCache(SharedLlmCacheOptions options);
@@ -120,19 +125,55 @@ class SharedLlmCache {
     std::string item;
   };
 
-  struct Entry {
-    std::string key;
+  /// An entry's identity, viewed without copying: the call's fields
+  /// encoding (prompt type and length-prefixed fields), one item, and
+  /// their combined hash. Equality compares all three in full.
+  struct Key {
+    uint64_t hash = 0;
+    std::string_view item;
+    std::string_view fields;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const { return key.hash; }
+  };
+
+  /// A key's own copy of its strings, for entries and in-flight records;
+  /// key() views it.
+  struct StoredKey {
+    explicit StoredKey(const Key& key)
+        : hash(key.hash), item(key.item), fields(key.fields) {}
+    Key key() const { return {hash, item, fields}; }
+
+    uint64_t hash;
+    std::string item;
+    std::string fields;
+  };
+
+  struct Entry : StoredKey {
+    Entry(const Key& key, std::string value, double dollars,
+          std::unique_ptr<Origin> origin)
+        : StoredKey(key),
+          value(std::move(value)),
+          dollars(dollars),
+          origin(std::move(origin)) {}
+
     std::string value;
     /// Pro-rata dollar share of the base call that produced the value
     /// (feeds CacheStats::saved_dollars on each hit).
-    double dollars = 0;
+    double dollars;
     size_t bytes = 0;
+    /// CLOCK reference bit: a hit sets it (storing only when it is clear,
+    /// so a hot entry's line is not rewritten) and the sweep clears it.
+    std::atomic<bool> referenced{false};
     std::unique_ptr<Origin> origin;
   };
 
   /// One singleflight record: followers block on `cv` until the leader
   /// completes the base call (ok) or fails (not ok — followers re-elect).
-  struct Inflight {
+  struct Inflight : StoredKey {
+    using StoredKey::StoredKey;
+
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -144,28 +185,48 @@ class SharedLlmCache {
   };
 
   struct Shard {
-    std::mutex mu;
-    /// LRU order, most recent first.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
+    /// Shared for hits; exclusive for admission, eviction and in-flight
+    /// registration and release.
+    std::shared_mutex mu;
+    /// Entries in CLOCK order. `hand` is the next one the eviction sweep
+    /// examines (end() stands for the front); new entries go in just
+    /// behind it.
+    std::list<Entry> ring;
+    std::list<Entry>::iterator hand = ring.end();
+    /// Keys view the entries' and records' StoredKey strings, which stay
+    /// put while they are resident.
+    std::unordered_map<Key, Entry*, KeyHash> index;
+    std::unordered_map<Key, std::shared_ptr<Inflight>, KeyHash> inflight;
     size_t bytes = 0;
   };
 
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
+  /// One CallThrough's deltas, folded in by Commit.
+  struct Tally {
+    int64_t hits = 0;
+    int64_t misses = 0;
+    int64_t coalesced = 0;
+    int64_t admitted = 0;
+    int64_t evictions = 0;
+    double saved = 0;
+  };
 
-  /// Inserts (or refreshes) `key` and evicts past the per-shard bounds.
-  /// Returns the number of evictions. Caller holds `shard.mu`.
-  int64_t AdmitLocked(Shard& shard, const std::string& key,
-                      const std::string& value, double dollars_share,
-                      std::unique_ptr<Origin> origin);
+  /// Serves `key` from `shard` into `out` when resident. Caller holds
+  /// `shard.mu`, shared or exclusive.
+  static bool ServeLocked(const Shard& shard, const Key& key,
+                          std::string& out, Tally& tally);
 
-  /// Folds one CallThrough's deltas into the cache-wide counters and
+  /// Inserts `key` behind the CLOCK hand, unless it is resident, and
+  /// sweeps the hand past the per-shard bounds. Caller holds `shard.mu`
+  /// exclusively.
+  void AdmitLocked(Shard& shard, const Key& key, const std::string& value,
+                   double dollars_share, std::unique_ptr<Origin> origin,
+                   Tally& tally);
+
+  /// Folds one CallThrough's tally into the cache-wide counters and
   /// emits the llm.cache.* metrics (into the calling thread's per-query
-  /// sink when one is installed, so attribution stays exact).
-  void Commit(int64_t hits, int64_t misses, int64_t coalesced,
-              int64_t evictions, double saved);
+  /// sink when one is installed, so attribution stays exact). The bytes
+  /// gauge is set only when the call admitted or evicted an entry.
+  void Commit(const Tally& tally);
 
   SharedLlmCacheOptions options_;
   size_t max_entries_per_shard_ = 0;  ///< 0 = unbounded

@@ -9,7 +9,7 @@
 ///   * corpus loading and answers    (corpus/corpus.h, corpus/answer.h)
 ///   * LLM client interfaces         (llm/llm_client.h, llm/sim_llm.h)
 ///   * the shared answer cache       (llm/shared_cache.h — sharded
-///                                    bounded LRU + in-flight coalescing
+///                                    bounded CLOCK + in-flight coalescing
 ///                                    across concurrent queries,
 ///                                    see docs/caching.md)
 ///   * fault injection + resilience  (llm/fault_client.h,

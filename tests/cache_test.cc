@@ -1,8 +1,9 @@
-// Shared-LLM-cache coverage: LRU eviction determinism, singleflight
+// Shared-LLM-cache coverage: key identity, CLOCK eviction, singleflight
 // leader/follower accounting, failed-leader re-election, fault
-// composition (no poisoning), per-query overrides resolution, and
-// byte-identical answers with the cache on/off at parallelism 1 and 4.
-// The concurrent cases double as the TSAN target (scripts/check.sh).
+// composition (no poisoning), shared-lock hits racing eviction,
+// per-query overrides resolution, and byte-identical answers with the
+// cache on/off at parallelism 1 and 4. The concurrent cases double as
+// the TSAN target (scripts/check.sh).
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/service.h"
 #include "corpus/dataset_profile.h"
@@ -50,6 +52,10 @@ class CountingLlm : public LlmClient {
     for (const auto& item : call.items) {
       r.items.push_back(lie_ ? "poisoned" : "value-of-" + item);
     }
+    if (drop_last_) r.items.pop_back();
+    if (delay_ > std::chrono::microseconds(0)) {
+      std::this_thread::sleep_for(delay_);
+    }
     r.seconds = 1.0;
     r.dollars = 0.01 * static_cast<double>(call.items.size());
     r.in_tokens = 10 * static_cast<int64_t>(call.items.size());
@@ -69,6 +75,10 @@ class CountingLlm : public LlmClient {
   bool fail_first_ = false;
   /// Return a wrong completion for every item (a poisoning base).
   bool lie_ = false;
+  /// Return OK with one item too few.
+  bool drop_last_ = false;
+  /// Time each call takes, so concurrent identical misses overlap.
+  std::chrono::microseconds delay_{0};
 
  private:
   std::atomic<int64_t> arrivals_{0};
@@ -188,9 +198,62 @@ TEST(SharedCacheTest, DuplicateItemsInOneCallResolveThroughOneLookup) {
   EXPECT_DOUBLE_EQ(r.dollars, 0.02);
 }
 
-TEST(SharedCacheTest, LruEvictionIsDeterministic) {
+TEST(SharedCacheTest, FieldsAndItemBoundariesNeverAlias) {
+  CountingLlm base;
+  SharedLlmCache cache(SharedLlmCacheOptions{});
+  SharedCacheLlmClient client(&base, &cache, true);
+  auto call = [](std::map<std::string, std::string> fields,
+                 std::string item) {
+    LlmCall c;
+    c.type = PromptType::kEvalPredicate;
+    c.fields = std::move(fields);
+    c.items = {std::move(item)};
+    return c;
+  };
+
+  // A field value holding separator-like bytes is not two fields.
+  ASSERT_TRUE(client.Call(call({{"a", "1"}, {"b", "2"}}, "d1")).status.ok());
+  ASSERT_TRUE(
+      client.Call(call({{"a", "1\x1e" "b\x1f" "2"}}, "d1")).status.ok());
+  EXPECT_EQ(base.arrivals(), 2);
+
+  // Nor does an item's bytes extend the fields before it.
+  LlmResult tail = client.Call(call({{"a", "1"}}, "b\x1f" "2\x1e"));
+  ASSERT_TRUE(tail.status.ok());
+  LlmResult empty = client.Call(call({{"a", "1"}, {"b", "2"}}, ""));
+  ASSERT_TRUE(empty.status.ok());
+  ASSERT_EQ(empty.items.size(), 1u);
+  EXPECT_EQ(empty.items[0], "value-of-");
+  EXPECT_EQ(base.arrivals(), 4);
+  EXPECT_EQ(cache.stats().entries, 4);
+  EXPECT_EQ(cache.stats().item_hits, 0);
+}
+
+TEST(SharedCacheTest, ItemCountMismatchChargesTheBaseCall) {
+  CountingLlm base;
+  base.drop_last_ = true;
+  SharedLlmCache cache(SharedLlmCacheOptions{});
+  SharedCacheLlmClient client(&base, &cache, true);
+
+  LlmResult r = client.Call(DocCall({"d1", "d2", "d3"}));
+  EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status;
+  EXPECT_TRUE(r.items.empty());
+  // The provider ran the 3-item call, so the caller is charged for it.
+  EXPECT_DOUBLE_EQ(r.seconds, 1.0);
+  EXPECT_DOUBLE_EQ(r.dollars, 0.03);
+  EXPECT_EQ(r.in_tokens, 30);
+  EXPECT_EQ(r.out_tokens, 15);
+  EXPECT_EQ(cache.stats().entries, 0) << "a short result is never admitted";
+
+  // Nothing was admitted or left in flight: the next call leads again.
+  base.drop_last_ = false;
+  ASSERT_TRUE(client.Call(DocCall({"d1", "d2", "d3"})).status.ok());
+  EXPECT_EQ(base.arrivals(), 2);
+}
+
+TEST(SharedCacheTest, ClockEvictionIsDeterministic) {
   SharedLlmCacheOptions opts;
-  opts.num_shards = 1;  // one shard -> one global LRU order
+  opts.num_shards = 1;  // one shard -> one CLOCK ring
   opts.max_entries = 3;
   opts.max_bytes = 0;
   auto run_sequence = [&]() {
@@ -200,15 +263,17 @@ TEST(SharedCacheTest, LruEvictionIsDeterministic) {
     for (const char* item : {"a", "b", "c", "a"}) {
       EXPECT_TRUE(client.Call(DocCall({item})).status.ok());
     }
-    // Cache holds {c, a, b}(MRU-first). Admitting d evicts the LRU b.
+    // Ring a(referenced) b c, hand at a. Admitting d clears a's bit and
+    // evicts b; the hand stops at c.
     EXPECT_TRUE(client.Call(DocCall({"d"})).status.ok());
     EXPECT_TRUE(client.Call(DocCall({"a"})).status.ok());  // hit
-    EXPECT_TRUE(client.Call(DocCall({"b"})).status.ok());  // re-miss: evicted
+    // Re-miss: b was evicted. Admitting it evicts c under the hand.
+    EXPECT_TRUE(client.Call(DocCall({"b"})).status.ok());
     return std::make_pair(cache.stats(), base.arrivals());
   };
 
   auto [stats, arrivals] = run_sequence();
-  EXPECT_EQ(stats.evictions, 2);  // d evicted b, then b evicted c's LRU tail
+  EXPECT_EQ(stats.evictions, 2);  // d evicted b, then b evicted c
   EXPECT_EQ(stats.entries, 3);
   EXPECT_EQ(stats.item_hits, 2);   // the repeated a, twice
   EXPECT_EQ(stats.item_misses, 5);  // a b c d + the re-missed b
@@ -225,10 +290,35 @@ TEST(SharedCacheTest, LruEvictionIsDeterministic) {
   EXPECT_EQ(arrivals2, arrivals);
 }
 
+TEST(SharedCacheTest, ClockEvictsWhereLruWouldNot) {
+  SharedLlmCacheOptions opts;
+  opts.num_shards = 1;
+  opts.max_entries = 3;
+  opts.max_bytes = 0;
+  CountingLlm base;
+  SharedLlmCache cache(opts);
+  SharedCacheLlmClient client(&base, &cache, true);
+  for (const char* item : {"a", "b", "c", "b", "c", "a"}) {
+    ASSERT_TRUE(client.Call(DocCall({item})).status.ok());
+  }
+  ASSERT_EQ(base.arrivals(), 3);
+  // Every entry is referenced, so the sweep clears all three bits and
+  // then evicts a, the first in ring order. LRU would have evicted b,
+  // the least recently used.
+  ASSERT_TRUE(client.Call(DocCall({"d"})).status.ok());
+  EXPECT_EQ(cache.stats().evictions, 1);
+  ASSERT_TRUE(client.Call(DocCall({"b"})).status.ok());
+  EXPECT_EQ(base.arrivals(), 4) << "b must hit";
+  ASSERT_TRUE(client.Call(DocCall({"a"})).status.ok());
+  EXPECT_EQ(base.arrivals(), 5) << "a must miss";
+}
+
 TEST(SharedCacheTest, SingleflightCoalescesConcurrentIdenticalMisses) {
   constexpr int kThreads = 8;
   CountingLlm base;
-  base.gate_until_arrivals_ = 1;  // gate opens only via Release()
+  // A second arrival, which coalescing must prevent, or Release() opens
+  // the gate; until then the leader's base call is held open.
+  base.gate_until_arrivals_ = 2;
   SharedLlmCache cache(SharedLlmCacheOptions{});
   SharedCacheLlmClient client(&base, &cache, true);
 
@@ -294,7 +384,9 @@ TEST(SharedCacheTest, CoalescingOffEveryConcurrentMissPays) {
 TEST(SharedCacheTest, FailedLeaderIsNeverAdmittedAndFollowersReelect) {
   CountingLlm base;
   base.fail_first_ = true;
-  base.gate_until_arrivals_ = 1;  // hold the failing leader open
+  // Hold the failing leader open until Release() or the follower's own
+  // base call.
+  base.gate_until_arrivals_ = 2;
   SharedLlmCache cache(SharedLlmCacheOptions{});
   SharedCacheLlmClient client(&base, &cache, true);
 
@@ -357,6 +449,65 @@ TEST(SharedCacheTest, ClearResetsEntriesAndCounters) {
   // Cleared means cold: the same call pays the base again.
   ASSERT_TRUE(client.Call(DocCall({"d1", "d2"})).status.ok());
   EXPECT_EQ(base.arrivals(), 2);
+}
+
+TEST(SharedCacheTest, SharedLockHitsRaceEvictionWithoutLosingAnItem) {
+  // Overlapping multi-item calls from 8 threads on one 64-entry shard:
+  // hits under the shared lock race admissions, CLOCK sweeps and
+  // in-flight registration on the same ring.
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 300;
+  constexpr uint64_t kUniverse = 128;
+  SharedLlmCacheOptions opts;
+  opts.num_shards = 1;
+  opts.max_entries = 64;
+  opts.max_bytes = 0;
+  opts.coalesce = true;
+  opts.record_origin = true;
+  CountingLlm base;
+  base.delay_ = std::chrono::microseconds(20);
+  SharedLlmCache cache(opts);
+  SharedCacheLlmClient client(&base, &cache, true);
+
+  std::atomic<int64_t> issued{0};
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t state = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(t + 1);
+      for (int c = 0; c < kCallsPerThread; ++c) {
+        std::vector<std::string> items;
+        const size_t n = 1 + SplitMix64(state) % 8;
+        for (size_t k = 0; k < n; ++k) {
+          // Skewed draws: a hot half-universe plus duplicates in a call.
+          const uint64_t r = SplitMix64(state);
+          const uint64_t id = (r & 1) ? (r >> 1) % (kUniverse / 2)
+                                      : (r >> 1) % kUniverse;
+          items.push_back("doc" + std::to_string(id));
+        }
+        LlmResult r = client.Call(DocCall(items));
+        issued.fetch_add(static_cast<int64_t>(items.size()));
+        if (!r.status.ok() || r.items.size() != items.size()) {
+          wrong.fetch_add(1);
+          continue;
+        }
+        for (size_t k = 0; k < items.size(); ++k) {
+          if (r.items[k] != "value-of-" + items[k]) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.item_hits + stats.item_misses + stats.coalesced,
+            issued.load());
+  EXPECT_GT(stats.evictions, 0) << "the workload must exercise the sweep";
+  EXPECT_GT(stats.coalesced, 0) << "and concurrent identical misses";
+  EXPECT_LE(stats.entries, 64);
+  CountingLlm oracle;
+  EXPECT_EQ(cache.Validate(&oracle), 0);
 }
 
 TEST(SharedCacheTest, ValidateCountsEntriesThatDisagreeWithTheOracle) {

@@ -68,7 +68,7 @@ int main() {
   auto result = unify_system.Answer(query);
   std::printf("\nUnify answer: %s   (ground truth: %s)\n",
               result.answer.ToString().c_str(), truth.ToString().c_str());
-  std::printf("plan: %s\n", result.plan_debug.c_str());
+  std::printf("plan:\n%s", result.plan_explain.c_str());
   std::printf("latency: %.1f min planning + %.1f min execution\n\n",
               result.plan_seconds / 60, result.exec_seconds / 60);
 

@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
       }
       for (size_t i = 0; i < last_result->replans.size(); ++i) {
         const auto& rec = last_result->replans[i];
-        std::printf("  #%zu %s\n", i + 1, rec.detail.c_str());
+        std::printf("  #%zu %s\n", i + 1, rec.Sentence().c_str());
         std::printf("      decision %.2fs $%.4f | estimator bias x%.2f | "
                     "%zu suffix nodes, %zu re-lowered\n",
                     rec.decision_seconds, rec.decision_dollars, rec.est_bias,

@@ -2,27 +2,7 @@
 
 #include <sstream>
 
-#include "common/string_util.h"
-
 namespace unify::core {
-
-std::string LogicalPlan::DebugString() const {
-  std::ostringstream os;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const auto& n = nodes[i];
-    if (i) os << "; ";
-    os << n.op_name << "(";
-    bool first = true;
-    for (const auto& [k, v] : n.args) {
-      if (!first) os << ", ";
-      os << k << "=" << v;
-      first = false;
-    }
-    os << ")[" << StrJoin(n.input_vars, ",") << "] -> " << n.output_var;
-  }
-  os << " => " << answer_var;
-  return os.str();
-}
 
 std::string LogicalPlan::Signature() const {
   std::ostringstream os;

@@ -36,9 +36,6 @@ struct LogicalPlan {
   /// The original query (kept for Generate fallbacks and diagnostics).
   std::string query_text;
 
-  /// "Filter(condition=...) -> V1; GroupBy(by=sport) -> V2; ..."
-  std::string DebugString() const;
-
   /// A content signature used to deduplicate candidate plans.
   std::string Signature() const;
 };

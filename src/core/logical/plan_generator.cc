@@ -35,10 +35,9 @@ llm::LlmResult PlanGenerator::CallLlm(llm::LlmCall call,
   llm::LlmResult r = llm_->Call(call);
   result.planning_seconds += r.seconds;
   result.llm_calls += 1;
-  // Status contract (llm_client.h): failures are accounted (time/dollars
-  // above) and counted; callers see empty fields, which the DFS treats as
-  // "this path yields nothing" — a checked absorb, not a silent one.
-  if (!r.status.ok()) result.llm_failures += 1;
+  // Status contract (llm_client.h): a failure is accounted (time above)
+  // and callers see empty fields, which the DFS treats as "this path
+  // yields nothing" (docs/resilience.md, "Planning").
   return r;
 }
 

@@ -49,12 +49,6 @@ class PlanGenerator {
     /// Sequential virtual time of all planning LLM calls.
     double planning_seconds = 0;
     int64_t llm_calls = 0;
-    /// Planning calls that returned a non-OK status (after the resilience
-    /// layer's retries, when configured). The DFS treats each as "this
-    /// path yields nothing" — a deliberate, checked absorb: planning
-    /// explores many redundant paths, so one failed probe costs a
-    /// backtrack, not the query (docs/resilience.md, "Planning").
-    int64_t llm_failures = 0;
     /// Reduction attempts whose subtree yielded no complete plan.
     int backtracks = 0;
     /// Candidate-set widenings after all top-k candidates failed (V-D).

@@ -69,20 +69,9 @@ double CostModel::PerElementSeconds(const std::string& op_name,
   return it->second.total_seconds / it->second.total_card;
 }
 
-double CostModel::PerElementDollars(const std::string& op_name,
-                                    PhysicalImpl impl) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(Key(op_name, impl));
-  if (it == entries_.end() || it->second.total_card <= 0 ||
-      it->second.total_dollars <= 0) {
-    return DefaultPerElementDollars(impl);
-  }
-  return it->second.total_dollars / it->second.total_card;
-}
-
 double CostModel::EstimateDollars(const std::string& op_name,
                                   PhysicalImpl impl, const OpArgs& args,
-                                  double card_in, double card_out) const {
+                                  double card_in) const {
   double per_elem;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -97,8 +86,7 @@ double CostModel::EstimateDollars(const std::string& op_name,
 
 double CostModel::EstimateSeconds(const std::string& op_name,
                                   PhysicalImpl impl, const OpArgs& args,
-                                  double card_in, double card_out,
-                                  int parallelism) const {
+                                  double card_in) const {
   double per_elem;
   double flat = 1e-4;
   {
@@ -111,8 +99,7 @@ double CostModel::EstimateSeconds(const std::string& op_name,
       flat = it->second.flat_seconds;
     }
   }
-  double par = static_cast<double>(std::max(1, parallelism));
-  return flat + per_elem * EffectiveCardinality(impl, args, card_in) / par;
+  return flat + per_elem * EffectiveCardinality(impl, args, card_in);
 }
 
 }  // namespace unify::core

@@ -34,16 +34,12 @@ class CostModel {
   void Record(const std::string& op_name, PhysicalImpl impl, size_t card,
               double llm_seconds, double cpu_seconds, double dollars = 0);
 
-  /// Estimated seconds for running `impl` of `op_name` over `card_in`
-  /// elements producing `card_out`. For IndexScanFilter the LLM-verified
-  /// candidate count matters, so `card_out` drives the cost; see .cc.
-  /// `parallelism` models morsel-driven intra-operator execution: the
-  /// per-element term divides by the number of concurrent partitions
-  /// (the fixed per-run cost does not), so a partitionable LLM impl gets
-  /// cheaper when servers are idle. 1 = the sequential stream model.
+  /// Estimated sequential seconds for running `impl` of `op_name` over
+  /// `card_in` elements: a fixed per-run cost plus a per-element cost
+  /// times EffectiveCardinality (for IndexScanFilter, the ANN candidate
+  /// count in args["index_candidates"]).
   double EstimateSeconds(const std::string& op_name, PhysicalImpl impl,
-                         const OpArgs& args, double card_in, double card_out,
-                         int parallelism = 1) const;
+                         const OpArgs& args, double card_in) const;
 
   /// The input cardinality `impl` actually touches: IndexScanFilter only
   /// LLM-verifies its ANN candidate set (args["index_candidates"]);
@@ -56,14 +52,12 @@ class CostModel {
   double PerElementSeconds(const std::string& op_name,
                            PhysicalImpl impl) const;
 
-  /// Estimated dollars for running `impl` over `card_in` elements — the
-  /// alternative objective of Section VI-A's footnote (optimize total
-  /// cost instead of total time).
+  /// Estimated dollars for running `impl` over `card_in` elements
+  /// (EffectiveCardinality, as for seconds) — the alternative objective
+  /// of Section VI-A's footnote (optimize total cost instead of total
+  /// time).
   double EstimateDollars(const std::string& op_name, PhysicalImpl impl,
-                         const OpArgs& args, double card_in,
-                         double card_out) const;
-  double PerElementDollars(const std::string& op_name,
-                           PhysicalImpl impl) const;
+                         const OpArgs& args, double card_in) const;
 
   /// Number of calibration records absorbed.
   int64_t records() const {

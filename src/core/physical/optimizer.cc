@@ -101,10 +101,8 @@ void ChooseNodeImpl(PhysicalNode& node, const std::vector<PhysicalImpl>& valid,
     // speedup enters the plan-level est_makespan instead.
     double cost =
         opts.objective == OptimizeObjective::kDollars
-            ? cost_model.EstimateDollars(op, impl, args, node.est_in_card,
-                                         node.est_out_card)
-            : cost_model.EstimateSeconds(op, impl, args, node.est_in_card,
-                                         node.est_out_card);
+            ? cost_model.EstimateDollars(op, impl, args, node.est_in_card)
+            : cost_model.EstimateSeconds(op, impl, args, node.est_in_card);
     if (best_cost < 0 || cost < best_cost) {
       best_cost = cost;
       best_impl = impl;
@@ -117,8 +115,8 @@ void ChooseNodeImpl(PhysicalNode& node, const std::vector<PhysicalImpl>& valid,
                                       in_grouped);
   // est_seconds stays the sequential total: partitioning redistributes
   // the work across servers, it does not reduce it.
-  node.est_seconds = cost_model.EstimateSeconds(
-      op, best_impl, best_args, node.est_in_card, node.est_out_card);
+  node.est_seconds =
+      cost_model.EstimateSeconds(op, best_impl, best_args, node.est_in_card);
 }
 
 /// Cardinality state after propagation.
@@ -245,21 +243,6 @@ exec::NodeCost EstimatedCost(const PhysicalNode& node, int max_parallelism) {
 }
 
 }  // namespace
-
-std::string PhysicalPlan::DebugString() const {
-  std::ostringstream os;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const auto& n = nodes[i];
-    if (i) os << "; ";
-    os << n.logical.op_name << "<" << PhysicalImplName(n.impl) << ">("
-       << StrJoin(n.logical.input_vars, ",") << ") -> "
-       << n.logical.output_var << " [card " << FormatDouble(n.est_in_card, 0)
-       << "->" << FormatDouble(n.est_out_card, 0) << ", "
-       << FormatDouble(n.est_seconds, 2) << "s]";
-  }
-  os << " | est makespan " << FormatDouble(est_makespan, 2) << "s";
-  return os.str();
-}
 
 std::string PhysicalPlan::Explain() const {
   std::ostringstream os;
@@ -511,9 +494,9 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
             double c =
                 opts.objective == OptimizeObjective::kDollars
                     ? cost_model_->EstimateDollars("Filter", impl, args,
-                                                   card, out)
+                                                   card)
                     : cost_model_->EstimateSeconds("Filter", impl, args,
-                                                   card, out);
+                                                   card);
             if (node_cost < 0 || c < node_cost) node_cost = c;
           }
           cost += node_cost;
@@ -562,8 +545,7 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
     if (op == "Scan") {
       node.impl = PhysicalImpl::kLinearScan;
       node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card,
-          node.est_out_card);
+          op, node.impl, node.logical.args, node.est_in_card);
       continue;
     }
     std::vector<PhysicalImpl> valid = ValidImpls(node);
@@ -580,8 +562,7 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
       node.est_partitions = PartitionsFor(opts, node, node.impl,
                                           node.logical.args, in_grouped);
       node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card,
-          node.est_out_card);
+          op, node.impl, node.logical.args, node.est_in_card);
       continue;
     }
 
@@ -611,8 +592,7 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
   }
   for (auto& node : plan.nodes) {
     node.est_dollars = cost_model_->EstimateDollars(
-        node.logical.op_name, node.impl, node.logical.args,
-        node.est_in_card, node.est_out_card);
+        node.logical.op_name, node.impl, node.logical.args, node.est_in_card);
     plan.est_total_dollars += node.est_dollars;
   }
   plan.likely_incomplete =
@@ -690,26 +670,22 @@ StatusOr<ReoptimizeResult> PhysicalOptimizer::Reoptimize(
     }
     // Keeping the original impl, what would the suffix now cost?
     old_node.est_seconds = cost_model_->EstimateSeconds(
-        op, old_node.impl, old_node.logical.args, old_node.est_in_card,
-        old_node.est_out_card);
+        op, old_node.impl, old_node.logical.args, old_node.est_in_card);
     old_node.est_partitions = PartitionsFor(opts, old_node, old_node.impl,
                                             old_node.logical.args, in_grouped);
     result.old_suffix_seconds += old_node.est_seconds;
     result.old_suffix_dollars += cost_model_->EstimateDollars(
-        op, old_node.impl, old_node.logical.args, old_node.est_in_card,
-        old_node.est_out_card);
+        op, old_node.impl, old_node.logical.args, old_node.est_in_card);
     if (op == "Scan") {
       node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card,
-          node.est_out_card);
+          op, node.impl, node.logical.args, node.est_in_card);
     } else {
       std::vector<PhysicalImpl> valid = ValidImpls(node);
       UNIFY_CHECK(!valid.empty()) << "no impl for " << op;
       ChooseNodeImpl(node, valid, opts, *cost_model_, N, in_grouped);
     }
     node.est_dollars = cost_model_->EstimateDollars(
-        op, node.impl, node.logical.args, node.est_in_card,
-        node.est_out_card);
+        op, node.impl, node.logical.args, node.est_in_card);
     result.new_suffix_seconds += node.est_seconds;
     result.new_suffix_dollars += node.est_dollars;
     if (node.impl != old_node.impl ||

@@ -58,8 +58,6 @@ struct PhysicalPlan {
   double optimize_llm_seconds = 0;
   int64_t optimize_llm_calls = 0;
 
-  std::string DebugString() const;
-
   /// Multi-line, indented rendering of the plan DAG with per-node
   /// implementation choices and estimates — EXPLAIN output.
   std::string Explain() const;

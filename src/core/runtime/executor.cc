@@ -137,12 +137,8 @@ void PlanExecutor::Begin(const PhysicalPlan& plan, ExecutionState& state,
   state.trace = trace;
   state.exec_span =
       std::make_unique<ScopedSpan>(trace, telemetry::kSpanExecute, parent);
-  node_stats_.assign(n, OpStats{});
-  node_executions_.assign(n, NodeExecution{});
-  fallback_execution_.reset();
-  fallback_stats_ = OpStats{};
   state.node_spans.assign(n, kNoSpan);
-  state.done.assign(n, false);
+  state.nodes.assign(n, PlanNodeAnalysis{});
   exec::VirtualLlmPool* pool = shared_pool;
   if (pool == nullptr) {
     state.local_pool = std::make_unique<exec::VirtualLlmPool>(
@@ -160,7 +156,7 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
                                                int u) {
   const PhysicalNode& node = state.plan.nodes[u];
   Trace* trace = state.trace;
-  NodeExecution& record = node_executions_[u];
+  PlanNodeAnalysis& row = state.nodes[u];
   ScopedSpan node_span(trace, telemetry::kSpanExecNode,
                        state.exec_span->id());
   state.node_spans[u] = node_span.id();
@@ -181,9 +177,8 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
     inputs.push_back(it->second);
   }
   for (const Value& in : inputs) {
-    record.actual_in_card =
-        std::max(record.actual_in_card,
-                 static_cast<double>(in.Cardinality()));
+    row.actual_in_card = std::max(row.actual_in_card,
+                                  static_cast<double>(in.Cardinality()));
   }
 
   ExecContext ctx = ctx_;  // per-node copy (cheap; pointers only)
@@ -215,9 +210,8 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
   // the expected result, retry with alternative physical
   // implementations instead of restarting the whole plan.
   if (!output.ok()) {
-    state.adjusted = true;
     node_span.AddAttr("adjusted", true);
-    record.adjusted = true;
+    row.adjusted = true;
     MetricAddCounter(telemetry::kMetricExecAdjustments);
     for (int attempt = 0; attempt < kMaxAdjustments && !output.ok();
          ++attempt) {
@@ -228,7 +222,7 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
         if (node.logical.requires_semantics && !ImplSemanticCapable(alt)) {
           continue;
         }
-        ++record.retries;
+        ++row.retries;
         auto retry = ExecuteOp(node.logical.op_name, alt,
                                node.logical.args, inputs, ctx);
         if (retry.ok()) {
@@ -245,27 +239,29 @@ StatusOr<exec::NodeCost> PlanExecutor::RunNode(ExecutionState& state,
     node_span.AddAttr("status", output.status().ToString());
     return output.status();
   }
+  const OpStats& stats = output->stats;
   if (trace != nullptr) {
-    node_span.AddAttr("llm_seconds", output->stats.llm_seconds);
-    node_span.AddAttr("llm_calls", output->stats.llm_calls);
-    node_span.AddAttr("cpu_seconds", output->stats.cpu_seconds);
-    node_span.AddAttr("dollars", output->stats.llm_dollars);
+    node_span.AddAttr("llm_seconds", stats.llm_seconds);
+    node_span.AddAttr("llm_calls", stats.llm_calls);
+    node_span.AddAttr("cpu_seconds", stats.cpu_seconds);
+    node_span.AddAttr("dollars", stats.llm_dollars);
   }
-  node_stats_[u] = output->stats;
-  record.executed = true;
-  record.actual_out_card = static_cast<double>(output->value.Cardinality());
-  record.partitions = std::max(1, static_cast<int>(cost.llm_partitions.size()));
-  state.done[u] = true;
+  row.executed = true;
+  row.actual_out_card = static_cast<double>(output->value.Cardinality());
+  row.actual_seconds = stats.cpu_seconds + stats.llm_seconds;
+  row.llm_seconds = stats.llm_seconds;
+  row.actual_dollars = stats.llm_dollars;
+  row.llm_calls = stats.llm_calls;
+  row.partitions = std::max(1, static_cast<int>(cost.llm_partitions.size()));
+  cost.cpu_seconds = stats.cpu_seconds;
+  cost.llm_seconds = stats.llm_seconds;
   if (!node.logical.output_var.empty()) {
     state.vars[node.logical.output_var] = output->value;
   }
-  cost.cpu_seconds = output->stats.cpu_seconds;
-  cost.llm_seconds = output->stats.llm_seconds;
   return cost;
 }
 
-std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
-  const size_t n = state.plan.nodes.size();
+std::optional<ReplanRecord> PlanExecutor::Run(ExecutionState& state) {
   while (state.run_status.ok()) {
     // Begin() checked the DAG is acyclic, so an exhausted schedule means
     // every node ran.
@@ -282,31 +278,24 @@ std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
     // optimizer's estimate and un-executed nodes remain that a replan
     // could still improve.
     const PhysicalNode& node = state.plan.nodes[u];
-    const double observed = node_executions_[u].actual_out_card;
+    const double observed = state.nodes[u].actual_out_card;
     if (state.replan_yields >= options_.max_reoptimizations ||
         node.logical.output_var.empty() ||
-        std::count(state.done.begin(), state.done.end(), true) ==
-            static_cast<std::ptrdiff_t>(n)) {
+        std::all_of(state.nodes.begin(), state.nodes.end(),
+                    [](const PlanNodeAnalysis& row) { return row.executed; })) {
       continue;
     }
     const double qerr = QError(node.est_out_card, observed);
     if (qerr < options_.reoptimize_qerror_threshold) continue;
     ++state.replan_yields;
-    ReplanRequest req;
-    req.node = u;
-    req.output_var = node.logical.output_var;
-    req.observed_card = observed;
-    req.estimated_card = node.est_out_card;
-    req.qerror = qerr;
-    req.elapsed_seconds = finish;
-    req.executed = state.done;
-    for (size_t i = 0; i < n; ++i) {
-      const std::string& var = state.plan.nodes[i].logical.output_var;
-      if (state.done[i] && !var.empty()) {
-        req.observed_cards[var] = node_executions_[i].actual_out_card;
-      }
-    }
-    return req;
+    ReplanRecord trigger;
+    trigger.trigger_node = u;
+    trigger.trigger_var = node.logical.output_var;
+    trigger.observed_card = observed;
+    trigger.estimated_card = node.est_out_card;
+    trigger.qerror = qerr;
+    trigger.elapsed_seconds = finish;
+    return trigger;
   }
   return std::nullopt;
 }
@@ -314,15 +303,15 @@ std::optional<ReplanRequest> PlanExecutor::Run(ExecutionState& state) {
 void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
                                const PhysicalPlan* new_plan) {
   // The decision call is charged to the query whether or not the suffix
-  // is adopted, and the pause is a barrier: nothing resumes before the
-  // planner's verdict lands on the virtual clock.
-  state.replan_seconds += record.decision_seconds;
-  state.replan_dollars += record.decision_dollars;
-  state.replan_calls += 1;
+  // is adopted (Finish adds it to the totals), and the pause is a
+  // barrier: nothing resumes before the planner's verdict lands on the
+  // virtual clock.
   state.schedule->Floor(record.elapsed_seconds + record.decision_seconds);
   record.adopted = new_plan != nullptr;
   for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-    if (!state.done[i]) record.suffix_nodes.push_back(static_cast<int>(i));
+    if (!state.nodes[i].executed) {
+      record.suffix_nodes.push_back(static_cast<int>(i));
+    }
   }
   if (new_plan != nullptr) {
     for (int i : record.suffix_nodes) {
@@ -356,17 +345,25 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   ExecutionResult result;
   ScopedSpan& exec_span = *state.exec_span;
   Trace* trace = state.trace;
-  for (size_t i = 0; i < node_stats_.size(); ++i) {
-    const OpStats& stats = node_stats_[i];
-    result.llm_seconds_total += stats.llm_seconds;
-    result.llm_dollars_total += stats.llm_dollars;
-    result.llm_calls += stats.llm_calls;
+  std::vector<PlanNodeAnalysis>& rows = state.nodes;
+  const size_t n = state.plan.nodes.size();
+  for (size_t i = 0; i < n; ++i) {
+    result.llm_seconds_total += rows[i].llm_seconds;
+    result.llm_dollars_total += rows[i].actual_dollars;
+    result.llm_calls += rows[i].llm_calls;
+    result.adjusted |= rows[i].adjusted;
   }
   // Replan decision calls are execution-side spend: their virtual time is
   // already modeled by the resume barrier, their dollars/calls land here.
-  result.llm_seconds_total += state.replan_seconds;
-  result.llm_dollars_total += state.replan_dollars;
-  result.llm_calls += state.replan_calls;
+  double replan_seconds = 0;
+  double replan_dollars = 0;
+  for (const ReplanRecord& rec : state.replans) {
+    replan_seconds += rec.decision_seconds;
+    replan_dollars += rec.decision_dollars;
+  }
+  result.llm_seconds_total += replan_seconds;
+  result.llm_dollars_total += replan_dollars;
+  result.llm_calls += static_cast<int64_t>(state.replans.size());
 
   // Report times relative to the query's own ready time, so standalone
   // and served queries read the same way; contention shows up as a
@@ -374,21 +371,31 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   const exec::ScheduleResult& sched = state.schedule->result();
   const double base = state.schedule->base();
   result.virtual_seconds = sched.makespan - base;
-  // Annotate each node span with its virtual interval on the server
-  // pool, plus the time it spent waiting for a free server.
-  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
-    const double busy = node_stats_[i].cpu_seconds + node_stats_[i].llm_seconds;
-    const double queue_wait =
-        std::max(0.0, sched.finish[i] - sched.start[i] - busy);
-    MetricObserve(telemetry::kMetricExecQueueWait, queue_wait);
-    NodeExecution& record = node_executions_[i];
-    record.virt_start = sched.start[i] - base;
-    record.virt_finish = sched.finish[i] - base;
-    record.queue_wait_seconds = queue_wait;
+  // The estimated side of each row comes from the plan that ran. Each
+  // node span is annotated with the node's virtual interval on the
+  // server pool, plus the time it spent waiting for a free server.
+  for (size_t i = 0; i < n; ++i) {
+    const PhysicalNode& node = state.plan.nodes[i];
+    PlanNodeAnalysis& row = rows[i];
+    row.node = static_cast<int>(i);
+    row.op_name = node.logical.op_name;
+    row.impl = PhysicalImplName(node.impl);
+    row.output_var = node.logical.output_var;
+    row.est_in_card = node.est_in_card;
+    row.est_out_card = node.est_out_card;
+    row.est_seconds = node.est_seconds;
+    row.est_dollars = node.est_dollars;
+    row.est_partitions = node.est_partitions;
+    row.virt_start = sched.start[i] - base;
+    row.virt_finish = sched.finish[i] - base;
+    row.queue_wait_seconds = std::max(
+        0.0, sched.finish[i] - sched.start[i] - row.actual_seconds);
+    MetricObserve(telemetry::kMetricExecQueueWait, row.queue_wait_seconds);
     if (trace != nullptr && state.node_spans[i] != kNoSpan) {
-      trace->SetVirtualInterval(state.node_spans[i], record.virt_start,
-                                record.virt_finish);
-      trace->AddAttr(state.node_spans[i], "queue_wait_seconds", queue_wait);
+      trace->SetVirtualInterval(state.node_spans[i], row.virt_start,
+                                row.virt_finish);
+      trace->AddAttr(state.node_spans[i], "queue_wait_seconds",
+                     row.queue_wait_seconds);
     }
   }
   // Fraction of the pool's capacity the plan actually kept busy.
@@ -404,17 +411,14 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   // Execution timeline for observability.
   std::string timeline;
   char line[256];
-  for (size_t i = 0; i < state.plan.nodes.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
+    const PlanNodeAnalysis& row = rows[i];
     std::snprintf(line, sizeof(line),
                   "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
                   "calls)\n",
-                  node_executions_[i].virt_start,
-                  node_executions_[i].virt_finish,
-                  state.plan.nodes[i].logical.op_name.c_str(),
-                  PhysicalImplName(state.plan.nodes[i].impl),
-                  state.plan.nodes[i].logical.output_var.c_str(),
-                  node_stats_[i].llm_seconds,
-                  static_cast<long long>(node_stats_[i].llm_calls));
+                  row.virt_start, row.virt_finish, row.op_name.c_str(),
+                  row.impl.c_str(), row.output_var.c_str(), row.llm_seconds,
+                  static_cast<long long>(row.llm_calls));
     timeline += line;
   }
   for (size_t r = 0; r < state.replans.size(); ++r) {
@@ -430,8 +434,8 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
   }
   result.timeline = std::move(timeline);
 
-  result.adjusted = state.adjusted;
   auto finalize = [&]() {
+    result.nodes = std::move(rows);
     if (trace == nullptr) return;
     exec_span.AddAttr("virtual_seconds", result.virtual_seconds);
     exec_span.AddAttr("llm_seconds", result.llm_seconds_total);
@@ -481,35 +485,42 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
       auto fallback = ExecuteOp("Generate", PhysicalImpl::kLlmGenerate,
                                 args, {Value::Docs(std::move(all))}, ctx);
       if (fallback.ok()) {
-        result.llm_seconds_total += fallback->stats.llm_seconds;
-        result.llm_dollars_total += fallback->stats.llm_dollars;
-        result.llm_calls += fallback->stats.llm_calls;
-        // The fallback generation is one more stream on the server pool.
+        const OpStats& stats = fallback->stats;
+        result.llm_seconds_total += stats.llm_seconds;
+        result.llm_dollars_total += stats.llm_dollars;
+        result.llm_calls += stats.llm_calls;
+        // The fallback generation is one more stream on the server pool,
+        // ready once the strategy call has returned and the generation's
+        // CPU work is done.
+        const double failed_at = result.virtual_seconds;
         const double fb_ready =
-            base + result.virtual_seconds + fallback->stats.cpu_seconds;
+            base + failed_at + strategy.seconds + stats.cpu_seconds;
         result.virtual_seconds =
-            state.schedule->pool()->ScheduleStream(
-                fb_ready, fallback->stats.llm_seconds) -
+            state.schedule->pool()->ScheduleStream(fb_ready,
+                                                   stats.llm_seconds) -
             base;
-        // A synthetic execution record for the fallback generation — it
-        // has no plan node, but EXPLAIN ANALYZE should still show what
-        // actually produced the answer (docs/replanning.md).
-        fallback_stats_ = fallback->stats;
-        fallback_stats_.llm_seconds += strategy.seconds;
-        fallback_stats_.llm_dollars += strategy.dollars;
-        fallback_stats_.llm_calls += 1;
-        NodeExecution fb;
-        fb.executed = true;
-        fb.adjusted = true;
-        fb.actual_in_card = static_cast<double>(ctx_.corpus->size());
-        fb.actual_out_card =
+        // A synthetic row for the fallback generation, strategy call
+        // included — it has no plan node, but EXPLAIN ANALYZE should
+        // still show what actually produced the answer
+        // (docs/observability.md, "EXPLAIN ANALYZE").
+        PlanNodeAnalysis& row = rows.emplace_back();
+        row.op_name = "Generate";
+        row.impl = PhysicalImplName(PhysicalImpl::kLlmGenerate);
+        row.output_var = "(fallback)";
+        row.executed = true;
+        row.synthetic_fallback = true;
+        row.adjusted = true;
+        row.actual_in_card = static_cast<double>(ctx_.corpus->size());
+        row.actual_out_card =
             static_cast<double>(fallback->value.Cardinality());
-        fb.virt_start = fb_ready - base;
-        fb.virt_finish = result.virtual_seconds;
-        fb.queue_wait_seconds =
-            std::max(0.0, fb.virt_finish - fb.virt_start -
-                              fallback->stats.llm_seconds);
-        fallback_execution_ = fb;
+        row.llm_seconds = stats.llm_seconds + strategy.seconds;
+        row.actual_seconds = stats.cpu_seconds + row.llm_seconds;
+        row.actual_dollars = stats.llm_dollars + strategy.dollars;
+        row.llm_calls = stats.llm_calls + 1;
+        row.virt_start = failed_at;
+        row.virt_finish = result.virtual_seconds;
+        row.queue_wait_seconds = std::max(
+            0.0, row.virt_finish - row.virt_start - row.actual_seconds);
         result.answer = fallback->value.ToAnswer();
         result.adjusted = true;
         finalize();

@@ -17,6 +17,67 @@
 
 namespace unify::core {
 
+/// One plan node's EXPLAIN ANALYZE row: the optimizer's estimates next to
+/// what execution measured. The executor keeps one per plan node (indexed
+/// like PhysicalPlan::nodes) plus a trailing row when the Section V-D
+/// fallback answers; QueryResult::plan_analysis holds them in the plan's
+/// topological render order.
+struct PlanNodeAnalysis {
+  /// The plan node this row describes (index into PhysicalPlan::nodes);
+  /// -1 for the synthetic fallback row.
+  int node = -1;
+  std::string op_name;
+  /// Chosen physical implementation (PhysicalImplName).
+  std::string impl;
+  std::string output_var;
+  /// Indentation depth in the plan DAG render (longest path from a root).
+  int depth = 0;
+  /// False when the node never ran (upstream failure aborted the DAG).
+  bool executed = false;
+
+  /// Cardinalities: the optimizer's estimates vs the values execution
+  /// measured, and their q-error (max of the two ratios, clamped ≥ 1).
+  /// The measured input is the largest input value, the convention the
+  /// optimizer uses for est_in_card.
+  double est_in_card = 0;
+  double est_out_card = 0;
+  double actual_in_card = 0;
+  double actual_out_card = 0;
+  double card_qerror = 0;
+
+  /// Virtual seconds: the cost model's sequential-work estimate vs the
+  /// measured operator stream (cpu + llm) and its LLM part, plus the
+  /// node's interval on the server pool, relative to the query's ready
+  /// time, and its wait for a free server inside it.
+  double est_seconds = 0;
+  double actual_seconds = 0;
+  double llm_seconds = 0;
+  double virt_start = 0;
+  double virt_finish = 0;
+  double queue_wait_seconds = 0;
+
+  /// API spend: predicted vs measured.
+  double est_dollars = 0;
+  double actual_dollars = 0;
+  int64_t llm_calls = 0;
+
+  /// Morsels: predicted vs actually run (1 = sequential stream).
+  int est_partitions = 1;
+  int partitions = 1;
+
+  /// Plan adjustment on this node: its chosen impl failed and `retries`
+  /// alternatives were attempted.
+  bool adjusted = false;
+  int retries = 0;
+
+  /// Ordinal (1-based) of the mid-query replan that re-lowered this node
+  /// (docs/replanning.md); 0 = the node ran as originally planned.
+  int replanned_by = 0;
+  /// True for the synthetic record of the Section V-D fallback
+  /// generation, which answers the query but has no plan node.
+  bool synthetic_fallback = false;
+};
+
 /// The outcome of executing one physical plan.
 struct ExecutionResult {
   Status status = Status::OK();
@@ -36,40 +97,25 @@ struct ExecutionResult {
   /// virtual start/finish on the server pool and measured LLM usage,
   /// followed by one marker line per mid-query replan (when any fired).
   std::string timeline;
+  /// One row per plan node, indexed like PhysicalPlan::nodes, plus a
+  /// trailing synthetic row when the Section V-D fallback answered.
+  /// BuildPlanAnalysis turns them into EXPLAIN ANALYZE.
+  std::vector<PlanNodeAnalysis> nodes;
 };
 
-/// What execution actually measured for one DAG node — the "actual" side
-/// of EXPLAIN ANALYZE (the "estimated" side lives on PhysicalNode).
-/// Indexed like PhysicalPlan::nodes / PlanExecutor::node_stats().
-struct NodeExecution {
-  /// False when the node never ran (an upstream failure aborted the DAG).
-  bool executed = false;
-  /// Measured input cardinality (max over input values, the same
-  /// convention the optimizer uses for est_in_card).
-  double actual_in_card = 0;
-  /// Measured output cardinality of the value the node produced.
-  double actual_out_card = 0;
-  /// Morsels the node actually ran as (1 = sequential single stream).
-  int partitions = 1;
-  /// True when plan adjustment fired on this node (its first impl failed).
-  bool adjusted = false;
-  /// Alternative implementations tried during adjustment.
-  int retries = 0;
-  /// Virtual interval on the server pool, relative to the query's ready
-  /// time, and the wait for a free server inside it.
-  double virt_start = 0;
-  double virt_finish = 0;
-  double queue_wait_seconds = 0;
-};
-
-/// A materialization point at which the engine paused: node
-/// `node` just finished with a cardinality q-error at or above the
-/// configured threshold, and un-executed nodes remain that a replan could
-/// still improve. The pipeline answers with ApplyReplan (adopting a
-/// re-lowered suffix or not) and calls Run again to resume.
-struct ReplanRequest {
-  int node = -1;
-  std::string output_var;
+/// One mid-query re-optimization, adopted or not (docs/replanning.md).
+/// PlanExecutor::Run yields it with the trigger fields set when a
+/// materialization point trips the q-error threshold; the query
+/// pipeline's replan loop fills in the decision and hands it to
+/// ApplyReplan. Retained on QueryResult for EXPLAIN ANALYZE, the flight
+/// recorder, and the \replan shell view.
+struct ReplanRecord {
+  /// The materialization point that fired the trigger: node `trigger_node`
+  /// just finished with a cardinality q-error at or above the configured
+  /// threshold, and un-executed nodes remain that a replan could still
+  /// improve.
+  int trigger_node = -1;
+  std::string trigger_var;
   double observed_card = 0;
   double estimated_card = 0;
   /// QError(estimated_card, observed_card) — the trigger value.
@@ -77,26 +123,6 @@ struct ReplanRequest {
   /// Absolute virtual time on the execution pool at which the trigger
   /// node finished (private pools start at 0, shared pools at the query's
   /// execution-ready time). Re-optimization costs its suffix from here.
-  double elapsed_seconds = 0;
-  /// Which plan nodes have finished executing (indexed like plan.nodes).
-  std::vector<bool> executed;
-  /// Every cardinality execution has materialized so far, keyed by the
-  /// producing node's output variable — the facts handed to
-  /// PhysicalOptimizer::Reoptimize as CardinalityOverrides.
-  std::map<std::string, double> observed_cards;
-};
-
-/// One mid-query re-optimization, adopted or not (docs/replanning.md).
-/// Produced by the query pipeline's replan loop, retained on QueryResult
-/// for EXPLAIN ANALYZE, the flight recorder, and the \replan shell view.
-struct ReplanRecord {
-  /// The materialization point that fired the trigger.
-  int trigger_node = -1;
-  std::string trigger_var;
-  double observed_card = 0;
-  double estimated_card = 0;
-  double qerror = 0;
-  /// Absolute virtual time at which the trigger node finished.
   double elapsed_seconds = 0;
   /// The planner-tier replan decision call, charged to the query.
   double decision_seconds = 0;
@@ -120,8 +146,11 @@ struct ReplanRecord {
   /// suffix the predicted costs above cover) — the basis of the
   /// completion-time improved/not-improved audit.
   std::vector<int> suffix_nodes;
-  /// Human-readable one-line summary (flight recorder detail).
-  std::string detail;
+
+  /// The one-line summary of the trigger and the verdict: "replan @ t=…"
+  /// for the flight recorder and \replan, "replan #<ordinal> @ t=…" in
+  /// EXPLAIN ANALYZE when `ordinal` > 0.
+  std::string Sentence(int ordinal = 0) const;
 };
 
 /// The execution module (paper Section III-C): runs a physical plan with
@@ -160,7 +189,7 @@ class PlanExecutor {
     /// sequential single-stream model exactly.
     int max_intra_op_parallelism = 1;
     /// Observed-vs-estimated cardinality q-error at or above which a
-    /// materialization point yields a ReplanRequest.
+    /// materialization point yields a ReplanRecord.
     double reoptimize_qerror_threshold = 3.0;
     /// Mid-query re-optimization budget (docs/replanning.md): replan
     /// pauses per query, each costing one planner-tier decision call.
@@ -169,9 +198,9 @@ class PlanExecutor {
   };
 
   /// Everything one plan execution carries across the engine's pauses:
-  /// the (possibly replanned) plan, bound variable values, the
-  /// virtual-time schedule so far, and the replans applied so far.
-  /// Created by Begin(), advanced by Run(), finalized by Finish().
+  /// the (possibly replanned) plan, bound variable values, one row per
+  /// plan node, the virtual-time schedule so far, and the replans applied
+  /// so far. Created by Begin(), advanced by Run(), finalized by Finish().
   struct ExecutionState {
     /// The plan being executed. ApplyReplan swaps in the re-lowered plan;
     /// executed nodes are pinned verbatim by the Reoptimize contract.
@@ -179,12 +208,14 @@ class PlanExecutor {
     Trace* trace = nullptr;
     std::unique_ptr<ScopedSpan> exec_span;
     std::map<std::string, Value> vars;
-    bool adjusted = false;
     Status run_status = Status::OK();
     /// Span of each DAG node, for post-hoc virtual-interval annotation.
     std::vector<SpanId> node_spans;
-    /// Which nodes have finished executing.
-    std::vector<bool> done;
+    /// One row per plan node, indexed like plan.nodes: RunNode fills the
+    /// measured side, Finish the estimated side and the virtual interval,
+    /// and Finish appends the fallback's row when the V-D fallback
+    /// answers. Finish moves them into ExecutionResult::nodes.
+    std::vector<PlanNodeAnalysis> nodes;
 
     /// The pool a query without a shared one runs on.
     std::unique_ptr<exec::VirtualLlmPool> local_pool;
@@ -194,12 +225,9 @@ class PlanExecutor {
     /// place, so a begun state is not moved.
     std::optional<exec::ListSchedule> schedule;
 
-    /// Replans applied so far and their charged decision costs.
+    /// Replans applied so far, each with its charged decision cost.
     std::vector<ReplanRecord> replans;
     int replan_yields = 0;
-    double replan_seconds = 0;
-    double replan_dollars = 0;
-    int64_t replan_calls = 0;
   };
 
   PlanExecutor(ExecContext ctx, Options options)
@@ -231,11 +259,11 @@ class PlanExecutor {
 
   /// Executes nodes one at a time in the order the list schedule hands
   /// them out until either a materialization point trips the replan
-  /// trigger — returning the ReplanRequest to answer with ApplyReplan
-  /// before calling Run again — or the DAG completes or fails (returns
-  /// nullopt; call Finish). A failing node stops the run: no further node
-  /// executes.
-  std::optional<ReplanRequest> Run(ExecutionState& state);
+  /// trigger — returning a ReplanRecord with its trigger fields set, to
+  /// answer with ApplyReplan before calling Run again — or the DAG
+  /// completes or fails (returns nullopt; call Finish). A failing node
+  /// stops the run: no further node executes.
+  std::optional<ReplanRecord> Run(ExecutionState& state);
 
   /// Records the outcome of one replan consideration. `new_plan` non-null
   /// adopts the re-lowered plan for the un-executed suffix (executed
@@ -246,41 +274,22 @@ class PlanExecutor {
   void ApplyReplan(ExecutionState& state, ReplanRecord record,
                    const PhysicalPlan* new_plan);
 
-  /// Assembles the ExecutionResult: totals (including replan decision
-  /// charges), the timeline with replan markers, the Section V-D fallback,
-  /// and the answer.
+  /// Assembles the ExecutionResult from the state's rows: totals
+  /// (including replan decision charges), the timeline with replan
+  /// markers, the Section V-D fallback (a trailing synthetic row, since
+  /// the fallback generation has no plan node), the answer, and the rows.
   ExecutionResult Finish(ExecutionState& state);
-
-  /// After execution, per-node measured stats (for cost-model feedback).
-  const std::vector<OpStats>& node_stats() const { return node_stats_; }
-
-  /// After execution, what each node actually did (EXPLAIN ANALYZE).
-  const std::vector<NodeExecution>& node_executions() const {
-    return node_executions_;
-  }
-
-  /// When the Section V-D fallback produced the answer, a synthetic
-  /// execution record + stats for the fallback generation (it has no plan
-  /// node), so EXPLAIN ANALYZE can show what actually answered the query.
-  const std::optional<NodeExecution>& fallback_execution() const {
-    return fallback_execution_;
-  }
-  const OpStats& fallback_stats() const { return fallback_stats_; }
 
  private:
   /// Executes one DAG node: through ExecuteOp with a morsel runner armed
-  /// when the node may split, plan adjustment on failure, stats +
-  /// execution-record bookkeeping. Returns the node's measured cost for
+  /// when the node may split, plan adjustment on failure, and the
+  /// measured side of the node's row. Returns the node's measured cost for
   /// the schedule: its CPU time, then its LLM stream, split into the
   /// morsels' streams when it ran as more than one.
   StatusOr<exec::NodeCost> RunNode(ExecutionState& state, int u);
 
   ExecContext ctx_;
   Options options_;
-  std::vector<OpStats> node_stats_;
-  std::vector<NodeExecution> node_executions_;
-  std::optional<NodeExecution> fallback_execution_;
-  OpStats fallback_stats_;
 };
 
 }  // namespace unify::core

@@ -15,12 +15,12 @@ namespace unify::core {
 
 namespace {
 
-/// Hindsight impl audit: with the measured cardinalities in hand, is the
-/// chosen implementation still the cost-model argmin among the
+/// Hindsight impl audit: with the measured input cardinality in hand, is
+/// the chosen implementation still the cost-model argmin among the
 /// semantically valid candidates? Index-scan alternatives are skipped
 /// unless chosen — their cost depends on an index_candidates argument the
 /// optimizer only computes when it selects them.
-bool HindsightOptimal(const PhysicalNode& node, const NodeExecution& actual,
+bool HindsightOptimal(const PhysicalNode& node, double actual_in_card,
                       const CostModel& cost_model,
                       OptimizeObjective objective) {
   double chosen_cost = -1;
@@ -36,13 +36,9 @@ bool HindsightOptimal(const PhysicalNode& node, const NodeExecution& actual,
     const double cost =
         objective == OptimizeObjective::kDollars
             ? cost_model.EstimateDollars(node.logical.op_name, alt,
-                                         node.logical.args,
-                                         actual.actual_in_card,
-                                         actual.actual_out_card)
+                                         node.logical.args, actual_in_card)
             : cost_model.EstimateSeconds(node.logical.op_name, alt,
-                                         node.logical.args,
-                                         actual.actual_in_card,
-                                         actual.actual_out_card);
+                                         node.logical.args, actual_in_card);
     if (alt == node.impl) chosen_cost = cost;
     if (best_cost < 0 || cost < best_cost) best_cost = cost;
   }
@@ -55,123 +51,71 @@ bool HindsightOptimal(const PhysicalNode& node, const NodeExecution& actual,
 }  // namespace
 
 std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
-    const PhysicalPlan& plan, const PlanExecutor& executor,
+    const PhysicalPlan& plan, std::vector<PlanNodeAnalysis> rows,
     const CostModel& cost_model, OptimizeObjective objective,
     const std::vector<ReplanRecord>& replans) {
-  const auto& stats = executor.node_stats();
-  const auto& actuals = executor.node_executions();
+  const size_t n = plan.nodes.size();
   // Which replan (1-based ordinal) re-lowered each node.
-  std::vector<int> replanned_by(plan.nodes.size(), 0);
   for (size_t r = 0; r < replans.size(); ++r) {
     for (int u : replans[r].relowered_nodes) {
-      if (u >= 0 && static_cast<size_t>(u) < replanned_by.size()) {
-        replanned_by[u] = static_cast<int>(r) + 1;
+      if (u >= 0 && static_cast<size_t>(u) < n) {
+        rows[u].replanned_by = static_cast<int>(r) + 1;
       }
     }
   }
   // Render order and indentation depth, matching Explain().
   auto order = plan.dag.TopologicalOrder();
   std::vector<int> render;
-  std::vector<int> depth(plan.nodes.size(), 0);
   if (order.ok()) {
     render = *order;
     for (int u : render) {
       for (int v : plan.dag.children(u)) {
-        depth[v] = std::max(depth[v], depth[u] + 1);
+        rows[v].depth = std::max(rows[v].depth, rows[u].depth + 1);
       }
     }
   } else {
-    render.resize(plan.nodes.size());
-    for (size_t i = 0; i < render.size(); ++i) {
-      render[i] = static_cast<int>(i);
-    }
+    render.resize(n);
+    for (size_t i = 0; i < n; ++i) render[i] = static_cast<int>(i);
   }
   std::vector<PlanNodeAnalysis> analysis;
-  analysis.reserve(render.size() + 1);
+  analysis.reserve(rows.size());
   for (int u : render) {
-    const PhysicalNode& node = plan.nodes[u];
-    const NodeExecution& actual = actuals[u];
-    const OpStats& st = stats[u];
-    PlanNodeAnalysis a;
-    a.op_name = node.logical.op_name;
-    a.impl = PhysicalImplName(node.impl);
-    a.output_var = node.logical.output_var;
-    a.depth = depth[u];
-    a.executed = actual.executed;
-    a.est_in_card = node.est_in_card;
-    a.est_out_card = node.est_out_card;
-    a.actual_in_card = actual.actual_in_card;
-    a.actual_out_card = actual.actual_out_card;
-    a.est_seconds = node.est_seconds;
-    a.actual_seconds = st.cpu_seconds + st.llm_seconds;
-    a.virt_start = actual.virt_start;
-    a.virt_finish = actual.virt_finish;
-    a.queue_wait_seconds = actual.queue_wait_seconds;
-    a.est_dollars = node.est_dollars;
-    a.actual_dollars = st.llm_dollars;
-    a.llm_calls = st.llm_calls;
-    a.est_partitions = node.est_partitions;
-    a.partitions = actual.partitions;
-    a.adjusted = actual.adjusted;
-    a.retries = actual.retries;
-    a.replanned_by = replanned_by[u];
-    if (actual.executed) {
+    PlanNodeAnalysis& a = rows[u];
+    if (a.executed) {
       a.card_qerror = QError(a.est_out_card, a.actual_out_card);
       MetricObserve(telemetry::kMetricCardQError, a.card_qerror);
       MetricAddCounter(std::string(telemetry::kMetricImplChosen) + "." +
                        a.impl);
       MetricAddCounter(
-          HindsightOptimal(node, actual, cost_model, objective)
+          HindsightOptimal(plan.nodes[u], a.actual_in_card, cost_model,
+                           objective)
               ? telemetry::kMetricImplChoiceOptimal
               : telemetry::kMetricImplChoiceSuboptimal);
     }
     analysis.push_back(std::move(a));
   }
-  // The Section V-D fallback generation answers the query outside the
-  // plan; surface it as a trailing synthetic record so EXPLAIN ANALYZE
-  // shows what actually ran.
-  if (executor.fallback_execution().has_value()) {
-    const NodeExecution& fb = *executor.fallback_execution();
-    const OpStats& st = executor.fallback_stats();
-    PlanNodeAnalysis a;
-    a.op_name = "Generate";
-    a.impl = PhysicalImplName(PhysicalImpl::kLlmGenerate);
-    a.output_var = "(fallback)";
-    a.executed = true;
-    a.synthetic_fallback = true;
-    a.adjusted = true;
-    a.actual_in_card = fb.actual_in_card;
-    a.actual_out_card = fb.actual_out_card;
-    a.actual_seconds = st.cpu_seconds + st.llm_seconds;
-    a.virt_start = fb.virt_start;
-    a.virt_finish = fb.virt_finish;
-    a.queue_wait_seconds = fb.queue_wait_seconds;
-    a.actual_dollars = st.llm_dollars;
-    a.llm_calls = st.llm_calls;
-    analysis.push_back(std::move(a));
-  }
+  // The Section V-D fallback's synthetic row, when it answered, trails.
+  if (rows.size() > n) analysis.push_back(std::move(rows.back()));
   return analysis;
 }
 
 void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
-                         const PlanExecutor& executor,
+                         const std::vector<PlanNodeAnalysis>& rows,
                          OptimizeObjective objective, double base_seconds) {
-  const auto& stats = executor.node_stats();
-  const auto& actuals = executor.node_executions();
   for (const ReplanRecord& rec : replans) {
     if (!rec.adopted) continue;
     bool complete = !rec.suffix_nodes.empty();
     double suffix_dollars = rec.decision_dollars;
     double suffix_completion = 0;
     for (int u : rec.suffix_nodes) {
-      if (u < 0 || static_cast<size_t>(u) >= actuals.size() ||
-          !actuals[u].executed) {
+      if (u < 0 || static_cast<size_t>(u) >= rows.size() ||
+          !rows[u].executed) {
         complete = false;
         break;
       }
-      suffix_dollars += stats[u].llm_dollars;
-      suffix_completion = std::max(suffix_completion,
-                                   actuals[u].virt_finish + base_seconds);
+      suffix_dollars += rows[u].actual_dollars;
+      suffix_completion =
+          std::max(suffix_completion, rows[u].virt_finish + base_seconds);
     }
     // The predicted costs-to-go in the record are on the execution
     // pool's absolute clock for time, plain dollars otherwise; compare
@@ -185,6 +129,24 @@ void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
     }
     if (improved) MetricAddCounter(telemetry::kMetricReplanImproved);
   }
+}
+
+std::string ReplanRecord::Sentence(int ordinal) const {
+  std::ostringstream os;
+  os << "replan ";
+  if (ordinal > 0) os << "#" << ordinal << " ";
+  os << "@ t=" << FormatDouble(elapsed_seconds, 1) << "s: " << trigger_var
+     << " observed " << FormatDouble(observed_card, 0) << " vs est "
+     << FormatDouble(estimated_card, 0) << " (q-err "
+     << FormatDouble(qerror, 2) << ") -> ";
+  if (adopted) {
+    os << "adopted (" << nodes_rechosen << " nodes re-lowered, suffix est "
+       << FormatDouble(old_suffix_cost, 3) << " -> "
+       << FormatDouble(new_suffix_cost, 3) << ")";
+  } else {
+    os << "kept plan";
+  }
+  return os.str();
 }
 
 std::string QueryResult::explain_analyze() const {
@@ -205,21 +167,7 @@ std::string QueryResult::explain_analyze() const {
   // Replan boundaries: one line per mid-query re-optimization, before
   // the node rows its markers refer to (docs/replanning.md).
   for (size_t r = 0; r < replans.size(); ++r) {
-    const ReplanRecord& rec = replans[r];
-    os << "replan #" << (r + 1) << " @ t="
-       << FormatDouble(rec.elapsed_seconds, 1) << "s: " << rec.trigger_var
-       << " observed " << FormatDouble(rec.observed_card, 0) << " vs est "
-       << FormatDouble(rec.estimated_card, 0) << " (q-err "
-       << FormatDouble(rec.qerror, 2) << ") -> ";
-    if (rec.adopted) {
-      os << "adopted (" << rec.nodes_rechosen
-         << " nodes re-lowered, suffix est "
-         << FormatDouble(rec.old_suffix_cost, 3) << " -> "
-         << FormatDouble(rec.new_suffix_cost, 3) << ")";
-    } else {
-      os << "kept plan";
-    }
-    os << "\n";
+    os << replans[r].Sentence(static_cast<int>(r) + 1) << "\n";
   }
   for (const PlanNodeAnalysis& a : plan_analysis) {
     for (int i = 0; i < a.depth; ++i) os << "  ";

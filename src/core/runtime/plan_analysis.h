@@ -11,17 +11,17 @@
 
 namespace unify::core {
 
-/// Builds the EXPLAIN ANALYZE records for one executed plan: the
-/// optimizer's estimates next to what execution measured, in the plan's
-/// topological render order, with replanned-node markers and (when the
-/// Section V-D fallback produced the answer) a trailing synthetic record
-/// for the fallback generation. Every executed node also records its
-/// cardinality q-error (`card.qerror`) and the hindsight impl-choice
-/// audit (`plan.impl_chosen.<impl>`, `plan.impl_choice.*`: is the chosen
-/// impl still the cost-model argmin when re-costed with measured
-/// cardinalities under `objective`?).
+/// Turns the executor's rows for one executed plan (ExecutionResult::nodes,
+/// indexed like `plan.nodes` plus the trailing Section V-D fallback row)
+/// into EXPLAIN ANALYZE: moves them into the plan's topological render
+/// order and sets each row's depth, replanned-node marker and cardinality
+/// q-error. Every executed node also records that q-error (`card.qerror`)
+/// and the hindsight impl-choice audit (`plan.impl_chosen.<impl>`,
+/// `plan.impl_choice.*`: is the chosen impl still the cost-model argmin
+/// when re-costed with the measured input cardinality under
+/// `objective`?), in render order.
 std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
-    const PhysicalPlan& plan, const PlanExecutor& executor,
+    const PhysicalPlan& plan, std::vector<PlanNodeAnalysis> rows,
     const CostModel& cost_model, OptimizeObjective objective,
     const std::vector<ReplanRecord>& replans);
 
@@ -29,13 +29,14 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
 /// what the suffix actually cost (docs/replanning.md): an adopted replan
 /// is "improved" when the measured suffix outcome beats the predicted
 /// cost-to-go of keeping the old plan — suffix completion time under
-/// kTime, suffix dollars under kDollars. `base_seconds` is the absolute
-/// virtual time execution became ready (0 for a private pool), lifting
-/// the executor's query-relative node times onto the clock the record's
+/// kTime, suffix dollars under kDollars. `rows` are the executor's rows,
+/// indexed like the plan's nodes. `base_seconds` is the absolute virtual
+/// time execution became ready (0 for a private pool), lifting the
+/// rows' query-relative node times onto the clock the record's
 /// predictions use. Improved replans are counted in
 /// `plan.reoptimize.improved`.
 void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
-                         const PlanExecutor& executor,
+                         const std::vector<PlanNodeAnalysis>& rows,
                          OptimizeObjective objective, double base_seconds);
 
 }  // namespace unify::core

@@ -172,59 +172,6 @@ struct QueryRequest {
   uint64_t query_id = 0;
 };
 
-/// One physical node's EXPLAIN ANALYZE record: the optimizer's estimates
-/// next to what execution measured, in the plan's topological render
-/// order. Populated for every node of the chosen plan whenever execution
-/// was reached; `executed` is false for nodes an upstream failure skipped.
-struct PlanNodeAnalysis {
-  std::string op_name;
-  /// Chosen physical implementation (PhysicalImplName).
-  std::string impl;
-  std::string output_var;
-  /// Indentation depth in the plan DAG render (longest path from a root).
-  int depth = 0;
-  /// False when the node never ran (upstream failure aborted the DAG).
-  bool executed = false;
-
-  /// Cardinalities: the optimizer's estimates vs the values execution
-  /// measured, and their q-error (max of the two ratios, clamped ≥ 1).
-  double est_in_card = 0;
-  double est_out_card = 0;
-  double actual_in_card = 0;
-  double actual_out_card = 0;
-  double card_qerror = 0;
-
-  /// Virtual seconds: the cost model's sequential-work estimate vs the
-  /// measured operator stream (cpu + llm), plus the node's interval on
-  /// the server pool and its wait for a free server.
-  double est_seconds = 0;
-  double actual_seconds = 0;
-  double virt_start = 0;
-  double virt_finish = 0;
-  double queue_wait_seconds = 0;
-
-  /// API spend: predicted vs measured.
-  double est_dollars = 0;
-  double actual_dollars = 0;
-  int64_t llm_calls = 0;
-
-  /// Morsels: predicted vs actually run (1 = sequential stream).
-  int est_partitions = 1;
-  int partitions = 1;
-
-  /// Plan adjustment on this node: its chosen impl failed and `retries`
-  /// alternatives were attempted.
-  bool adjusted = false;
-  int retries = 0;
-
-  /// Ordinal (1-based) of the mid-query replan that re-lowered this node
-  /// (docs/replanning.md); 0 = the node ran as originally planned.
-  int replanned_by = 0;
-  /// True for the synthetic record of the Section V-D fallback
-  /// generation, which answers the query but has no plan node.
-  bool synthetic_fallback = false;
-};
-
 /// The outcome of one query: answer, status + phase taxonomy, virtual-time
 /// accounting, and observability payloads.
 struct QueryResult {
@@ -278,7 +225,6 @@ struct QueryResult {
   /// transient failure graceful degradation absorbed.
   bool degraded = false;
   std::string degraded_detail;
-  std::string plan_debug;
   /// EXPLAIN rendering of the chosen physical plan.
   std::string plan_explain;
   /// Per-operator execution timeline (virtual start/finish + LLM usage).

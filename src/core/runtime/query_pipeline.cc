@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/string_util.h"
@@ -152,7 +151,6 @@ bool QueryPipeline::Optimize() {
     return false;
   }
   result.plan_seconds += physical->optimize_llm_seconds;
-  result.plan_debug = physical->DebugString();
   result.plan_explain = physical->Explain();
   result.predicted_exec_seconds = physical->est_makespan;
   result.predicted_exec_dollars = physical->est_total_dollars;
@@ -200,11 +198,11 @@ void QueryPipeline::ExecutePlan() {
   PlanExecutor::ExecutionState state;
   executor.Begin(*ctx_.physical, state, ctx_.trace.get(), root_->id(),
                  shared_pool_, result.arrival_seconds + result.plan_seconds);
-  while (auto request = executor.Run(state)) {
-    ConsiderReplan(*request, executor, state);
+  while (auto trigger = executor.Run(state)) {
+    ConsiderReplan(std::move(*trigger), executor, state);
   }
   ExecutionResult exec = executor.Finish(state);
-  result.replans = state.replans;
+  result.replans = std::move(state.replans);
   result.exec_seconds = exec.virtual_seconds;
   result.exec_dollars = exec.llm_dollars_total;
   result.timeline = exec.timeline;
@@ -240,22 +238,14 @@ void QueryPipeline::ExecutePlan() {
     result.degraded_detail.clear();
   }
   EndStage(telemetry::kMetricStageExecute);
-  Analyze(executor, state);
+  Analyze(state, std::move(exec.nodes));
   EndStage(telemetry::kMetricStageAnalyze);
 }
 
-void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
+void QueryPipeline::ConsiderReplan(ReplanRecord record,
                                    PlanExecutor& executor,
                                    PlanExecutor::ExecutionState& state) {
   MetricAddCounter(telemetry::kMetricReplanConsidered);
-  ReplanRecord record;
-  record.trigger_node = request.node;
-  record.trigger_var = request.output_var;
-  record.observed_card = request.observed_card;
-  record.estimated_card = request.estimated_card;
-  record.qerror = request.qerror;
-  record.elapsed_seconds = request.elapsed_seconds;
-
   // The planner-tier sanity check (PromptType::kReplanDecision), charged
   // to the query: its virtual seconds become the replan barrier's length
   // and its dollars join the query's execution spend.
@@ -263,20 +253,31 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
   call.type = llm::PromptType::kReplanDecision;
   call.tier = llm::ModelTier::kPlanner;
   call.fields["query"] = request_.text;
-  call.fields["node"] = request.output_var;
-  call.fields["observed_card"] = FormatDouble(request.observed_card, 0);
+  call.fields["node"] = record.trigger_var;
+  call.fields["observed_card"] = FormatDouble(record.observed_card, 0);
   llm::LlmResult verdict = system_.traced_llm_->Call(call);
   record.decision_seconds = verdict.seconds;
   record.decision_dollars = verdict.dollars;
 
+  // What has run so far: which nodes finished, and every cardinality they
+  // materialized, keyed by output variable.
+  const size_t n = state.plan.nodes.size();
+  std::vector<bool> executed(n);
+  CardinalityOverrides observed;
+  for (size_t i = 0; i < n; ++i) {
+    executed[i] = state.nodes[i].executed;
+    const std::string& var = state.plan.nodes[i].logical.output_var;
+    if (executed[i] && !var.empty()) {
+      observed.var_cards[var] = state.nodes[i].actual_out_card;
+    }
+  }
   // Suffix re-lowering under the measured cardinalities, costed from the
   // pause's end (trigger finish + decision time) — deterministic, keyed
   // on the observations only.
   const PhysicalPlan* adopt_plan = nullptr;
   StatusOr<ReoptimizeResult> reopt = system_.optimizer_->Reoptimize(
-      state.plan, request.executed,
-      CardinalityOverrides{request.observed_cards}, ctx_.oopts,
-      request.elapsed_seconds + verdict.seconds);
+      state.plan, executed, observed, ctx_.oopts,
+      record.elapsed_seconds + verdict.seconds);
   const bool endorsed =
       verdict.status.ok() && verdict.Get("verdict") == "reoptimize";
   if (endorsed && reopt.ok()) {
@@ -299,45 +300,28 @@ void QueryPipeline::ConsiderReplan(const ReplanRequest& request,
   if (adopt_plan != nullptr) {
     MetricAddCounter(telemetry::kMetricReplanTriggered);
   }
-
-  std::ostringstream detail;
-  detail << "replan @ t=" << FormatDouble(request.elapsed_seconds, 1)
-         << "s: " << request.output_var << " observed "
-         << FormatDouble(request.observed_card, 0) << " vs est "
-         << FormatDouble(request.estimated_card, 0) << " (q-err "
-         << FormatDouble(request.qerror, 2) << ") -> ";
-  if (adopt_plan != nullptr) {
-    detail << "adopted (" << record.nodes_rechosen
-           << " nodes re-lowered, suffix est "
-           << FormatDouble(record.old_suffix_cost, 3) << " -> "
-           << FormatDouble(record.new_suffix_cost, 3) << ")";
-  } else {
-    detail << "kept plan";
-  }
-  record.detail = detail.str();
-
   executor.ApplyReplan(state, std::move(record), adopt_plan);
 }
 
-void QueryPipeline::Analyze(PlanExecutor& executor,
-                            const PlanExecutor::ExecutionState& state) {
+void QueryPipeline::Analyze(const PlanExecutor::ExecutionState& state,
+                            std::vector<PlanNodeAnalysis> rows) {
   QueryResult& result = ctx_.result;
   // The plan that actually ran: the optimizer's choice, or — after an
   // adopted mid-query replan — the re-lowered plan. Analysis and
-  // cost-model feedback must see this one, while plan_debug /
-  // plan_explain / predicted_* keep reporting the original optimization.
+  // cost-model feedback must see this one, while plan_explain /
+  // predicted_* keep reporting the original optimization.
   const PhysicalPlan& executed_plan = state.plan;
+  if (!result.replans.empty()) {
+    // Lift the rows' query-relative node times onto the absolute clock
+    // the replan predictions used: the schedule's start.
+    AuditReplanOutcomes(result.replans, rows, ctx_.oopts.objective,
+                        state.schedule->base());
+  }
   // EXPLAIN ANALYZE + prediction accuracy: the optimizer's estimates
   // next to what execution measured, per node and plan-wide.
   result.plan_analysis =
-      BuildPlanAnalysis(executed_plan, executor, system_.cost_model_,
+      BuildPlanAnalysis(executed_plan, std::move(rows), system_.cost_model_,
                         ctx_.oopts.objective, result.replans);
-  if (!result.replans.empty()) {
-    // Lift the executor's query-relative node times onto the absolute
-    // clock the replan predictions used: the schedule's start.
-    AuditReplanOutcomes(result.replans, executor, ctx_.oopts.objective,
-                        state.schedule->base());
-  }
   if (result.exec_seconds > 0) {
     MetricObserve(
         telemetry::kMetricMakespanRelError,
@@ -351,21 +335,25 @@ void QueryPipeline::Analyze(PlanExecutor& executor,
             result.exec_dollars);
   }
 
-  // Feed measured costs back into the model (running calibration), against
-  // the plan that actually ran — after an adopted replan the suffix nodes'
-  // impls are the re-lowered ones. Off when cost_feedback is disabled,
+  // Feed measured costs back into the model (running calibration), in
+  // plan order, against the plan that actually ran — after an adopted
+  // replan the suffix nodes' impls are the re-lowered ones. It follows
+  // the impl audit above, which costs alternatives with the calibration
+  // the query was planned under. Off when cost_feedback is disabled,
   // keeping plan choice independent of which queries ran earlier.
   if (system_.options_.cost_feedback) {
-    const auto& stats = executor.node_stats();
-    for (size_t i = 0; i < stats.size() && i < executed_plan.nodes.size();
-         ++i) {
-      if (stats[i].llm_calls == 0) continue;
-      size_t card = static_cast<size_t>(
-          std::max(1.0, executed_plan.nodes[i].est_in_card));
-      system_.cost_model_.Record(executed_plan.nodes[i].logical.op_name,
-                                 executed_plan.nodes[i].impl, card,
-                                 stats[i].llm_seconds, stats[i].cpu_seconds,
-                                 stats[i].llm_dollars);
+    std::vector<const PlanNodeAnalysis*> by_node(executed_plan.nodes.size());
+    for (const PlanNodeAnalysis& row : result.plan_analysis) {
+      if (row.node >= 0) by_node[row.node] = &row;
+    }
+    for (size_t i = 0; i < by_node.size(); ++i) {
+      const PlanNodeAnalysis& row = *by_node[i];
+      if (row.llm_calls == 0) continue;
+      const PhysicalNode& node = executed_plan.nodes[i];
+      system_.cost_model_.Record(
+          node.logical.op_name, node.impl,
+          static_cast<size_t>(std::max(1.0, row.est_in_card)),
+          row.actual_seconds, /*cpu_seconds=*/0, row.actual_dollars);
     }
   }
 }

@@ -82,15 +82,17 @@ class QueryPipeline {
   /// each replan pause the query's re-optimization budget allows. Runs
   /// Analyze on the executed plan before returning.
   void ExecutePlan();
-  /// One replan consideration at a materialization point: the
-  /// planner-tier decision call, suffix re-lowering under measured
-  /// cardinalities, and the adopt-or-keep verdict applied to `state`.
-  void ConsiderReplan(const ReplanRequest& request, PlanExecutor& executor,
+  /// One replan consideration at the materialization point `record`
+  /// names: the planner-tier decision call, suffix re-lowering under
+  /// measured cardinalities, and the adopt-or-keep verdict applied to
+  /// `state`.
+  void ConsiderReplan(ReplanRecord record, PlanExecutor& executor,
                       PlanExecutor::ExecutionState& state);
-  /// EXPLAIN ANALYZE records + accuracy-ledger feeding + replan outcome
-  /// audit + cost-model feedback, against the plan that actually ran.
-  void Analyze(PlanExecutor& executor,
-               const PlanExecutor::ExecutionState& state);
+  /// Replan outcome audit + EXPLAIN ANALYZE records + accuracy-ledger
+  /// feeding + cost-model feedback, from the executor's `rows` for the
+  /// plan that actually ran.
+  void Analyze(const PlanExecutor::ExecutionState& state,
+               std::vector<PlanNodeAnalysis> rows);
   /// Totals, phase, per-query metrics snapshot (merged into the global
   /// registry), trace attributes.
   void Finalize();

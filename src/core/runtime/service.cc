@@ -317,10 +317,10 @@ QueryResult UnifyService::Finish(const QueryRequest& request,
            result.adjusted ? "plan adjustment" : "planning fallback");
   }
   // One event per mid-query re-optimization (docs/replanning.md), carrying
-  // the pipeline's one-line summary of the trigger and the verdict.
+  // the record's one-line summary of the trigger and the verdict.
   for (const ReplanRecord& rec : result.replans) {
     MetricAddCounter(telemetry::kMetricServeReplans);
-    record(ServeEventKind::kReplan, rec.detail);
+    record(ServeEventKind::kReplan, rec.Sentence());
   }
   if (result.status.code() == StatusCode::kDeadlineExceeded) {
     record(ServeEventKind::kDeadlineMiss, result.status.message());

@@ -135,7 +135,6 @@ Status UnifySystem::CalibrateCostModel() {
     cost_model_.Record("Filter", PhysicalImpl::kIndexScanFilter, sample_n,
                        out.stats.llm_seconds, out.stats.cpu_seconds,
                        out.stats.llm_dollars);
-    setup_llm_seconds_ += out.stats.llm_seconds;
   }
   // Exact (pre-programmed) filter.
   {
@@ -158,7 +157,6 @@ Status UnifySystem::CalibrateCostModel() {
     cost_model_.Record("Extract", PhysicalImpl::kLlmExtract, sample_n,
                        out.stats.llm_seconds, out.stats.cpu_seconds,
                        out.stats.llm_dollars);
-    setup_llm_seconds_ += out.stats.llm_seconds;
     for (const char* agg :
          {"Sum", "Average", "Min", "Max", "Median", "Percentile"}) {
       cost_model_.Record(agg, PhysicalImpl::kLlmAggregate, sample_n,
@@ -192,7 +190,6 @@ Status UnifySystem::CalibrateCostModel() {
     cost_model_.Record("Classify", PhysicalImpl::kLlmClassify, sample_n,
                        out.stats.llm_seconds, out.stats.cpu_seconds,
                        out.stats.llm_dollars);
-    setup_llm_seconds_ += out.stats.llm_seconds;
   }
   {
     OpArgs args{{"by", corpus_->category_kind()}};

@@ -133,8 +133,6 @@ class UnifySystem {
   const embedding::Embedder& doc_embedder() const { return *doc_embedder_; }
   /// Per-phrase distance rankings and index candidates over the corpus.
   const PhraseProbes& phrase_probes() const { return *phrase_probes_; }
-  /// One-off virtual cost of Setup() (indexing + calibration LLM calls).
-  double setup_llm_seconds() const { return setup_llm_seconds_; }
 
   /// The fault injector in the client stack (null before Setup()). Its
   /// `set_rate_scale()` is the runtime kill switch the shell's `\faults`
@@ -224,7 +222,6 @@ class UnifySystem {
   std::unique_ptr<CardinalityEstimator> estimator_;
   std::unique_ptr<PlanGenerator> generator_;
   std::unique_ptr<PhysicalOptimizer> optimizer_;
-  double setup_llm_seconds_ = 0;
   bool ready_ = false;
 };
 

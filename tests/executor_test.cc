@@ -14,9 +14,12 @@
 #include "llm/shared_cache.h"
 #include "llm/sim_llm.h"
 #include "llm/tracing_client.h"
+#include "plan_util.h"
 
 namespace unify::core {
 namespace {
+
+using testing::ZeroDenominatorPlan;
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -121,7 +124,7 @@ TEST_F(ExecutorTest, ExecutesSimplePlan) {
   EXPECT_DOUBLE_EQ(result.answer.number, static_cast<double>(TruthCount()));
   EXPECT_GT(result.virtual_seconds, 0);
   EXPECT_FALSE(result.adjusted);
-  EXPECT_EQ(executor.node_stats().size(), 3u);
+  EXPECT_EQ(result.nodes.size(), 3u);
 }
 
 TEST_F(ExecutorTest, ParallelAndSequentialAgreeOnAnswer) {
@@ -217,23 +220,25 @@ TEST_F(ExecutorTest, ScheduleMatchesListSchedulerOnMeasuredCosts) {
     EXPECT_EQ(sink.Snapshot().counters[telemetry::kMetricExecNodes],
               static_cast<double>(plan.nodes.size()));
 
+    // Every node of this plan is all CPU or all LLM, so the CPU share
+    // of a row's measured seconds subtracts out exactly.
+    ASSERT_EQ(result.nodes.size(), plan.nodes.size());
     std::vector<exec::NodeCost> costs;
-    for (const OpStats& stats : executor.node_stats()) {
+    for (const PlanNodeAnalysis& row : result.nodes) {
       exec::NodeCost cost;
-      cost.cpu_seconds = stats.cpu_seconds;
-      cost.llm_seconds = stats.llm_seconds;
+      cost.cpu_seconds = row.actual_seconds - row.llm_seconds;
+      cost.llm_seconds = row.llm_seconds;
       costs.push_back(cost);
     }
     auto reference = exec::ScheduleDag(plan.dag, costs, options.num_servers,
                                        /*sequential=*/!parallel);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    ASSERT_EQ(executor.node_executions().size(), plan.nodes.size());
     for (size_t u = 0; u < plan.nodes.size(); ++u) {
       SCOPED_TRACE("node " + std::to_string(u));
-      const NodeExecution& record = executor.node_executions()[u];
-      EXPECT_TRUE(record.executed);
-      EXPECT_EQ(record.virt_start, reference->start[u]);
-      EXPECT_EQ(record.virt_finish, reference->finish[u]);
+      const PlanNodeAnalysis& row = result.nodes[u];
+      EXPECT_TRUE(row.executed);
+      EXPECT_EQ(row.virt_start, reference->start[u]);
+      EXPECT_EQ(row.virt_finish, reference->finish[u]);
     }
     EXPECT_EQ(result.virtual_seconds, reference->makespan);
   }
@@ -260,8 +265,8 @@ TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
     result = executor.Execute(DiamondPlan());
   }
   ASSERT_TRUE(result.status.ok()) << result.status;
-  EXPECT_GT(executor.node_executions()[1].partitions, 1);
-  EXPECT_GT(executor.node_executions()[2].partitions, 1);
+  EXPECT_GT(result.nodes[1].partitions, 1);
+  EXPECT_GT(result.nodes[2].partitions, 1);
   MetricsSnapshot local = sink.Snapshot();
   EXPECT_EQ(local.counters[calls], static_cast<double>(result.llm_calls));
   EXPECT_GT(local.counters[calls], 0);
@@ -304,11 +309,13 @@ TEST_F(ExecutorTest, MorselGaugesReachTheCallersSink) {
   options.threads = 2;
   PlanExecutor executor(ctx, options);
   MetricsRegistry sink;
+  ExecutionResult result;
   {
     MetricsRegistry::ScopedSink scope(&sink);
-    ASSERT_TRUE(executor.Execute(DiamondPlan()).status.ok());
+    result = executor.Execute(DiamondPlan());
   }
-  EXPECT_GT(executor.node_executions()[1].partitions, 1);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_GT(result.nodes[1].partitions, 1);
   EXPECT_GT(sink.gauge(telemetry::kMetricLlmCacheBytes), 0);
   EXPECT_EQ(sink.gauge(telemetry::kMetricLlmCacheBytes),
             MetricsRegistry::Global().gauge(telemetry::kMetricLlmCacheBytes));
@@ -328,8 +335,8 @@ TEST_F(ExecutorTest, CycleBelowRootRunsNoNode) {
     EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
         << result.status;
     EXPECT_EQ(result.llm_calls, 0);
-    for (const NodeExecution& record : executor.node_executions()) {
-      EXPECT_FALSE(record.executed);
+    for (const PlanNodeAnalysis& row : result.nodes) {
+      EXPECT_FALSE(row.executed);
     }
   }
 }
@@ -347,9 +354,9 @@ TEST_F(ExecutorTest, FailingNodeLeavesDescendantsUnexecuted) {
     auto result = executor.Execute(plan);
     EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
         << result.status;
-    EXPECT_TRUE(executor.node_executions()[0].executed);
-    EXPECT_FALSE(executor.node_executions()[1].executed);
-    EXPECT_FALSE(executor.node_executions()[3].executed);
+    EXPECT_TRUE(result.nodes[0].executed);
+    EXPECT_FALSE(result.nodes[1].executed);
+    EXPECT_FALSE(result.nodes[3].executed);
   }
 }
 
@@ -364,7 +371,7 @@ TEST_F(ExecutorTest, EmptyPlanRunsNoNode) {
     PlanExecutor executor(Ctx(), options);
     auto result = executor.Execute(plan);
     EXPECT_EQ(result.status.code(), StatusCode::kNotFound) << result.status;
-    EXPECT_TRUE(executor.node_executions().empty());
+    EXPECT_TRUE(result.nodes.empty());
     EXPECT_EQ(result.virtual_seconds, 0);
   }
 }
@@ -373,67 +380,51 @@ TEST_F(ExecutorTest, TerminalFailureTriggersQueryReplanning) {
   // A ratio whose denominator is an empty filter result fails with every
   // Compute implementation; the executor must replan the original query
   // through the fallback strategies instead of surfacing the error.
-  PhysicalPlan plan;
-  plan.query_text =
-      "What is the ratio of the number of questions that are "
-      "injury-related to the number of questions with over 999999999 "
-      "views?";
-  plan.answer_var = "V3";
-  PhysicalNode a;
-  a.logical.op_name = "Compute";
-  a.logical.args = {{"expr", "ratio"}};
-  a.logical.input_vars = {"VA", "VB"};
-  a.logical.output_var = "V3";
-  a.impl = PhysicalImpl::kPreCompute;
-  // Feed constants through Identity nodes so Compute sees 6 / 0.
-  PhysicalNode zero;
-  zero.logical.op_name = "Scan";
-  zero.logical.output_var = kDocsVar;
-  zero.impl = PhysicalImpl::kLinearScan;
-  PhysicalNode num;
-  num.logical.op_name = "Count";
-  num.logical.input_vars = {kDocsVar};
-  num.logical.output_var = "VA";
-  num.impl = PhysicalImpl::kPreCount;
-  PhysicalNode den;
-  den.logical.op_name = "Filter";
-  den.logical.args = {{"kind", "numeric"},
-                      {"attribute", "views"},
-                      {"cmp", "gt"},
-                      {"value", "999999999"}};
-  den.logical.input_vars = {kDocsVar};
-  den.logical.output_var = "VD";
-  den.impl = PhysicalImpl::kExactFilter;
-  PhysicalNode den_count;
-  den_count.logical.op_name = "Count";
-  den_count.logical.input_vars = {"VD"};
-  den_count.logical.output_var = "VB";
-  den_count.impl = PhysicalImpl::kPreCount;
-  plan.nodes = {zero, num, den, den_count, a};
-  for (int i = 0; i < 5; ++i) plan.dag.AddNode();
-  ASSERT_TRUE(plan.dag.AddEdge(0, 1).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(0, 2).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(2, 3).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(1, 4).ok());
-  ASSERT_TRUE(plan.dag.AddEdge(3, 4).ok());
-
+  const PhysicalPlan plan = ZeroDenominatorPlan();
   PlanExecutor executor(Ctx(), {});
   auto result = executor.Execute(plan);
   EXPECT_TRUE(result.status.ok()) << result.status;
   EXPECT_TRUE(result.adjusted);
   // The replanned answer comes from the fallback, not the broken plan.
   EXPECT_GT(result.llm_calls, 0);
-  // The adjustment shows up in the per-node execution records that
-  // EXPLAIN ANALYZE consumes. retries counts alternative implementations
-  // actually tried, which stays 0 for ops with a single implementation.
-  ASSERT_EQ(executor.node_executions().size(), plan.nodes.size());
+  // The adjustment shows up in the per-node rows that EXPLAIN ANALYZE
+  // consumes, and the fallback generation trails them as a synthetic row.
+  // retries counts alternative implementations actually tried, which
+  // stays 0 for ops with a single implementation.
+  ASSERT_EQ(result.nodes.size(), plan.nodes.size() + 1);
+  EXPECT_TRUE(result.nodes.back().synthetic_fallback);
   bool any_adjusted = false;
-  for (const auto& record : executor.node_executions()) {
-    if (!record.adjusted) continue;
+  for (size_t u = 0; u < plan.nodes.size(); ++u) {
+    if (!result.nodes[u].adjusted) continue;
     any_adjusted = true;
-    EXPECT_GE(record.retries, 0);
+    EXPECT_GE(result.nodes[u].retries, 0);
   }
   EXPECT_TRUE(any_adjusted);
+}
+
+// The fallback generation cannot start before its strategy call has
+// returned: on the private pool, execution ends at the failure plus the
+// strategy call, the generation's CPU time and its LLM stream — the
+// fallback row's busy time — and the row waits for no server.
+TEST_F(ExecutorTest, FallbackGenerationWaitsForItsStrategyCall) {
+  const PhysicalPlan plan = ZeroDenominatorPlan();
+  const ExecutionResult result = PlanExecutor(Ctx(), {}).Execute(plan);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  ASSERT_EQ(result.nodes.size(), plan.nodes.size() + 1);
+  double failed_at = 0;
+  for (size_t u = 0; u < plan.nodes.size(); ++u) {
+    if (result.nodes[u].executed) {
+      failed_at = std::max(failed_at, result.nodes[u].virt_finish);
+    }
+  }
+  const PlanNodeAnalysis& fallback = result.nodes.back();
+  ASSERT_TRUE(fallback.synthetic_fallback);
+  EXPECT_GT(fallback.llm_seconds, 0);
+  EXPECT_NEAR(result.virtual_seconds, failed_at + fallback.actual_seconds,
+              1e-9);
+  EXPECT_EQ(fallback.virt_start, failed_at);
+  EXPECT_EQ(fallback.virt_finish, result.virtual_seconds);
+  EXPECT_NEAR(fallback.queue_wait_seconds, 0, 1e-9);
 }
 
 TEST_F(ExecutorTest, TimelineListsEveryOperator) {

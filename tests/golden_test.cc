@@ -10,10 +10,16 @@
 // dollars), and each morsel records into a registry of its own that is
 // merged in morsel order.
 //
-// On a mismatch the test writes its rendering to
-// golden_outcomes.actual.txt next to the test binary and names the first
+// A second case pins every view of an execution in
+// tests/golden/views.txt: for the sports profile, each workload query's
+// EXPLAIN ANALYZE, timeline and per-node rows; a replanning query's replan
+// sentences and flight-recorder events; and a plan that the Section V-D
+// fallback answers.
+//
+// On a mismatch each case writes its rendering (golden_outcomes.actual.txt
+// or golden_views.actual.txt) next to the test binary and names the first
 // differing line. A change that moves these numbers on purpose copies
-// that file over tests/golden/outcomes.txt and says why in CHANGES.md.
+// that file over the golden one and says why in CHANGES.md.
 
 #include <cstdio>
 #include <fstream>
@@ -26,12 +32,21 @@
 
 #include "bench_util.h"
 #include "common/telemetry_names.h"
+#include "core/runtime/plan_analysis.h"
+#include "core/runtime/service.h"
+#include "nlq/render.h"
+#include "plan_util.h"
 
 namespace unify::core {
 namespace {
 
+using testing::ChainedFilterQuery;
+using testing::ZeroDenominatorPlan;
+
 constexpr const char* kGoldenPath = UNIFY_GOLDEN_FILE;
 constexpr const char* kActualPath = UNIFY_GOLDEN_ACTUAL;
+constexpr const char* kViewsPath = UNIFY_GOLDEN_VIEWS_FILE;
+constexpr const char* kViewsActualPath = UNIFY_GOLDEN_VIEWS_ACTUAL;
 
 std::string Num(double v) {
   char buf[64];
@@ -112,8 +127,8 @@ std::vector<std::string> Lines(const std::string& text) {
   return lines;
 }
 
-std::string GoldenFile() {
-  std::ifstream in(kGoldenPath);
+std::string GoldenFile(const char* path = kGoldenPath) {
+  std::ifstream in(path);
   std::stringstream golden;
   golden << in.rdbuf();
   return golden.str();
@@ -135,7 +150,8 @@ std::string LinesAt(const std::string& text, int parallelism) {
 
 /// Adds a failure naming the first line where `actual` differs from the
 /// golden lines `want`; returns whether they are equal.
-bool ExpectSameLines(const std::string& want, const std::string& actual) {
+bool ExpectSameLines(const std::string& want, const std::string& actual,
+                     const char* golden_path = kGoldenPath) {
   if (actual == want) return true;
   const std::vector<std::string> want_lines = Lines(want);
   const std::vector<std::string> got = Lines(actual);
@@ -144,13 +160,152 @@ bool ExpectSameLines(const std::string& want, const std::string& actual) {
          want_lines[first] == got[first]) {
     ++first;
   }
-  ADD_FAILURE() << "outcomes differ from " << kGoldenPath
+  ADD_FAILURE() << "rendering differs from " << golden_path
                 << " at compared line " << first + 1 << "\n  golden: "
                 << (first < want_lines.size() ? want_lines[first]
                                               : "<end of file>")
                 << "\n  actual: "
                 << (first < got.size() ? got[first] : "<end of file>");
   return false;
+}
+
+/// One EXPLAIN ANALYZE row with every field at full precision.
+std::string RenderRow(const PlanNodeAnalysis& a) {
+  std::ostringstream line;
+  line << "row " << a.op_name << " <" << a.impl << "> " << a.output_var
+       << " depth=" << a.depth << " executed=" << a.executed
+       << " card=" << Num(a.est_in_card) << "->" << Num(a.est_out_card)
+       << "/" << Num(a.actual_in_card) << "->" << Num(a.actual_out_card)
+       << " qerr=" << Num(a.card_qerror) << " s=" << Num(a.est_seconds)
+       << "/" << Num(a.actual_seconds) << " virt=" << Num(a.virt_start)
+       << ".." << Num(a.virt_finish)
+       << " wait=" << Num(a.queue_wait_seconds)
+       << " usd=" << Num(a.est_dollars) << "/" << Num(a.actual_dollars)
+       << " calls=" << a.llm_calls << " morsels=" << a.est_partitions << "/"
+       << a.partitions << " adjusted=" << a.adjusted
+       << " retries=" << a.retries << " replanned_by=" << a.replanned_by
+       << " fallback=" << a.synthetic_fallback;
+  return line.str();
+}
+
+/// Every view of one execution: its totals, EXPLAIN ANALYZE, timeline,
+/// per-node rows, and each replan's record and sentence.
+std::string RenderViews(const std::string& title, const QueryResult& r) {
+  std::ostringstream out;
+  out << "== " << title << " phase=" << QueryPhaseName(r.phase)
+      << " status=" << r.status.ToString()
+      << " answer=" << r.answer.ToString()
+      << " exec_s=" << Num(r.exec_seconds)
+      << " exec_usd=" << Num(r.exec_dollars) << " adjusted=" << r.adjusted
+      << "\n";
+  out << r.explain_analyze();
+  out << r.timeline;
+  for (const PlanNodeAnalysis& a : r.plan_analysis) {
+    out << RenderRow(a) << "\n";
+  }
+  for (const ReplanRecord& rec : r.replans) {
+    out << "replan node=" << rec.trigger_node << " var=" << rec.trigger_var
+        << " card=" << Num(rec.observed_card) << "/"
+        << Num(rec.estimated_card) << " qerr=" << Num(rec.qerror)
+        << " at=" << Num(rec.elapsed_seconds)
+        << " decision=" << Num(rec.decision_seconds) << "s/"
+        << Num(rec.decision_dollars) << " adopted=" << rec.adopted
+        << " rechosen=" << rec.nodes_rechosen
+        << " bias=" << Num(rec.est_bias)
+        << " suffix_cost=" << Num(rec.old_suffix_cost) << "->"
+        << Num(rec.new_suffix_cost) << " relowered=";
+    for (int u : rec.relowered_nodes) out << u << ",";
+    out << " suffix=";
+    for (int u : rec.suffix_nodes) out << u << ",";
+    out << "\n";
+    out << "sentence: " << rec.Sentence() << "\n";
+  }
+  return out.str();
+}
+
+/// bench_reoptimize's diamond: the count of documents matching both of
+/// two semantic filters, run as an intersection.
+std::string IntersectionQuery(const char* a, const char* b) {
+  nlq::QueryAst ast;
+  ast.task = nlq::TaskKind::kSetCount;
+  ast.set_op = nlq::SetOpKind::kIntersect;
+  ast.entity = "questions";
+  ast.docset.conditions = {nlq::Condition::Semantic(a)};
+  ast.docset_b.conditions = {nlq::Condition::Semantic(b)};
+  return nlq::Render(ast);
+}
+
+/// Runs `plan` on the executor alone and assembles the QueryResult views
+/// the pipeline would.
+QueryResult ExecuteAlone(const PhysicalPlan& plan, const ExecContext& ctx) {
+  ExecutionResult exec = PlanExecutor(ctx, {}).Execute(plan);
+  QueryResult r;
+  r.status = exec.status;
+  r.answer = exec.answer;
+  r.exec_seconds = exec.virtual_seconds;
+  r.exec_dollars = exec.llm_dollars_total;
+  r.timeline = exec.timeline;
+  r.adjusted = exec.adjusted;
+  const CostModel cost_model;
+  r.plan_analysis = BuildPlanAnalysis(plan, std::move(exec.nodes), cost_model,
+                                      OptimizeObjective::kTime, {});
+  return r;
+}
+
+/// The views workload: the sports profile at 300 documents.
+std::string RenderAllViews() {
+  bench::BenchScale scale;
+  scale.per_template = 1;
+  scale.max_docs = 300;
+  bench::BenchDataset ds = bench::MakeDataset(corpus::SportsProfile(), scale);
+  std::string out;
+  {
+    UnifySystem system(ds.corpus.get(), ds.llm.get(), UnifyOptions{});
+    EXPECT_TRUE(system.Setup().ok());
+    for (size_t i = 0; i < ds.workload.size(); ++i) {
+      QueryRequest request;
+      request.text = ds.workload[i].text;
+      request.overrides.max_intra_op_parallelism = 1;
+      out += RenderViews(ds.name + " q" + std::to_string(i),
+                         system.Answer(request));
+    }
+  }
+  UnifyOptions replanning;
+  replanning.card_est_scale = 12;
+  replanning.exec.max_reoptimizations = 2;
+  {
+    UnifySystem system(ds.corpus.get(), ds.llm.get(), replanning);
+    EXPECT_TRUE(system.Setup().ok());
+    out += RenderViews("chained filters, replanning",
+                       system.Answer(ChainedFilterQuery()));
+    // The first adopts its replan; the second keeps the plan twice.
+    out += RenderViews("nutrition and hockey, replanning",
+                       system.Answer(IntersectionQuery("nutrition", "hockey")));
+    out += RenderViews(
+        "nutrition and badminton, replanning",
+        system.Answer(IntersectionQuery("nutrition", "badminton")));
+  }
+  {
+    UnifySystem system(ds.corpus.get(), ds.llm.get(), replanning);
+    EXPECT_TRUE(system.Setup().ok());
+    UnifyService::Options sopts;
+    sopts.num_workers = 1;
+    UnifyService service(&system, sopts);
+    QueryRequest request;
+    request.text = ChainedFilterQuery();
+    out += RenderViews("chained filters, served",
+                       service.Submit(std::move(request)).get());
+    for (const ServeEvent& event : service.flight_recorder().events()) {
+      out += std::string("event ") + ServeEventKindName(event.kind) + " " +
+             event.detail + "\n";
+    }
+  }
+  ExecContext ctx;
+  ctx.corpus = ds.corpus.get();
+  ctx.llm = ds.llm.get();
+  out += RenderViews("zero denominator, V-D fallback",
+                     ExecuteAlone(ZeroDenominatorPlan(), ctx));
+  return out;
 }
 
 class GoldenTest : public ::testing::Test {
@@ -194,6 +349,15 @@ TEST_F(GoldenTest, MorselWorkerThreadsChangeNoOutcomeOrCounter) {
       }
     }
   }
+}
+
+// EXPLAIN ANALYZE, the timeline, the per-node rows, the replan sentences
+// and the flight recorder's events of a fixed set of executions.
+TEST_F(GoldenTest, ExecutionViewsMatchTheCommittedFile) {
+  const std::string views = RenderAllViews();
+  if (ExpectSameLines(GoldenFile(kViewsPath), views, kViewsPath)) return;
+  std::ofstream(kViewsActualPath) << views;
+  ADD_FAILURE() << "full rendering written to " << kViewsActualPath;
 }
 
 }  // namespace

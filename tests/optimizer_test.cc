@@ -16,10 +16,10 @@ namespace {
 
 TEST(CostModelTest, DefaultsBeforeCalibration) {
   CostModel model;
-  double llm = model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {},
-                                     1000, 300);
-  double pre = model.EstimateSeconds("Filter", PhysicalImpl::kExactFilter,
-                                     {}, 1000, 300);
+  double llm =
+      model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {}, 1000);
+  double pre =
+      model.EstimateSeconds("Filter", PhysicalImpl::kExactFilter, {}, 1000);
   EXPECT_GT(llm, pre * 100);  // LLM work dominates pre-programmed work
 }
 
@@ -29,10 +29,10 @@ TEST(CostModelTest, CalibrationOverridesDefaults) {
   EXPECT_NEAR(model.PerElementSeconds("Filter", PhysicalImpl::kLlmFilter),
               0.05, 1e-9);
   // Estimates scale linearly with cardinality: card·μ·out_op.
-  double c1 = model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {},
-                                    1000, 0);
-  double c2 = model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {},
-                                    2000, 0);
+  double c1 =
+      model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {}, 1000);
+  double c2 =
+      model.EstimateSeconds("Filter", PhysicalImpl::kLlmFilter, {}, 2000);
   EXPECT_NEAR(c2 - c1, 1000 * 0.05, 1e-6);
 }
 
@@ -51,13 +51,13 @@ TEST(CostModelTest, IndexScanCostDrivenByCandidates) {
   OpArgs few{{"index_candidates", "200"}};
   OpArgs many{{"index_candidates", "2000"}};
   double cheap = model.EstimateSeconds(
-      "Filter", PhysicalImpl::kIndexScanFilter, few, 4000, 100);
+      "Filter", PhysicalImpl::kIndexScanFilter, few, 4000);
   double costly = model.EstimateSeconds(
-      "Filter", PhysicalImpl::kIndexScanFilter, many, 4000, 100);
+      "Filter", PhysicalImpl::kIndexScanFilter, many, 4000);
   EXPECT_LT(cheap, costly);
   // Never more expensive than scanning the whole input.
   EXPECT_LE(costly, model.EstimateSeconds(
-                        "Filter", PhysicalImpl::kLlmFilter, {}, 4000, 100) +
+                        "Filter", PhysicalImpl::kLlmFilter, {}, 4000) +
                         1.0);
 }
 
@@ -188,8 +188,7 @@ TEST_F(OptimizerTest, ReordersCheapSelectiveFilterFirst) {
   // early).
   const auto& first_filter = plan->nodes[1].logical;
   ASSERT_EQ(first_filter.op_name, "Filter");
-  EXPECT_EQ(first_filter.args.at("kind"), "numeric")
-      << plan->DebugString();
+  EXPECT_EQ(first_filter.args.at("kind"), "numeric") << plan->Explain();
   // Variable wiring stays intact.
   EXPECT_EQ(first_filter.output_var, "V1");
   EXPECT_EQ(plan->nodes[2].logical.input_vars[0], "V1");
@@ -346,7 +345,7 @@ TEST_F(OptimizerTest, IndexScanGetsCandidateBudget) {
   const auto& fnode = optimized->nodes[1];
   ASSERT_EQ(fnode.logical.op_name, "Filter");
   EXPECT_EQ(fnode.impl, PhysicalImpl::kIndexScanFilter)
-      << optimized->DebugString();
+      << optimized->Explain();
   double candidates =
       std::stod(fnode.logical.args.at("index_candidates"));
   EXPECT_LT(candidates, static_cast<double>(corpus_->size()));

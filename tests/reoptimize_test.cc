@@ -18,10 +18,12 @@
 #include "corpus/dataset_profile.h"
 #include "corpus/workload.h"
 #include "llm/sim_llm.h"
-#include "nlq/render.h"
+#include "plan_util.h"
 
 namespace unify::core {
 namespace {
+
+using testing::ChainedFilterQuery;
 
 using corpus::Answer;
 
@@ -54,19 +56,6 @@ class ReoptimizeTest : public ::testing::Test {
     auto system = std::make_unique<UnifySystem>(corpus_, llm_, options);
     EXPECT_TRUE(system->Setup().ok());
     return system;
-  }
-
-  // A count query over two chained semantic filters: the first filter is a
-  // materialization point whose observed cardinality exposes the seeded
-  // estimator skew while a semantic suffix (second filter + count) is
-  // still un-executed — the replan scenario.
-  static std::string ChainedFilterQuery() {
-    nlq::QueryAst ast;
-    ast.task = nlq::TaskKind::kCount;
-    ast.entity = "questions";
-    ast.docset.conditions = {nlq::Condition::Semantic("ball sports"),
-                             nlq::Condition::Semantic("injury")};
-    return nlq::Render(ast);
   }
 
   static double Counter(const QueryResult& result, const std::string& name) {
@@ -163,7 +152,7 @@ TEST_F(ReoptimizeTest, TriggersOnSeededMisestimate) {
   ASSERT_TRUE(rerun.status.ok()) << rerun.status;
   ASSERT_EQ(rerun.replans.size(), result.replans.size());
   EXPECT_EQ(rerun.replans.front().adopted, rec.adopted);
-  EXPECT_EQ(rerun.replans.front().detail, rec.detail);
+  EXPECT_EQ(rerun.replans.front().Sentence(), rec.Sentence());
   EXPECT_EQ(rerun.answer.ToString(), result.answer.ToString());
   EXPECT_EQ(rerun.exec_seconds, result.exec_seconds);
   EXPECT_EQ(rerun.exec_dollars, result.exec_dollars);

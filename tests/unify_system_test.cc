@@ -60,7 +60,7 @@ TEST_F(UnifySystemTest, AnswersSimpleCountQuery) {
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_TRUE(Answer::Equivalent(result.answer, truth))
       << "got " << result.answer.ToString() << " want " << truth.ToString()
-      << "\nplan: " << result.plan_debug;
+      << "\nplan:\n" << result.plan_explain;
   EXPECT_GT(result.plan_seconds, 0);
   EXPECT_GT(result.exec_seconds, 0);
 }
@@ -130,7 +130,7 @@ TEST_F(UnifySystemTest, AnswersFlagshipGroupRatioQuery) {
   auto result = system_->Answer(nlq::Render(ast));
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_EQ(result.answer.kind, Answer::Kind::kText)
-      << result.answer.ToString() << "\nplan: " << result.plan_debug;
+      << result.answer.ToString() << "\nplan:\n" << result.plan_explain;
 }
 
 TEST_F(UnifySystemTest, WorkloadAccuracyIsHigh) {

@@ -20,6 +20,7 @@
 // sweeps only the calibrated rate so the binary doubles as a ctest smoke
 // test (bench_resilience_smoke). Scale knobs: bench_util.h.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,8 +40,9 @@ struct RunStats {
   int failed = 0;
   double total_seconds = 0;
   double dollars = 0;
-  llm::ResilientLlmClient::ResilienceStats resilience;
-  llm::FaultInjectingLlmClient::FaultStats faults;
+  /// Every query's QueryResult::metrics, summed: the run's fault, retry,
+  /// hedge and breaker counters.
+  MetricsSnapshot metrics;
 };
 
 /// One full workload pass under `fault_total` per-attempt fault
@@ -71,6 +73,7 @@ RunStats RunWorkload(BenchDataset& ds, double fault_total, bool resilient,
   }
 
   RunStats stats;
+  MetricsRegistry run_metrics;
   for (const auto& qc : ds.workload) {
     if (static_cast<size_t>(stats.total) >= max_queries) break;
     core::QueryResult result = system.Answer(qc.text);
@@ -88,28 +91,37 @@ RunStats RunWorkload(BenchDataset& ds, double fault_total, bool resilient,
     }
     stats.total_seconds += result.total_seconds;
     stats.dollars += result.exec_dollars;
+    run_metrics.Merge(result.metrics);
   }
-  stats.resilience = system.resilient_client()->resilience_stats();
-  stats.faults = system.fault_injector()->fault_stats();
+  stats.metrics = run_metrics.Snapshot();
   return stats;
 }
 
 void AppendRunJson(std::ofstream& out, const RunStats& s) {
+  // Per-type and per-tier families sum over their series.
+  auto count = [&s](const char* family) {
+    return std::llround(s.metrics.FamilySum(family));
+  };
   out << "{\"queries\": " << s.total << ", \"ok\": " << s.ok
       << ", \"identical\": " << s.identical
       << ", \"degraded\": " << s.degraded << ", \"failed\": " << s.failed
       << ", \"avg_seconds\": "
       << (s.total > 0 ? s.total_seconds / s.total : 0)
       << ", \"dollars\": " << s.dollars
-      << ", \"retries\": " << s.resilience.retries
-      << ", \"recovered_calls\": " << s.resilience.recovered
-      << ", \"exhausted_calls\": " << s.resilience.exhausted
-      << ", \"hedges\": " << s.resilience.hedges_launched
-      << ", \"hedge_wins\": " << s.resilience.hedge_wins
-      << ", \"breaker_opens\": " << s.resilience.breaker_opens
-      << ", \"injected_timeouts\": " << s.faults.timeouts
-      << ", \"injected_rate_limits\": " << s.faults.rate_limits
-      << ", \"injected_malformed\": " << s.faults.malformed << "}";
+      << ", \"retries\": " << count(telemetry::kMetricLlmRetryAttempts)
+      << ", \"recovered_calls\": "
+      << count(telemetry::kMetricLlmRetryRecovered)
+      << ", \"exhausted_calls\": "
+      << count(telemetry::kMetricLlmRetryExhausted)
+      << ", \"hedges\": " << count(telemetry::kMetricLlmHedgeLaunched)
+      << ", \"hedge_wins\": " << count(telemetry::kMetricLlmHedgeWins)
+      << ", \"breaker_opens\": " << count(telemetry::kMetricBreakerOpens)
+      << ", \"injected_timeouts\": "
+      << count(telemetry::kMetricLlmFaultTimeouts)
+      << ", \"injected_rate_limits\": "
+      << count(telemetry::kMetricLlmFaultRateLimits)
+      << ", \"injected_malformed\": "
+      << count(telemetry::kMetricLlmFaultMalformed) << "}";
 }
 
 int Run(bool smoke) {

@@ -22,6 +22,7 @@
 // Reads queries from stdin; also works non-interactively:
 //   $ echo "Count the questions about golf." | ./build/examples/unify_shell
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -415,28 +416,32 @@ int main(int argc, char** argv) {
         std::printf("  usage: \\faults [on [S] | off]\n");
         continue;
       }
-      const auto fstats = injector->fault_stats();
-      const auto* resilient = system.resilient_client();
-      const auto rstats = resilient->resilience_stats();
+      // Every fault, retry, hedge and breaker event is a registry counter;
+      // each query's counters reach the global registry when it finishes.
+      const MetricsSnapshot m = MetricsRegistry::Global().Snapshot();
+      auto count = [&m](const char* family) {
+        return std::llround(m.FamilySum(family));
+      };
       std::printf("  injection %s (scale %.2f): %lld attempts seen, "
                   "%lld timeouts, %lld rate-limits, %lld malformed\n",
                   injector->rate_scale() > 0 ? "on" : "off",
                   injector->rate_scale(),
-                  static_cast<long long>(fstats.calls),
-                  static_cast<long long>(fstats.timeouts),
-                  static_cast<long long>(fstats.rate_limits),
-                  static_cast<long long>(fstats.malformed));
+                  count(telemetry::kMetricLlmFaultAttempts),
+                  count(telemetry::kMetricLlmFaultTimeouts),
+                  count(telemetry::kMetricLlmFaultRateLimits),
+                  count(telemetry::kMetricLlmFaultMalformed));
       std::printf("  retries: %lld issued, %lld calls recovered, %lld "
                   "exhausted (%lld by budget), %.1fs virtual backoff\n",
-                  static_cast<long long>(rstats.retries),
-                  static_cast<long long>(rstats.recovered),
-                  static_cast<long long>(rstats.exhausted),
-                  static_cast<long long>(rstats.budget_exhausted),
-                  rstats.backoff_seconds);
+                  count(telemetry::kMetricLlmRetryAttempts),
+                  count(telemetry::kMetricLlmRetryRecovered),
+                  count(telemetry::kMetricLlmRetryExhausted),
+                  count(telemetry::kMetricLlmRetryBudgetExhausted),
+                  m.FamilySum(telemetry::kMetricLlmRetryBackoffSeconds));
       std::printf("  hedges: %lld launched, %lld won, $%.3f cancelled\n",
-                  static_cast<long long>(rstats.hedges_launched),
-                  static_cast<long long>(rstats.hedge_wins),
-                  rstats.hedge_cancelled_dollars);
+                  count(telemetry::kMetricLlmHedgeLaunched),
+                  count(telemetry::kMetricLlmHedgeWins),
+                  m.FamilySum(telemetry::kMetricLlmHedgeCancelledDollars));
+      const auto* resilient = system.resilient_client();
       auto breaker_name = [](llm::ResilientLlmClient::BreakerState s) {
         switch (s) {
           case llm::ResilientLlmClient::BreakerState::kOpen:
@@ -453,10 +458,10 @@ int main(int argc, char** argv) {
                       llm::ModelTier::kPlanner)),
                   breaker_name(resilient->breaker_state(
                       llm::ModelTier::kWorker)),
-                  static_cast<long long>(rstats.breaker_opens),
-                  static_cast<long long>(rstats.breaker_rejections),
-                  static_cast<long long>(rstats.breaker_probes),
-                  static_cast<long long>(rstats.breaker_closes));
+                  count(telemetry::kMetricBreakerOpens),
+                  count(telemetry::kMetricBreakerRejected),
+                  count(telemetry::kMetricBreakerProbes),
+                  count(telemetry::kMetricBreakerCloses));
       auto sstats = service->stats();
       std::printf("  served degraded: %lld\n",
                   static_cast<long long>(sstats.degraded));

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/query_scope.h"
 #include "common/telemetry_names.h"
 
 namespace unify {
@@ -253,23 +254,12 @@ MetricsRegistry& MetricsRegistry::Global() {
 }
 
 namespace {
-thread_local MetricsRegistry* t_metrics_sink = nullptr;
-
 /// Where counters and histograms recorded on this thread go.
 MetricsRegistry& Target() {
-  return t_metrics_sink != nullptr ? *t_metrics_sink
-                                   : MetricsRegistry::Global();
+  MetricsRegistry* const sink = QueryScope::Current().metrics;
+  return sink != nullptr ? *sink : MetricsRegistry::Global();
 }
 }  // namespace
-
-MetricsRegistry* MetricsRegistry::ThreadSink() { return t_metrics_sink; }
-
-MetricsRegistry::ScopedSink::ScopedSink(MetricsRegistry* sink)
-    : prev_(t_metrics_sink) {
-  t_metrics_sink = sink;
-}
-
-MetricsRegistry::ScopedSink::~ScopedSink() { t_metrics_sink = prev_; }
 
 void MetricAddCounter(std::string_view name, double delta) {
   Target().AddCounter(name, delta);
@@ -277,7 +267,8 @@ void MetricAddCounter(std::string_view name, double delta) {
 
 void MetricSetGauge(std::string_view name, double value) {
   MetricsRegistry::Global().SetGauge(name, value);
-  if (t_metrics_sink != nullptr) t_metrics_sink->SetGauge(name, value);
+  MetricsRegistry* const sink = QueryScope::Current().metrics;
+  if (sink != nullptr) sink->SetGauge(name, value);
 }
 
 void MetricObserve(std::string_view name, double value) {

@@ -72,9 +72,10 @@ std::string LabeledMetricName(const std::string& base, const std::string& key,
 /// src/common/telemetry_names.h (documented in docs/observability.md).
 ///
 /// One registry is process-wide (Global()); each running query owns
-/// another, its sink (ThreadSink()). An update takes the registry's mutex
-/// and finds its series by name without allocating; only a series' first
-/// update inserts it.
+/// another, its sink (the `metrics` field of its QueryScope in
+/// common/query_scope.h). An update takes the registry's mutex and finds
+/// its series by name without allocating; only a series' first update
+/// inserts it.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -110,31 +111,6 @@ class MetricsRegistry {
   /// The process-wide registry: what /metrics and the shell render.
   static MetricsRegistry& Global();
 
-  /// The calling thread's per-query sink (nullptr when none). While one
-  /// is installed, the Metric* free functions below record counters and
-  /// histograms into it *instead of* Global(); its owner merges it into
-  /// Global() once, when the query ends (QueryPipeline). That keeps
-  /// `QueryResult::metrics` exact under concurrent serving — each query
-  /// installs its own registry on its thread, and each of its morsel
-  /// workers one that the executor merges into it — and makes one write
-  /// per event.
-  static MetricsRegistry* ThreadSink();
-
-  /// RAII installer for ThreadSink(). Restores the previous sink on
-  /// destruction, so scopes nest (the per-query registry stays installed
-  /// across nested spans). Pass nullptr to record straight into Global()
-  /// inside the scope.
-  class ScopedSink {
-   public:
-    explicit ScopedSink(MetricsRegistry* sink);
-    ~ScopedSink();
-    ScopedSink(const ScopedSink&) = delete;
-    ScopedSink& operator=(const ScopedSink&) = delete;
-
-   private:
-    MetricsRegistry* prev_;
-  };
-
  private:
   mutable std::mutex mu_;
   MetricMap<double> counters_;
@@ -142,11 +118,15 @@ class MetricsRegistry {
   MetricMap<Histogram> histograms_;
 };
 
-/// Record into the calling thread's per-query sink when one is installed,
-/// else into the process-wide registry. Gauges are levels, not sums, so
-/// MetricSetGauge writes both. All instrumented components use these
-/// instead of calling MetricsRegistry::Global() directly so per-query
-/// attribution works (docs/observability.md, "Per-query attribution").
+/// Record into the calling thread's per-query sink
+/// (`QueryScope::Current().metrics`) when one is installed, else into the
+/// process-wide registry. The query's owner merges its sink into Global()
+/// once, when the query ends (QueryPipeline), so each event is one write
+/// and `QueryResult::metrics` stays exact under concurrent serving.
+/// Gauges are levels, not sums, so MetricSetGauge writes both. All
+/// instrumented components use these instead of calling
+/// MetricsRegistry::Global() directly so per-query attribution works
+/// (docs/observability.md, "Per-query attribution").
 void MetricAddCounter(std::string_view name, double delta = 1.0);
 void MetricSetGauge(std::string_view name, double value);
 void MetricObserve(std::string_view name, double value);

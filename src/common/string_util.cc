@@ -164,6 +164,19 @@ std::optional<double> ParseDouble(std::string_view s) {
   return v;
 }
 
+std::string ConditionKey(const std::map<std::string, std::string>& args) {
+  std::string key;
+  for (const char* k :
+       {"kind", "phrase", "attribute", "cmp", "value", "value2"}) {
+    auto it = args.find(k);
+    if (it != args.end()) {
+      key += it->second;
+      key += '\x1f';
+    }
+  }
+  return key;
+}
+
 std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);

@@ -1,6 +1,7 @@
 #ifndef UNIFY_COMMON_STRING_UTIL_H_
 #define UNIFY_COMMON_STRING_UTIL_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,6 +45,14 @@ std::optional<int64_t> ParseLeadingInt64(std::string_view s);
 /// Parses `s` entirely as an integer / double, if well-formed.
 std::optional<int64_t> ParseInt64(std::string_view s);
 std::optional<double> ParseDouble(std::string_view s);
+
+/// Stable serialization of the condition arguments of an operator or an
+/// LLM call (kind, phrase, attribute, cmp, value, value2; each present
+/// value followed by '\x1f'): the optimizer's per-call estimate memo, the
+/// SCE's sample seeds and the simulator's error coins key on it. Names
+/// are not encoded, so two conditions can alias; changing the bytes would
+/// move every SCE sample and simulator error.
+std::string ConditionKey(const std::map<std::string, std::string>& args);
 
 /// Formats a double with `precision` significant decimal digits, trimming
 /// trailing zeros ("3.1400" -> "3.14", "5.000" -> "5").

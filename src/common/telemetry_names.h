@@ -116,6 +116,9 @@ namespace unify::telemetry {
     "Approximate resident bytes of the shared cache.")                         \
   /* Fault injection and resilient execution (llm/fault_client.h,              \
    * llm/resilient_client.h); <tier> is planner or worker. */                  \
+  X(Counter, kMetricLlmFaultAttempts,                                          \
+    "llm.fault.attempts", "<type>", "resilience",                              \
+    "Attempts that met an active fault injector per prompt type.")             \
   X(Counter, kMetricLlmFaultTimeouts,                                          \
     "llm.fault.timeouts", "<type>", "resilience",                              \
     "Injected provider timeouts per prompt type.")                             \
@@ -133,6 +136,9 @@ namespace unify::telemetry {
   X(Counter, kMetricLlmRetryExhausted,                                         \
     "llm.retry.exhausted", "", "resilience",                                   \
     "Calls that failed with their retries or budget exhausted.")               \
+  X(Counter, kMetricLlmRetryBudgetExhausted,                                   \
+    "llm.retry.budget_exhausted", "", "resilience",                            \
+    "Retries refused because the query's retry budget ran out.")               \
   X(Counter, kMetricLlmRetryBackoffSeconds,                                    \
     "llm.retry.backoff_seconds", "", "resilience",                             \
     "Virtual seconds slept in retry backoff, jitter included.")                \

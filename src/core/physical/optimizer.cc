@@ -16,19 +16,6 @@ namespace unify::core {
 
 namespace {
 
-std::string ConditionKey(const OpArgs& args) {
-  std::string key;
-  for (const char* k :
-       {"kind", "phrase", "attribute", "cmp", "value", "value2"}) {
-    auto it = args.find(k);
-    if (it != args.end()) {
-      key += it->second;
-      key += '\x1f';
-    }
-  }
-  return key;
-}
-
 bool IsDocProducing(const std::string& op) {
   return op == "Scan" || op == "Filter" || op == "GroupBy" ||
          op == "Union" || op == "Intersection" || op == "Complementary" ||

@@ -16,20 +16,6 @@ namespace unify::core {
 
 namespace {
 
-/// Stable serialization of a condition for seeding.
-std::string ConditionSeedKey(const OpArgs& condition) {
-  std::string key;
-  for (const char* k :
-       {"kind", "phrase", "attribute", "cmp", "value", "value2"}) {
-    auto it = condition.find(k);
-    if (it != condition.end()) {
-      key += it->second;
-      key += '\x1f';
-    }
-  }
-  return key;
-}
-
 /// Every condition argument TrueCardinality reads, each with its name and
 /// length, so distinct conditions never share a key.
 std::string TruthKey(const OpArgs& condition) {
@@ -237,7 +223,7 @@ StatusOr<SceEstimate> CardinalityEstimator::EstimateImpl(
   const size_t N = corpus_->size();
   if (N == 0) return est;
   Rng rng(HashCombine(HashCombine(options_.seed, salt),
-                      StableHash64(ConditionSeedKey(condition))));
+                      StableHash64(ConditionKey(condition))));
 
   // Numeric predicates: histogram lookup when statistics exist,
   // otherwise pre-programmed surface sampling. Never any LLM.

@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <optional>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/stats.h"
 #include "common/telemetry_names.h"
 #include "common/thread_pool.h"
 #include "core/operators/custom_ops.h"
+#include "core/runtime/plan_analysis.h"
 
 namespace unify::core {
 namespace {
@@ -20,11 +21,11 @@ constexpr int kMaxAdjustments = 2;
 
 /// The executor's MorselRunner for one node: runs the morsels on up to
 /// `threads` wall-clock workers (one after another on the calling thread
-/// when threads <= 1), each under the dispatching thread's retry budget
-/// and cache routing, with one exec.partition span per morsel. Each
-/// morsel records its metrics into a registry of its own, merged into the
-/// dispatching thread's sink in morsel order once they all finish, so the
-/// sink's sums do not depend on which worker finished first. Keeps each
+/// when threads <= 1), each under the dispatching thread's query scope,
+/// with one exec.partition span per morsel. Each morsel's scope puts a
+/// registry of its own in the metrics field, merged into the dispatching
+/// thread's sink in morsel order once they all finish, so the sink's sums
+/// do not depend on which worker finished first. Keeps each
 /// morsel's LLM seconds, in morsel order, for the node's parallel stream
 /// on the server pool.
 class NodeMorselRunner : public MorselRunner {
@@ -46,18 +47,15 @@ class NodeMorselRunner : public MorselRunner {
     MetricAddCounter(telemetry::kMetricExecPartitions,
                      static_cast<double>(n));
     node_span_.AddAttr("partitions", static_cast<int64_t>(n));
-    MetricsRegistry* const sink = MetricsRegistry::ThreadSink();
-    llm::RetryBudget* const budget = llm::RetryBudget::Current();
-    const std::optional<bool> use_cache =
-        llm::SharedCacheLlmClient::ThreadRouting();
+    const QueryScope caller = QueryScope::Current();
+    MetricsRegistry* const sink = caller.metrics;
     std::vector<StatusOr<OpStats>> parts(n,
                                          Status::Internal("morsel not run"));
     std::vector<MetricsRegistry> part_metrics(n);
     auto run_one = [&](size_t i) {
-      MetricsRegistry::ScopedSink part_sink(&part_metrics[i]);
-      llm::RetryBudget::ScopedUse part_budget(budget);
-      std::optional<llm::SharedCacheLlmClient::ScopedUse> part_cache;
-      if (use_cache.has_value()) part_cache.emplace(*use_cache);
+      QueryScope part_scope = caller;
+      part_scope.metrics = &part_metrics[i];
+      QueryScope::Installer install(part_scope);
       // Slot i is written only by the worker running morsel i.
       ScopedSpan part_span(trace_, telemetry::kSpanExecPartition,
                            node_span_.id());
@@ -408,33 +406,8 @@ ExecutionResult PlanExecutor::Finish(ExecutionState& state) {
     exec_span.AddAttr("pool_occupancy", occupancy);
   }
   exec_span.SetVirtualInterval(0, result.virtual_seconds);
-  // Execution timeline for observability.
-  std::string timeline;
-  char line[256];
-  for (size_t i = 0; i < n; ++i) {
-    const PlanNodeAnalysis& row = rows[i];
-    std::snprintf(line, sizeof(line),
-                  "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
-                  "calls)\n",
-                  row.virt_start, row.virt_finish, row.op_name.c_str(),
-                  row.impl.c_str(), row.output_var.c_str(), row.llm_seconds,
-                  static_cast<long long>(row.llm_calls));
-    timeline += line;
-  }
-  for (size_t r = 0; r < state.replans.size(); ++r) {
-    const ReplanRecord& rec = state.replans[r];
-    std::snprintf(line, sizeof(line),
-                  "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
-                  "est %.0f (q-err %.1f) -> %s\n",
-                  rec.elapsed_seconds - base, r + 1,
-                  rec.trigger_var.c_str(), rec.observed_card,
-                  rec.estimated_card, rec.qerror,
-                  rec.adopted ? "suffix re-lowered" : "kept plan");
-    timeline += line;
-  }
-  result.timeline = std::move(timeline);
-
   auto finalize = [&]() {
+    result.timeline = RenderTimeline(rows, state.replans, base);
     result.nodes = std::move(rows);
     if (trace == nullptr) return;
     exec_span.AddAttr("virtual_seconds", result.virtual_seconds);

@@ -12,8 +12,6 @@
 #include "core/physical/physical_plan.h"
 #include "corpus/answer.h"
 #include "exec/schedule.h"
-#include "llm/resilient_client.h"
-#include "llm/shared_cache.h"
 
 namespace unify::core {
 
@@ -93,9 +91,10 @@ struct ExecutionResult {
   /// True when plan adjustment fired (an operator failed and was retried
   /// with a different implementation).
   bool adjusted = false;
-  /// Human-readable execution timeline: one line per operator with its
-  /// virtual start/finish on the server pool and measured LLM usage,
-  /// followed by one marker line per mid-query replan (when any fired).
+  /// Human-readable execution timeline (RenderTimeline over `nodes`):
+  /// one line per row with its virtual start/finish on the server pool
+  /// and measured LLM usage, `[not executed]` for a node that never ran,
+  /// then one marker line per mid-query replan (when any fired).
   std::string timeline;
   /// One row per plan node, indexed like PhysicalPlan::nodes, plus a
   /// trailing synthetic row when the Section V-D fallback answered.

@@ -149,6 +149,41 @@ std::string ReplanRecord::Sentence(int ordinal) const {
   return os.str();
 }
 
+std::string RenderTimeline(const std::vector<PlanNodeAnalysis>& rows,
+                           const std::vector<ReplanRecord>& replans,
+                           double base_seconds) {
+  std::string timeline;
+  char line[256];
+  for (const PlanNodeAnalysis& row : rows) {
+    if (row.executed) {
+      std::snprintf(line, sizeof(line),
+                    "t=%8.2fs..%8.2fs  %-10s <%s> -> %s  (llm %.2fs, %lld "
+                    "calls)\n",
+                    row.virt_start, row.virt_finish, row.op_name.c_str(),
+                    row.impl.c_str(), row.output_var.c_str(), row.llm_seconds,
+                    static_cast<long long>(row.llm_calls));
+    } else {
+      std::snprintf(line, sizeof(line),
+                    "t=%9s..%9s  %-10s <%s> -> %s  [not executed]\n", "-",
+                    "-", row.op_name.c_str(), row.impl.c_str(),
+                    row.output_var.c_str());
+    }
+    timeline += line;
+  }
+  for (size_t r = 0; r < replans.size(); ++r) {
+    const ReplanRecord& rec = replans[r];
+    std::snprintf(line, sizeof(line),
+                  "t=%8.2fs  -- replan #%zu after %s: observed %.0f vs "
+                  "est %.0f (q-err %.1f) -> %s\n",
+                  rec.elapsed_seconds - base_seconds, r + 1,
+                  rec.trigger_var.c_str(), rec.observed_card,
+                  rec.estimated_card, rec.qerror,
+                  rec.adopted ? "suffix re-lowered" : "kept plan");
+    timeline += line;
+  }
+  return timeline;
+}
+
 std::string QueryResult::explain_analyze() const {
   if (plan_analysis.empty()) return "";
   std::ostringstream os;

@@ -1,6 +1,7 @@
 #ifndef UNIFY_CORE_RUNTIME_PLAN_ANALYSIS_H_
 #define UNIFY_CORE_RUNTIME_PLAN_ANALYSIS_H_
 
+#include <string>
 #include <vector>
 
 #include "core/physical/cost_model.h"
@@ -38,6 +39,18 @@ std::vector<PlanNodeAnalysis> BuildPlanAnalysis(
 void AuditReplanOutcomes(const std::vector<ReplanRecord>& replans,
                          const std::vector<PlanNodeAnalysis>& rows,
                          OptimizeObjective objective, double base_seconds);
+
+/// The execution timeline (ExecutionResult::timeline), rendered from the
+/// executor's `rows` (indexed like the plan's nodes, plus the trailing
+/// Section V-D fallback row) and `replans`: one line per row in that
+/// order with its virtual interval and LLM use (an un-executed row reads
+/// `[not executed]`, as in EXPLAIN ANALYZE), then one marker line per
+/// mid-query replan. `base_seconds` is the absolute virtual time
+/// execution became ready; markers are printed relative to it, like the
+/// rows' intervals.
+std::string RenderTimeline(const std::vector<PlanNodeAnalysis>& rows,
+                           const std::vector<ReplanRecord>& replans,
+                           double base_seconds);
 
 }  // namespace unify::core
 

@@ -170,6 +170,11 @@ struct QueryRequest {
   /// submission order — the property that makes concurrent serving
   /// byte-identical to a sequential run.
   uint64_t query_id = 0;
+
+  /// The id the query runs under: `query_id`, or the stable hash of
+  /// `text` when it is 0. QueryResult::query_id and UnifyService's
+  /// flight-recorder events both carry it. Defined in unify.cc.
+  uint64_t ResolvedQueryId() const;
 };
 
 /// The outcome of one query: answer, status + phase taxonomy, virtual-time

@@ -51,8 +51,7 @@ void QueryPipeline::EndStage(const char* stage_metric) {
 bool QueryPipeline::Admit() {
   QueryResult& result = ctx_.result;
   result.client_tag = request_.client_tag;
-  result.query_id = request_.query_id != 0 ? request_.query_id
-                                           : StableHash64(request_.text);
+  result.query_id = request_.ResolvedQueryId();
   if (!system_.ready_) {
     result.status = Status::FailedPrecondition("Setup() not called");
     result.phase = QueryPhase::kAdmission;
@@ -78,30 +77,25 @@ bool QueryPipeline::Admit() {
           ? request_.arrival_seconds
           : (shared_pool_ != nullptr ? shared_pool_->Now() : 0.0);
 
-  // Per-query metrics: a local registry installed as this thread's sink
-  // (the executor merges what each morsel records into it, in morsel
-  // order). Instrumented sites record counters and histograms into
-  // the installed sink only, so result.metrics is exact even when other
-  // queries run concurrently in the process; Finalize merges it into the
-  // global registry once.
-  metrics_scope_.emplace(&ctx_.query_metrics);
-
-  // Retry budget: one shared pool of virtual backoff/retry seconds per
-  // query, drained by every thread that retries on its behalf. The
-  // resolved request value, clamped so retrying can never spend past an
-  // explicit deadline.
+  // The query's scope on this thread, for planning, SCE and plan nodes
+  // alike; PlanExecutor installs a copy on each morsel worker.
+  //  - Metrics: a local registry as the sink (the executor merges what
+  //    each morsel records into it, in morsel order). Instrumented sites
+  //    record counters and histograms into the sink only, so
+  //    result.metrics is exact even when other queries run concurrently
+  //    in the process; Finalize merges it into the global registry once.
+  //  - Retry budget: one shared pool of virtual backoff/retry seconds,
+  //    drained by every thread that retries on the query's behalf. The
+  //    resolved request value, clamped so retrying can never spend past
+  //    an explicit deadline.
+  //  - Cache routing: the query's resolved `use_llm_cache`.
   double budget_seconds = ctx_.resolved.retry_budget_seconds;
   if (request_.deadline_seconds > 0) {
     budget_seconds = std::min(budget_seconds, request_.deadline_seconds);
   }
   ctx_.retry_budget.emplace(budget_seconds);
-  // Covers planning, SCE and plan nodes on this thread; PlanExecutor
-  // copies it onto its morsel workers.
-  budget_scope_.emplace(&*ctx_.retry_budget);
-
-  // Shared-cache routing for this query's calls on this thread; the
-  // executor copies it onto its morsel workers.
-  cache_scope_.emplace(ctx_.resolved.use_llm_cache);
+  scope_.emplace(QueryScope{&ctx_.query_metrics, &*ctx_.retry_budget,
+                            ctx_.resolved.use_llm_cache});
 
   root_ = std::make_unique<ScopedSpan>(ctx_.trace.get(),
                                        telemetry::kSpanQuery, parent_);
@@ -367,9 +361,10 @@ void QueryPipeline::Finalize() {
         result.degraded ? QueryPhase::kDegraded : QueryPhase::kComplete;
   }
   // The query's counters and histograms reach the process-wide registry
-  // here, once, whichever stage stopped it. The sink comes off this
-  // thread first, so nothing recorded later is left out of the merge.
-  metrics_scope_.reset();
+  // here, once, whichever stage stopped it. The query's scope comes off
+  // this thread first, so nothing recorded later is left out of the
+  // merge.
+  scope_.reset();
   result.metrics = ctx_.query_metrics.Snapshot();
   MetricsRegistry::Global().Merge(result.metrics);
   // Exact per-query cache attribution: the llm.cache.* counters were

@@ -7,14 +7,13 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/trace.h"
 #include "core/logical/plan_generator.h"
 #include "core/physical/optimizer.h"
 #include "core/runtime/executor.h"
 #include "core/runtime/query.h"
 #include "exec/virtual_pool.h"
-#include "llm/resilient_client.h"
-#include "llm/shared_cache.h"
 
 namespace unify::core {
 
@@ -30,12 +29,11 @@ class UnifySystem;
 /// stopped the query.
 ///
 /// One pipeline serves one query on one thread (execution may still fan
-/// morsels across workers); it installs the query's thread-local scopes —
-/// metrics sink, retry budget, cache routing — for its whole lifetime
-/// (the sink until Finalize merges it), so planning-side LLM calls
-/// (including replan decisions) are attributed to the query like
-/// execution-side ones. Each stage's wall time is observed into
-/// `query.stage_seconds.<stage>`.
+/// morsels across workers); from Admit until Finalize it installs the
+/// query's QueryScope — metrics sink, retry budget, cache routing — on
+/// that thread, so planning-side LLM calls (including replan decisions)
+/// are attributed to the query like execution-side ones. Each stage's
+/// wall time is observed into `query.stage_seconds.<stage>`.
 class QueryPipeline {
  public:
   /// `system` must be Setup(); `shared_pool` non-null schedules execution
@@ -58,12 +56,12 @@ class QueryPipeline {
     /// overrides), reused verbatim by mid-query re-optimization.
     OptimizerOptions oopts;
     std::shared_ptr<Trace> trace;
-    /// This query's own metrics registry (installed as the thread-local
-    /// sink; the executor merges its morsels' registries into it).
-    /// Finalize merges it into MetricsRegistry::Global().
+    /// This query's own metrics registry (the sink of its QueryScope;
+    /// the executor merges its morsels' registries into it). Finalize
+    /// merges it into MetricsRegistry::Global().
     MetricsRegistry query_metrics;
     /// The query's shared pool of virtual retry seconds.
-    std::optional<llm::RetryBudget> retry_budget;
+    std::optional<RetryBudget> retry_budget;
     /// Parse output: candidate logical plans + planning costs.
     std::optional<PlanGenerator::Result> generated;
     /// Optimize output: the chosen physical plan (pre-replan).
@@ -71,7 +69,7 @@ class QueryPipeline {
   };
 
   /// Admission checks + per-query environment (resolved options, trace,
-  /// metrics/budget/cache scopes, root span). False stops the pipeline.
+  /// query scope, root span). False stops the pipeline.
   bool Admit();
   /// Logical plan generation (Section V).
   bool Parse();
@@ -108,11 +106,9 @@ class QueryPipeline {
   std::unique_ptr<ScopedSpan> root_;
   /// Wall-clock end of the previous stage (start of the current one).
   std::chrono::steady_clock::time_point stage_start_;
-  /// Thread-affine RAII scopes, installed by Admit for the pipeline's
-  /// lifetime (declaration order matters only for destruction symmetry).
-  std::optional<MetricsRegistry::ScopedSink> metrics_scope_;
-  std::optional<llm::RetryBudget::ScopedUse> budget_scope_;
-  std::optional<llm::SharedCacheLlmClient::ScopedUse> cache_scope_;
+  /// The query's scope on this thread: installed by Admit, removed by
+  /// Finalize.
+  std::optional<QueryScope::Installer> scope_;
 };
 
 }  // namespace unify::core

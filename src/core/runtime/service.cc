@@ -10,7 +10,6 @@
 #include "common/accuracy.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "common/telemetry_names.h"
 
 namespace unify::core {
@@ -26,13 +25,6 @@ double WallSecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The same derivation QueryPipeline::Admit uses, so flight-recorder
-/// events match the QueryResult's id.
-uint64_t QueryIdOf(const QueryRequest& request) {
-  return request.query_id != 0 ? request.query_id
-                               : StableHash64(request.text);
-}
-
 /// The result of a request that never reached a worker.
 QueryResult AdmissionFailure(const QueryRequest& request, Status status,
                              double queue_wall_seconds) {
@@ -40,7 +32,7 @@ QueryResult AdmissionFailure(const QueryRequest& request, Status status,
   result.status = std::move(status);
   result.phase = QueryPhase::kAdmission;
   result.client_tag = request.client_tag;
-  result.query_id = QueryIdOf(request);
+  result.query_id = request.ResolvedQueryId();
   result.queue_wall_seconds = queue_wall_seconds;
   return result;
 }
@@ -175,7 +167,7 @@ std::future<QueryResult> UnifyService::Submit(QueryRequest request) {
                      static_cast<double>(inflight_));
       ServeEvent admit;
       admit.kind = ServeEventKind::kAdmit;
-      admit.query_id = QueryIdOf(*req);
+      admit.query_id = req->ResolvedQueryId();
       admit.client_tag = req->client_tag;
       recorder_.Record(std::move(admit));
       return future;
@@ -192,7 +184,7 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
   {
     ServeEvent start;
     start.kind = ServeEventKind::kStart;
-    start.query_id = QueryIdOf(request);
+    start.query_id = request.ResolvedQueryId();
     start.client_tag = request.client_tag;
     start.queue_wall_seconds = queue_wall_seconds;
     // Under mu_, so this start follows the admit Submit() records under
@@ -203,10 +195,10 @@ QueryResult UnifyService::Serve(const QueryRequest& request,
 
   // The serve.query span parents the query's own span tree, so a served
   // trace shows the serving layer on top of the usual lifecycle.
-  const bool collect_trace = request.overrides.collect_trace.value_or(
-      system_->options().collect_trace);
   std::shared_ptr<Trace> trace;
-  if (collect_trace) trace = std::make_shared<Trace>();
+  if (request.overrides.ResolveAgainst(system_->options()).collect_trace) {
+    trace = std::make_shared<Trace>();
+  }
   QueryResult result;
   {
     // Null-trace ScopedSpan is a no-op, so the flow stays unconditional.

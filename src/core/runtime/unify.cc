@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/query_scope.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/runtime/query_pipeline.h"
@@ -38,7 +39,9 @@ Status UnifySystem::Setup() {
   // record zero-cost samples into the cost model (changing plan choice
   // depending on whether the cache is on — exactly the coupling the
   // byte-identity guarantee forbids).
-  llm::SharedCacheLlmClient::ScopedUse setup_cache_off(false);
+  QueryScope setup_scope = QueryScope::Current();
+  setup_scope.use_llm_cache = false;
+  QueryScope::Installer setup_cache_off(setup_scope);
 
   // --- Operator indexing: embed every logical representation offline ---
   matcher_ = std::make_unique<OperatorMatcher>(&registry_, /*dim=*/48,
@@ -202,6 +205,10 @@ Status UnifySystem::CalibrateCostModel() {
                        out.stats.llm_seconds, out.stats.cpu_seconds);
   }
   return Status::OK();
+}
+
+uint64_t QueryRequest::ResolvedQueryId() const {
+  return query_id != 0 ? query_id : StableHash64(text);
 }
 
 ResolvedQueryOptions QueryRequest::Overrides::ResolveAgainst(

@@ -136,12 +136,13 @@ class UnifySystem {
 
   /// The fault injector in the client stack (null before Setup()). Its
   /// `set_rate_scale()` is the runtime kill switch the shell's `\faults`
-  /// command flips; fault_stats() feeds the same command's report.
+  /// command flips; the injected faults are `llm.fault.*` counters.
   llm::FaultInjectingLlmClient* fault_injector() const {
     return fault_llm_.get();
   }
-  /// The resilience decorator (null before Setup()): retry/hedge/breaker
-  /// statistics for the shell and tests.
+  /// The resilience decorator (null before Setup()): breaker states for
+  /// the shell and tests; its events are `llm.retry.*`, `llm.hedge.*` and
+  /// `breaker.*` counters.
   const llm::ResilientLlmClient* resilient_client() const {
     return resilient_llm_.get();
   }

@@ -12,27 +12,7 @@ namespace unify::llm {
 
 namespace {
 
-/// Stable serialization of everything that identifies a logical call, so
-/// the fault coin is a pure function of (seed, content, attempt).
-std::string CallKey(const LlmCall& call) {
-  std::string key = std::to_string(static_cast<int>(call.type));
-  key += '\x1d';
-  key += std::to_string(static_cast<int>(call.tier));
-  key += '\x1d';
-  for (const auto& [k, v] : call.fields) {
-    key += k;
-    key += '\x1f';
-    key += v;
-    key += '\x1e';
-  }
-  key += '\x1d';
-  for (const auto& item : call.items) {
-    key += item;
-    key += '\x1e';
-  }
-  return key;
-}
-
+/// The fault coin: a pure function of (seed, call content, attempt).
 double CoinFor(uint64_t seed, const LlmCall& call) {
   uint64_t h = StableHash64(CallKey(call));
   h = HashCombine(h, seed);
@@ -53,12 +33,12 @@ LlmResult FaultInjectingLlmClient::Call(const LlmCall& call) {
   const FaultRates& rates = RatesFor(call.type);
   if (scale <= 0 || rates.Total() <= 0) return base_->Call(call);
 
-  calls_.fetch_add(1);
+  const std::string suffix = std::string(".") + PromptTypeName(call.type);
+  MetricAddCounter(telemetry::kMetricLlmFaultAttempts + suffix);
   const double u = CoinFor(options_.seed, call);
   const double p_timeout = rates.timeout * scale;
   const double p_rate_limit = p_timeout + rates.rate_limit * scale;
   const double p_malformed = p_rate_limit + rates.malformed * scale;
-  const std::string suffix = std::string(".") + PromptTypeName(call.type);
 
   if (u < p_timeout) {
     // The provider worked on the call (and bills for it), but the caller's
@@ -68,7 +48,6 @@ LlmResult FaultInjectingLlmClient::Call(const LlmCall& call) {
     result.fields.clear();
     result.items.clear();
     result.status = Status::DeadlineExceeded("injected llm timeout");
-    timeouts_.fetch_add(1);
     MetricAddCounter(telemetry::kMetricLlmFaultTimeouts + suffix);
     return result;
   }
@@ -77,7 +56,6 @@ LlmResult FaultInjectingLlmClient::Call(const LlmCall& call) {
     LlmResult result;
     result.seconds = options_.rate_limit_seconds;
     result.status = Status::ResourceExhausted("injected llm rate limit");
-    rate_limits_.fetch_add(1);
     MetricAddCounter(telemetry::kMetricLlmFaultRateLimits + suffix);
     return result;
   }
@@ -88,17 +66,10 @@ LlmResult FaultInjectingLlmClient::Call(const LlmCall& call) {
     if (!result.items.empty()) result.items.resize(result.items.size() / 2);
     result.fields.clear();
     result.status = Status::Aborted("injected malformed completion");
-    malformed_.fetch_add(1);
     MetricAddCounter(telemetry::kMetricLlmFaultMalformed + suffix);
     return result;
   }
   return base_->Call(call);
-}
-
-FaultInjectingLlmClient::FaultStats FaultInjectingLlmClient::fault_stats()
-    const {
-  return {calls_.load(), timeouts_.load(), rate_limits_.load(),
-          malformed_.load()};
 }
 
 }  // namespace unify::llm

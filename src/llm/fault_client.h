@@ -45,25 +45,20 @@ struct FaultInjectionOptions {
 
 /// A deterministic fault-injection decorator over any LlmClient.
 ///
-/// Every attempt draws ONE coin — a stable hash of (seed, call content,
+/// Every attempt draws ONE coin — a stable hash of (seed, CallKey(call),
 /// call.attempt) — so a given attempt of a given call always meets the
 /// same fate regardless of threads, batching or wall-clock, while a retry
 /// (attempt+1) of the same call draws a fresh fate. With all rates zero
 /// the decorator is a pure pass-through: byte-identical results, no
-/// accounting drift.
+/// accounting drift. It keeps no counts of its own: each attempt that
+/// meets an active injector, and each fault it injects, is an
+/// `llm.fault.*.<type>` counter in the calling thread's query scope.
 ///
-/// Composition order (outermost last):
+/// Composition order in UnifySystem (outermost last):
 ///   SimulatedLlm -> FaultInjectingLlmClient -> ResilientLlmClient
-///   -> TracingLlmClient
+///   -> SharedCacheLlmClient -> TracingLlmClient
 class FaultInjectingLlmClient : public LlmClient {
  public:
-  struct FaultStats {
-    int64_t calls = 0;        ///< attempts that reached the injector
-    int64_t timeouts = 0;
-    int64_t rate_limits = 0;
-    int64_t malformed = 0;
-  };
-
   /// `base` must outlive the decorator.
   FaultInjectingLlmClient(LlmClient* base, FaultInjectionOptions options)
       : base_(base), options_(std::move(options)) {}
@@ -80,7 +75,6 @@ class FaultInjectingLlmClient : public LlmClient {
   double rate_scale() const { return rate_scale_.load(); }
 
   const FaultInjectionOptions& options() const { return options_; }
-  FaultStats fault_stats() const;
 
  private:
   const FaultRates& RatesFor(PromptType type) const;
@@ -88,11 +82,6 @@ class FaultInjectingLlmClient : public LlmClient {
   LlmClient* base_;
   FaultInjectionOptions options_;
   std::atomic<double> rate_scale_{1.0};
-
-  std::atomic<int64_t> calls_{0};
-  std::atomic<int64_t> timeouts_{0};
-  std::atomic<int64_t> rate_limits_{0};
-  std::atomic<int64_t> malformed_{0};
 };
 
 }  // namespace unify::llm

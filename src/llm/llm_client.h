@@ -94,6 +94,31 @@ struct LlmCall {
   }
 };
 
+/// Stable serialization of everything that identifies a logical call
+/// (type, tier, fields, items; `attempt` excluded), so a coin keyed on it
+/// is the same whichever thread runs the call: the fault injector's fate
+/// coins and the resilience decorator's backoff jitter. The separators
+/// are not escaped, so two calls can alias; changing the bytes would move
+/// every fault coin and jitter draw.
+inline std::string CallKey(const LlmCall& call) {
+  std::string key = std::to_string(static_cast<int>(call.type));
+  key += '\x1d';
+  key += std::to_string(static_cast<int>(call.tier));
+  key += '\x1d';
+  for (const auto& [k, v] : call.fields) {
+    key += k;
+    key += '\x1f';
+    key += v;
+    key += '\x1e';
+  }
+  key += '\x1d';
+  for (const auto& item : call.items) {
+    key += item;
+    key += '\x1e';
+  }
+  return key;
+}
+
 /// The completion: named outputs, per-item outputs, and accounting. The
 /// virtual duration in `seconds` is what the execution module schedules on
 /// the simulated LLM servers.

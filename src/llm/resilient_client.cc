@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/rng.h"
 #include "common/telemetry_names.h"
 
@@ -12,64 +13,11 @@ namespace unify::llm {
 
 namespace {
 
-thread_local RetryBudget* g_current_budget = nullptr;
-
 const char* TierName(ModelTier tier) {
   return tier == ModelTier::kPlanner ? "planner" : "worker";
 }
 
-/// Stable serialization of the logical call (attempt excluded): jitter for
-/// retry round k of a call is the same whichever thread runs it.
-std::string CallKey(const LlmCall& call) {
-  std::string key = std::to_string(static_cast<int>(call.type));
-  key += '\x1d';
-  key += std::to_string(static_cast<int>(call.tier));
-  key += '\x1d';
-  for (const auto& [k, v] : call.fields) {
-    key += k;
-    key += '\x1f';
-    key += v;
-    key += '\x1e';
-  }
-  key += '\x1d';
-  for (const auto& item : call.items) {
-    key += item;
-    key += '\x1e';
-  }
-  return key;
-}
-
 }  // namespace
-
-// --- RetryBudget ---
-
-bool RetryBudget::TryConsume(double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (remaining_ < seconds) return false;
-  remaining_ -= seconds;
-  return true;
-}
-
-void RetryBudget::Drain(double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  remaining_ = std::max(0.0, remaining_ - seconds);
-}
-
-double RetryBudget::remaining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remaining_;
-}
-
-RetryBudget* RetryBudget::Current() { return g_current_budget; }
-
-RetryBudget::ScopedUse::ScopedUse(RetryBudget* budget)
-    : previous_(g_current_budget) {
-  g_current_budget = budget;
-}
-
-RetryBudget::ScopedUse::~ScopedUse() { g_current_budget = previous_; }
-
-// --- ResilientLlmClient ---
 
 double ResilientLlmClient::BackoffFor(const LlmCall& call, int round) const {
   const RetryPolicy& p = options_.retry;
@@ -101,7 +49,6 @@ bool ResilientLlmClient::BreakerAdmits(ModelTier tier, bool* is_probe) {
       if (!b.probe_inflight) {
         b.probe_inflight = true;
         *is_probe = true;
-        ++stats_.breaker_probes;
         MetricAddCounter(std::string(telemetry::kMetricBreakerProbes) + "." +
                          TierName(tier));
         return true;
@@ -111,7 +58,6 @@ bool ResilientLlmClient::BreakerAdmits(ModelTier tier, bool* is_probe) {
       // Fast-fail: the rejection itself advances the tier's virtual
       // clock, so an idle open window still expires under retry pressure.
       b.now_seconds += options_.breaker.fast_fail_seconds;
-      ++stats_.breaker_rejections;
       MetricAddCounter(std::string(telemetry::kMetricBreakerRejected) + "." +
                        TierName(tier));
       return false;
@@ -130,13 +76,11 @@ void ResilientLlmClient::BreakerRecord(ModelTier tier, bool ok, bool was_probe,
     if (ok) {
       b.state = BreakerState::kClosed;
       b.consecutive_failures = 0;
-      ++stats_.breaker_closes;
       MetricAddCounter(std::string(telemetry::kMetricBreakerCloses) + "." +
                        TierName(tier));
     } else {
       b.state = BreakerState::kOpen;
       b.open_until_seconds = b.now_seconds + options_.breaker.open_seconds;
-      ++stats_.breaker_opens;
       MetricAddCounter(std::string(telemetry::kMetricBreakerOpens) + "." +
                        TierName(tier));
     }
@@ -151,7 +95,6 @@ void ResilientLlmClient::BreakerRecord(ModelTier tier, bool ok, bool was_probe,
       b.consecutive_failures >= options_.breaker.failure_threshold) {
     b.state = BreakerState::kOpen;
     b.open_until_seconds = b.now_seconds + options_.breaker.open_seconds;
-    ++stats_.breaker_opens;
     MetricAddCounter(std::string(telemetry::kMetricBreakerOpens) + "." +
                      TierName(tier));
   }
@@ -186,24 +129,16 @@ LlmResult ResilientLlmClient::Attempt(const LlmCall& call, int round) {
   LlmResult backup = base_->Call(hedge_call);
   const double t_primary = primary.seconds;
   const double t_hedge = hedge.latency_threshold_seconds + backup.seconds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hedges_launched;
-  }
   MetricAddCounter(telemetry::kMetricLlmHedgeLaunched);
 
-  auto charge_loser = [this](const LlmResult& loser, double loser_start,
-                             double t_win) {
+  auto charge_loser = [](const LlmResult& loser, double loser_start,
+                         double t_win) {
     // The loser is cancelled at the winner's completion: charge the
     // dollars it accrued up to that instant, pro rata.
     if (loser.seconds <= 0) return 0.0;
     const double frac =
         std::clamp((t_win - loser_start) / loser.seconds, 0.0, 1.0);
     const double cancelled = loser.dollars * frac;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.hedge_cancelled_dollars += cancelled;
-    }
     MetricAddCounter(telemetry::kMetricLlmHedgeCancelledDollars, cancelled);
     return cancelled;
   };
@@ -217,10 +152,6 @@ LlmResult ResilientLlmClient::Attempt(const LlmCall& call, int round) {
     result.dollars += charge_loser(primary, 0.0, t_hedge);
     result.in_tokens += primary.in_tokens;
     result.out_tokens += primary.out_tokens;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.hedge_wins;
-    }
     MetricAddCounter(telemetry::kMetricLlmHedgeWins);
   } else if (primary.status.ok()) {
     result = primary;
@@ -253,36 +184,24 @@ LlmResult ResilientLlmClient::Call(const LlmCall& call) {
     if (round > 0) {
       // Retry attempts (and their backoffs, consumed below) draw down the
       // query's retry budget best-effort.
-      if (RetryBudget* budget = RetryBudget::Current()) {
+      if (RetryBudget* budget = QueryScope::Current().retry_budget) {
         budget->Drain(result.seconds);
       }
     }
     if (result.status.ok()) {
-      if (round > 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.recovered;
-      }
       if (round > 0) MetricAddCounter(telemetry::kMetricLlmRetryRecovered);
       break;
     }
     if (!IsTransientLlmFailure(result.status)) break;
     if (round + 1 >= options_.retry.max_attempts) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.exhausted;
-      }
       MetricAddCounter(telemetry::kMetricLlmRetryExhausted);
       break;
     }
     const double backoff = BackoffFor(call, round + 1);
-    RetryBudget* budget = RetryBudget::Current();
+    RetryBudget* budget = QueryScope::Current().retry_budget;
     if (budget != nullptr && !budget->TryConsume(backoff)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.budget_exhausted;
-        ++stats_.exhausted;
-      }
       MetricAddCounter(telemetry::kMetricLlmRetryExhausted);
+      MetricAddCounter(telemetry::kMetricLlmRetryBudgetExhausted);
       result.status = Status::DeadlineExceeded(
           "retry budget exhausted after: " + result.status.ToString());
       break;
@@ -293,11 +212,6 @@ LlmResult ResilientLlmClient::Call(const LlmCall& call) {
     extra_dollars += result.dollars;
     extra_in += result.in_tokens;
     extra_out += result.out_tokens;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.retries;
-      stats_.backoff_seconds += backoff;
-    }
     MetricAddCounter(telemetry::kMetricLlmRetryAttempts);
     MetricAddCounter(telemetry::kMetricLlmRetryBackoffSeconds, backoff);
   }
@@ -306,12 +220,6 @@ LlmResult ResilientLlmClient::Call(const LlmCall& call) {
   result.in_tokens += extra_in;
   result.out_tokens += extra_out;
   return result;
-}
-
-ResilientLlmClient::ResilienceStats ResilientLlmClient::resilience_stats()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 ResilientLlmClient::BreakerState ResilientLlmClient::breaker_state(

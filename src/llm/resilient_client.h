@@ -1,7 +1,6 @@
 #ifndef UNIFY_LLM_RESILIENT_CLIENT_H_
 #define UNIFY_LLM_RESILIENT_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -55,43 +54,6 @@ struct ResilienceOptions {
   CircuitBreakerPolicy breaker;
 };
 
-/// A shared, thread-safe pool of virtual seconds that retries may spend on
-/// backoff. The runtime derives one per query from its deadline and
-/// installs it thread-locally (RetryBudget::ScopedUse) on every executor
-/// worker, mirroring the MetricsRegistry::ScopedSink pattern; the
-/// ResilientLlmClient consults RetryBudget::Current() so concurrent
-/// morsels of one query drain one budget.
-class RetryBudget {
- public:
-  explicit RetryBudget(double seconds) : remaining_(seconds) {}
-
-  /// Consumes `seconds` if the full amount is available; returns false
-  /// (consuming nothing) otherwise.
-  bool TryConsume(double seconds);
-  /// Consumes up to `seconds`, clamping at zero (best-effort charge).
-  void Drain(double seconds);
-  double remaining() const;
-
-  /// The calling thread's installed budget, or nullptr.
-  static RetryBudget* Current();
-
-  /// RAII: installs `budget` as the calling thread's budget.
-  class ScopedUse {
-   public:
-    explicit ScopedUse(RetryBudget* budget);
-    ~ScopedUse();
-    ScopedUse(const ScopedUse&) = delete;
-    ScopedUse& operator=(const ScopedUse&) = delete;
-
-   private:
-    RetryBudget* previous_;
-  };
-
- private:
-  mutable std::mutex mu_;
-  double remaining_;
-};
-
 /// The resilience decorator: retries transient failures with capped
 /// exponential backoff + seeded jitter, optionally hedges stragglers, and
 /// fast-fails through a per-tier circuit breaker. Composes over any
@@ -103,24 +65,14 @@ class RetryBudget {
 /// which the execution module then schedules — reproducibility is
 /// preserved because every coin (fault fates via call.attempt, jitter via
 /// the resilience seed) is content-keyed.
+///
+/// The decorator keeps no counts of its own: every retry, hedge and
+/// breaker event is a catalog counter (`llm.retry.*`, `llm.hedge.*`,
+/// `breaker.*`) recorded into the calling thread's query scope, whose
+/// retry budget bounds the backoff (common/query_scope.h).
 class ResilientLlmClient : public LlmClient {
  public:
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
-  struct ResilienceStats {
-    int64_t retries = 0;           ///< attempts beyond each call's first
-    int64_t recovered = 0;         ///< calls OK after >= 1 retry
-    int64_t exhausted = 0;         ///< calls failed with retries spent
-    int64_t budget_exhausted = 0;  ///< retries denied by the retry budget
-    int64_t hedges_launched = 0;
-    int64_t hedge_wins = 0;        ///< hedge finished before the primary
-    int64_t breaker_opens = 0;
-    int64_t breaker_rejections = 0;
-    int64_t breaker_probes = 0;
-    int64_t breaker_closes = 0;
-    double backoff_seconds = 0;    ///< virtual seconds slept in backoff
-    double hedge_cancelled_dollars = 0;
-  };
 
   /// `base` must outlive the decorator.
   ResilientLlmClient(LlmClient* base, ResilienceOptions options)
@@ -132,7 +84,6 @@ class ResilientLlmClient : public LlmClient {
   void ResetUsage() override { base_->ResetUsage(); }
 
   const ResilienceOptions& options() const { return options_; }
-  ResilienceStats resilience_stats() const;
   BreakerState breaker_state(ModelTier tier) const;
 
   /// The deterministic jittered backoff before retry round `round`
@@ -162,9 +113,8 @@ class ResilientLlmClient : public LlmClient {
   LlmClient* base_;
   ResilienceOptions options_;
 
-  mutable std::mutex mu_;
-  Breaker breakers_[2];  // indexed by ModelTier
-  ResilienceStats stats_;
+  mutable std::mutex mu_;  // guards breakers_
+  Breaker breakers_[2];     // indexed by ModelTier
 };
 
 }  // namespace unify::llm

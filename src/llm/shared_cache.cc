@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/rng.h"
 #include "common/telemetry_names.h"
 
@@ -62,10 +63,6 @@ size_t ShardRunEnd(const std::vector<Probe>& probes, size_t begin) {
   }
   return end;
 }
-
-/// Thread-local override installed by SharedCacheLlmClient::ScopedUse:
-/// 0 = no override (use the client default), +1 = force on, -1 = force off.
-thread_local int tls_cache_use = 0;
 
 }  // namespace
 
@@ -444,29 +441,13 @@ int64_t SharedLlmCache::Validate(LlmClient* oracle) const {
 }
 
 LlmResult SharedCacheLlmClient::Call(const LlmCall& call) {
-  if (!EnabledOnThisThread() || !SharedLlmCache::Cacheable(call.type) ||
+  const bool enabled =
+      QueryScope::Current().use_llm_cache.value_or(default_enabled_);
+  if (!enabled || !SharedLlmCache::Cacheable(call.type) ||
       call.items.empty()) {
     return base_->Call(call);
   }
   return cache_->CallThrough(base_, call);
 }
-
-bool SharedCacheLlmClient::EnabledOnThisThread() const {
-  if (tls_cache_use > 0) return true;
-  if (tls_cache_use < 0) return false;
-  return default_enabled_;
-}
-
-std::optional<bool> SharedCacheLlmClient::ThreadRouting() {
-  if (tls_cache_use == 0) return std::nullopt;
-  return tls_cache_use > 0;
-}
-
-SharedCacheLlmClient::ScopedUse::ScopedUse(bool enabled)
-    : previous_(tls_cache_use) {
-  tls_cache_use = enabled ? 1 : -1;
-}
-
-SharedCacheLlmClient::ScopedUse::~ScopedUse() { tls_cache_use = previous_; }
 
 }  // namespace unify::llm

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -72,8 +71,8 @@ struct CacheStats {
 /// is admitted ONLY from an OK base result whose item count matches the
 /// issued call. A transient-failed or injected-malformed completion is
 /// never admitted; followers that waited on a failed leader re-elect —
-/// the next one retries the base call itself, under its own thread's
-/// RetryBudget.
+/// the next one retries the base call itself, under the retry budget of
+/// its own thread's query scope.
 ///
 /// Accounting: hits charge zero seconds/dollars/tokens (the provider was
 /// never called); a coalesced follower is charged zero dollars/tokens
@@ -256,7 +255,10 @@ class SharedLlmCache {
 class SharedCacheLlmClient : public LlmClient {
  public:
   /// `base` and `cache` must outlive the client. `default_enabled` is
-  /// the system-wide setting; per-query overrides install a ScopedUse.
+  /// the system-wide setting; the calling thread's query scope overrides
+  /// it when its `use_llm_cache` is set (common/query_scope.h): the
+  /// runtime sets it to the query's resolved `use_llm_cache`, so one
+  /// query's choice never leaks into another's calls.
   SharedCacheLlmClient(LlmClient* base, SharedLlmCache* cache,
                        bool default_enabled)
       : base_(base), cache_(cache), default_enabled_(default_enabled) {}
@@ -267,29 +269,7 @@ class SharedCacheLlmClient : public LlmClient {
   LlmUsage usage() const override { return base_->usage(); }
   void ResetUsage() override { base_->ResetUsage(); }
 
-  /// The calling thread's installed ScopedUse override, or nullopt when
-  /// none is installed (the client default applies).
-  static std::optional<bool> ThreadRouting();
-
-  /// RAII thread-local override of the client's default enablement
-  /// (mirrors RetryBudget::ScopedUse / MetricsRegistry::ScopedSink): the
-  /// runtime installs the query's resolved `use_llm_cache` on the query
-  /// thread, and the executor copies it onto every morsel worker, so one
-  /// query's choice never leaks into another's calls.
-  class ScopedUse {
-   public:
-    explicit ScopedUse(bool enabled);
-    ~ScopedUse();
-    ScopedUse(const ScopedUse&) = delete;
-    ScopedUse& operator=(const ScopedUse&) = delete;
-
-   private:
-    int previous_;
-  };
-
  private:
-  bool EnabledOnThisThread() const;
-
   LlmClient* base_;
   SharedLlmCache* cache_;
   bool default_enabled_;

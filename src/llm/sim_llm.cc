@@ -30,20 +30,6 @@ int64_t AttrValue(const DocAttrs& attrs, const std::string& attr) {
   return 0;
 }
 
-/// Serializes the condition-defining fields of a call into a stable key.
-std::string ConditionKey(const LlmCall& call) {
-  std::string key;
-  for (const char* k :
-       {"kind", "phrase", "attribute", "cmp", "value", "value2"}) {
-    auto it = call.fields.find(k);
-    if (it != call.fields.end()) {
-      key += it->second;
-      key += '\x1f';
-    }
-  }
-  return key;
-}
-
 const char* DegreeName(nlq::SolveDegree degree) {
   return degree == nlq::SolveDegree::kFully ? "fully" : "partially";
 }
@@ -293,7 +279,7 @@ LlmResult SimulatedLlm::DependencyCheck(const LlmCall& call) {
 LlmResult SimulatedLlm::EvalPredicate(const LlmCall& call) {
   LlmResult result;
   const std::string kind = call.Get("kind", "semantic");
-  const std::string cond_key = ConditionKey(call);
+  const std::string cond_key = ConditionKey(call.fields);
   const auto& kb = corpus_->knowledge();
   int64_t in_tokens = 30;
   for (const auto& item : call.items) {

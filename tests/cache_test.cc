@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/rng.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/service.h"
@@ -165,23 +167,35 @@ TEST(SharedCacheTest, UncacheableTypesAndDisabledThreadsPassThrough) {
   ASSERT_TRUE(client.Call(planning).status.ok());
   EXPECT_EQ(base.arrivals(), 2) << "planning prompts are never cached";
 
+  // The query scope's routing overrides the client default; a copy of
+  // the scope with routing changed keeps the scope's sink, which still
+  // receives the cache's counters.
+  MetricsRegistry metrics;
+  QueryScope::Installer query({&metrics, nullptr, std::nullopt});
   {
-    SharedCacheLlmClient::ScopedUse off(false);
+    QueryScope off = QueryScope::Current();
+    off.use_llm_cache = false;
+    QueryScope::Installer install(off);
+    EXPECT_EQ(QueryScope::Current().metrics, &metrics);
     ASSERT_TRUE(client.Call(DocCall({"d1"})).status.ok());
     ASSERT_TRUE(client.Call(DocCall({"d1"})).status.ok());
   }
-  EXPECT_EQ(base.arrivals(), 4) << "ScopedUse(false) must bypass the cache";
+  EXPECT_EQ(base.arrivals(), 4) << "routing off must bypass the cache";
   EXPECT_EQ(cache.stats().entries, 0);
 
-  // And the inverse: a default-disabled client with ScopedUse(true).
+  // And the inverse: a default-disabled client under routing on.
   SharedCacheLlmClient dormant(&base, &cache, /*default_enabled=*/false);
   {
-    SharedCacheLlmClient::ScopedUse on(true);
+    QueryScope on = QueryScope::Current();
+    on.use_llm_cache = true;
+    QueryScope::Installer install(on);
     ASSERT_TRUE(dormant.Call(DocCall({"d2"})).status.ok());
     ASSERT_TRUE(dormant.Call(DocCall({"d2"})).status.ok());
   }
   EXPECT_EQ(base.arrivals(), 5);
   EXPECT_EQ(cache.stats().item_hits, 1);
+  EXPECT_EQ(metrics.counter(telemetry::kMetricLlmCacheHits), 1);
+  EXPECT_EQ(metrics.counter(telemetry::kMetricLlmCacheMisses), 1);
 }
 
 TEST(SharedCacheTest, DuplicateItemsInOneCallResolveThroughOneLookup) {

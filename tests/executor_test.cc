@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/executor.h"
 #include "corpus/dataset_profile.h"
@@ -213,7 +216,7 @@ TEST_F(ExecutorTest, ScheduleMatchesListSchedulerOnMeasuredCosts) {
     MetricsRegistry sink;
     ExecutionResult result;
     {
-      MetricsRegistry::ScopedSink scope(&sink);
+      QueryScope::Installer scope({&sink, nullptr, std::nullopt});
       result = executor.Execute(plan);
     }
     ASSERT_TRUE(result.status.ok()) << result.status;
@@ -261,7 +264,7 @@ TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
   MetricsRegistry sink;
   ExecutionResult result;
   {
-    MetricsRegistry::ScopedSink scope(&sink);
+    QueryScope::Installer scope({&sink, nullptr, std::nullopt});
     result = executor.Execute(DiamondPlan());
   }
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -273,6 +276,69 @@ TEST_F(ExecutorTest, MorselWorkersRecordIntoTheCallersSink) {
   MetricsSnapshot global_delta =
       MetricsRegistry::Global().Snapshot().DeltaSince(global_before);
   EXPECT_EQ(global_delta.counters[calls], 0);
+}
+
+// Records the query scope that each call runs under, and its thread.
+class ScopeProbeLlm : public llm::LlmClient {
+ public:
+  struct Seen {
+    std::thread::id thread;
+    QueryScope scope;
+  };
+
+  explicit ScopeProbeLlm(llm::LlmClient* inner) : inner_(inner) {}
+  llm::LlmResult Call(const llm::LlmCall& call) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      seen_.push_back({std::this_thread::get_id(), QueryScope::Current()});
+    }
+    return inner_->Call(call);
+  }
+  llm::LlmUsage usage() const override { return inner_->usage(); }
+  void ResetUsage() override { inner_->ResetUsage(); }
+
+  std::vector<Seen> seen() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return seen_;
+  }
+
+ private:
+  llm::LlmClient* const inner_;
+  mutable std::mutex mu_;
+  std::vector<Seen> seen_;
+};
+
+// Every call a morsel worker makes runs under the caller's query scope:
+// the caller's retry budget and cache routing, with a registry of the
+// morsel's own in place of the caller's sink.
+TEST_F(ExecutorTest, MorselWorkersRunUnderTheCallersScope) {
+  ScopeProbeLlm probe(llm_);
+  ExecContext ctx = Ctx();
+  ctx.llm = &probe;
+  PlanExecutor::Options options;
+  options.max_intra_op_parallelism = 4;
+  options.threads = 2;
+  PlanExecutor executor(ctx, options);
+  MetricsRegistry sink;
+  RetryBudget budget(60);
+  ExecutionResult result;
+  {
+    QueryScope::Installer scope({&sink, &budget, true});
+    result = executor.Execute(DiamondPlan());
+  }
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_GT(result.nodes[1].partitions, 1);
+  size_t on_workers = 0;
+  for (const ScopeProbeLlm::Seen& seen : probe.seen()) {
+    if (seen.thread == std::this_thread::get_id()) continue;
+    ++on_workers;
+    EXPECT_EQ(seen.scope.retry_budget, &budget);
+    EXPECT_EQ(seen.scope.use_llm_cache, true);
+    EXPECT_NE(seen.scope.metrics, nullptr);
+    EXPECT_NE(seen.scope.metrics, &sink);
+    EXPECT_NE(seen.scope.metrics, &MetricsRegistry::Global());
+  }
+  EXPECT_GT(on_workers, 0u);
 }
 
 // Holds each call that carries document 0 for 50 ms, so a split node's
@@ -311,7 +377,7 @@ TEST_F(ExecutorTest, MorselGaugesReachTheCallersSink) {
   MetricsRegistry sink;
   ExecutionResult result;
   {
-    MetricsRegistry::ScopedSink scope(&sink);
+    QueryScope::Installer scope({&sink, nullptr, std::nullopt});
     result = executor.Execute(DiamondPlan());
   }
   ASSERT_TRUE(result.status.ok()) << result.status;

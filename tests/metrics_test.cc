@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/accuracy.h"
+#include "common/query_scope.h"
 #include "common/telemetry_names.h"
 #include "common/thread_pool.h"
 
@@ -286,8 +287,8 @@ TEST(MetricsTest, PrometheusTextPrintsExactValues) {
       << text;
 }
 
-TEST(MetricsTest, ScopedSinkRedirectsAndRestores) {
-  // Baselines: without a sink the helpers write the global registry.
+TEST(MetricsTest, QueryScopeRedirectsAndRestores) {
+  // Baselines: without a scope the helpers write the global registry.
   MetricsRegistry& global = MetricsRegistry::Global();
   const double global_before = global.counter("test.sink.counter");
   auto global_hist_count = [&global] {
@@ -299,18 +300,29 @@ TEST(MetricsTest, ScopedSinkRedirectsAndRestores) {
 
   MetricsRegistry outer;
   MetricsRegistry inner;
+  RetryBudget outer_budget(10);
+  RetryBudget inner_budget(5);
   {
-    MetricsRegistry::ScopedSink outer_scope(&outer);
+    QueryScope::Installer outer_scope({&outer, &outer_budget, true});
     MetricAddCounter("test.sink.counter", 2);
     {
-      MetricsRegistry::ScopedSink inner_scope(&inner);
+      QueryScope::Installer inner_scope({&inner, &inner_budget, false});
+      EXPECT_EQ(QueryScope::Current().retry_budget, &inner_budget);
+      EXPECT_EQ(QueryScope::Current().use_llm_cache, false);
       MetricAddCounter("test.sink.counter", 5);
       MetricSetGauge("test.sink.gauge", 1.5);
       MetricObserve("test.sink.hist", 3.0);
     }
-    // The outer sink is restored after the inner scope ends.
+    // All three fields of the outer scope are back after the inner ends.
+    EXPECT_EQ(QueryScope::Current().metrics, &outer);
+    EXPECT_EQ(QueryScope::Current().retry_budget, &outer_budget);
+    EXPECT_EQ(QueryScope::Current().use_llm_cache, true);
     MetricAddCounter("test.sink.counter", 1);
   }
+  // And the empty default after the outermost.
+  EXPECT_EQ(QueryScope::Current().metrics, nullptr);
+  EXPECT_EQ(QueryScope::Current().retry_budget, nullptr);
+  EXPECT_FALSE(QueryScope::Current().use_llm_cache.has_value());
   MetricAddCounter("test.sink.counter", 10);  // no sink installed here
 
   // Counters and histograms went to the installed sink only: one write
@@ -328,17 +340,23 @@ TEST(MetricsTest, ScopedSinkRedirectsAndRestores) {
   EXPECT_DOUBLE_EQ(outer.gauge("test.sink.gauge"), 0);
 }
 
-TEST(MetricsTest, ThreadSinkIsPerThread) {
+TEST(MetricsTest, QueryScopeIsPerThread) {
   MetricsRegistry sink;
-  MetricsRegistry::ScopedSink scope(&sink);
+  RetryBudget budget(10);
+  QueryScope::Installer scope({&sink, &budget, true});
   std::thread other([]() {
-    // A sink installed on the main thread must not leak to this one.
-    EXPECT_EQ(MetricsRegistry::ThreadSink(), nullptr);
+    // A scope installed on the main thread must not leak to this one:
+    // none of its fields is set here.
+    EXPECT_EQ(QueryScope::Current().metrics, nullptr);
+    EXPECT_EQ(QueryScope::Current().retry_budget, nullptr);
+    EXPECT_FALSE(QueryScope::Current().use_llm_cache.has_value());
     MetricAddCounter("test.sink.other_thread", 1);
   });
   other.join();
   EXPECT_DOUBLE_EQ(sink.counter("test.sink.other_thread"), 0);
-  EXPECT_EQ(MetricsRegistry::ThreadSink(), &sink);
+  EXPECT_EQ(QueryScope::Current().metrics, &sink);
+  EXPECT_EQ(QueryScope::Current().retry_budget, &budget);
+  EXPECT_EQ(QueryScope::Current().use_llm_cache, true);
 }
 
 TEST(MetricsTest, ToTextListsEveryMetric) {

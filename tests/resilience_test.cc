@@ -11,12 +11,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/query_scope.h"
 #include "common/telemetry_names.h"
 #include "core/runtime/service.h"
 #include "corpus/dataset_profile.h"
@@ -81,6 +83,12 @@ ScriptedLlm::Step Fail(Status status, double seconds = 1.0,
   return {std::move(status), seconds, dollars};
 }
 
+/// A counter family's sum in `metrics`: `breaker.opens` over both tiers,
+/// `llm.fault.timeouts` over every prompt type.
+double Count(const MetricsRegistry& metrics, std::string_view family) {
+  return metrics.Snapshot().FamilySum(family);
+}
+
 TEST(BackoffJitterTest, DeterministicAcrossInstancesWithTheSameSeed) {
   ScriptedLlm base_a, base_b;
   ResilienceOptions opts;
@@ -121,6 +129,8 @@ TEST(RetryTest, RecoversTransientFailuresAndChargesVirtualTime) {
                     Fail(Status::Aborted("garbled"), 1.0, 0.01)});
   ResilienceOptions opts;
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   const LlmCall call = MakeCall();
 
   LlmResult result = client.Call(call);
@@ -136,20 +146,22 @@ TEST(RetryTest, RecoversTransientFailuresAndChargesVirtualTime) {
   EXPECT_NEAR(result.dollars, 0.02 + 0.01 + 0.01, 1e-12);
   EXPECT_EQ(result.in_tokens, 30);
 
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.retries, 2);
-  EXPECT_EQ(stats.recovered, 1);
-  EXPECT_EQ(stats.exhausted, 0);
-  EXPECT_NEAR(stats.backoff_seconds, b1 + b2, 1e-12);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryAttempts), 2);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryRecovered), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryExhausted), 0);
+  EXPECT_NEAR(Count(metrics, telemetry::kMetricLlmRetryBackoffSeconds),
+              b1 + b2, 1e-12);
 }
 
 TEST(RetryTest, PermanentFailuresAreNotRetried) {
   ScriptedLlm base({Fail(Status::InvalidArgument("bad prompt"))});
   ResilientLlmClient client(&base, {});
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   LlmResult result = client.Call(MakeCall());
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(base.arrivals(), 1);
-  EXPECT_EQ(client.resilience_stats().retries, 0);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryAttempts), 0);
 }
 
 TEST(RetryTest, ExhaustionSurfacesTheLastTransientFailure) {
@@ -159,13 +171,14 @@ TEST(RetryTest, ExhaustionSurfacesTheLastTransientFailure) {
                     Fail(Status::ResourceExhausted("final"))});
   ResilienceOptions opts;  // max_attempts = 4
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   LlmResult result = client.Call(MakeCall());
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(base.arrivals(), 4);
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.retries, 3);
-  EXPECT_EQ(stats.exhausted, 1);
-  EXPECT_EQ(stats.recovered, 0);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryAttempts), 3);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryExhausted), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryRecovered), 0);
 }
 
 TEST(CircuitBreakerTest, OpensHalfOpensAndClosesOnVirtualTime) {
@@ -187,6 +200,8 @@ TEST(CircuitBreakerTest, OpensHalfOpensAndClosesOnVirtualTime) {
   opts.breaker.open_seconds = 5.0;
   opts.breaker.fast_fail_seconds = 1.0;
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   const LlmCall call = MakeCall();
   using BreakerState = ResilientLlmClient::BreakerState;
 
@@ -206,13 +221,13 @@ TEST(CircuitBreakerTest, OpensHalfOpensAndClosesOnVirtualTime) {
     EXPECT_DOUBLE_EQ(rejected.seconds, 1.0);
   }
   EXPECT_EQ(base.arrivals(), 2);
-  EXPECT_EQ(client.resilience_stats().breaker_rejections, 5);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerRejected), 5);
 
   // Clock reached 7.0s: the next call is the half-open probe; it succeeds
   // and the breaker closes.
   EXPECT_TRUE(client.Call(call).status.ok());
   EXPECT_EQ(client.breaker_state(ModelTier::kPlanner), BreakerState::kClosed);
-  EXPECT_EQ(client.resilience_stats().breaker_closes, 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerCloses), 1);
 
   // Trip it again, wait out the window, and let the probe FAIL: reopen.
   EXPECT_FALSE(client.Call(call).status.ok());
@@ -222,11 +237,14 @@ TEST(CircuitBreakerTest, OpensHalfOpensAndClosesOnVirtualTime) {
   EXPECT_FALSE(client.Call(call).status.ok());  // the failing probe
   EXPECT_EQ(client.breaker_state(ModelTier::kPlanner), BreakerState::kOpen);
 
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.breaker_opens, 3);  // trip, trip, reopen-from-probe
-  EXPECT_EQ(stats.breaker_probes, 2);
-  EXPECT_EQ(stats.breaker_closes, 1);
-  EXPECT_EQ(stats.breaker_rejections, 10);
+  // trip, trip, reopen-from-probe
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerOpens), 3);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerProbes), 2);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerCloses), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricBreakerRejected), 10);
+  EXPECT_EQ(Count(metrics, std::string(telemetry::kMetricBreakerOpens) +
+                               ".planner"),
+            3);
   // The worker tier is untouched: breakers are per-tier.
   EXPECT_EQ(client.breaker_state(ModelTier::kWorker), BreakerState::kClosed);
 }
@@ -239,9 +257,10 @@ TEST(RetryBudgetTest, ExhaustionAtTheDeadlineStopsRetrying) {
 
   // The smallest possible first backoff is 0.4s (0.5s - 20% jitter); a
   // 0.1s budget cannot afford it, so the first failure is final.
+  MetricsRegistry metrics;
   RetryBudget budget(0.1);
-  RetryBudget::ScopedUse scope(&budget);
-  ASSERT_EQ(RetryBudget::Current(), &budget);
+  QueryScope::Installer scope({&metrics, &budget, std::nullopt});
+  ASSERT_EQ(QueryScope::Current().retry_budget, &budget);
 
   LlmResult result = client.Call(MakeCall());
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
@@ -249,30 +268,34 @@ TEST(RetryBudgetTest, ExhaustionAtTheDeadlineStopsRetrying) {
             std::string::npos)
       << result.status;
   EXPECT_EQ(base.arrivals(), 1);
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.budget_exhausted, 1);
-  EXPECT_EQ(stats.exhausted, 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryBudgetExhausted), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryExhausted), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryAttempts), 0);
   EXPECT_DOUBLE_EQ(budget.remaining(), 0.1);  // TryConsume is all-or-nothing
 }
 
-TEST(RetryBudgetTest, ScopedUseRestoresThePreviousBudget) {
-  EXPECT_EQ(RetryBudget::Current(), nullptr);
+// Overriding one field of the query scope is a copy of Current() with
+// that field changed: the copy keeps the other two, and the outer scope
+// is back when it ends.
+TEST(RetryBudgetTest, AScopeCopyOverridesOnlyTheBudget) {
+  MetricsRegistry metrics;
   RetryBudget outer(10);
+  QueryScope::Installer query({&metrics, &outer, true});
+  RetryBudget inner(5);
   {
-    RetryBudget::ScopedUse outer_scope(&outer);
-    EXPECT_EQ(RetryBudget::Current(), &outer);
-    RetryBudget inner(5);
-    {
-      RetryBudget::ScopedUse inner_scope(&inner);
-      EXPECT_EQ(RetryBudget::Current(), &inner);
-      EXPECT_TRUE(inner.TryConsume(3));
-      EXPECT_FALSE(inner.TryConsume(3));  // only 2 left
-      inner.Drain(100);                   // clamps at zero
-      EXPECT_DOUBLE_EQ(inner.remaining(), 0);
-    }
-    EXPECT_EQ(RetryBudget::Current(), &outer);
+    QueryScope copy = QueryScope::Current();
+    copy.retry_budget = &inner;
+    QueryScope::Installer install(copy);
+    EXPECT_EQ(QueryScope::Current().retry_budget, &inner);
+    EXPECT_EQ(QueryScope::Current().metrics, &metrics);
+    EXPECT_EQ(QueryScope::Current().use_llm_cache, true);
+    EXPECT_TRUE(inner.TryConsume(3));
+    EXPECT_FALSE(inner.TryConsume(3));  // only 2 left
+    inner.Drain(100);                   // clamps at zero
+    EXPECT_DOUBLE_EQ(inner.remaining(), 0);
   }
-  EXPECT_EQ(RetryBudget::Current(), nullptr);
+  EXPECT_EQ(QueryScope::Current().retry_budget, &outer);
+  EXPECT_DOUBLE_EQ(outer.remaining(), 10);
 }
 
 TEST(HedgeTest, WinnerCancellationChargesTheLoserProRata) {
@@ -285,6 +308,8 @@ TEST(HedgeTest, WinnerCancellationChargesTheLoserProRata) {
   opts.hedge.enabled = true;
   opts.hedge.latency_threshold_seconds = 2.0;
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
 
   LlmResult result = client.Call(MakeCall());
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -293,10 +318,10 @@ TEST(HedgeTest, WinnerCancellationChargesTheLoserProRata) {
   EXPECT_DOUBLE_EQ(result.seconds, 3.0);
   EXPECT_NEAR(result.dollars, 0.5 + 1.0 * (3.0 / 10.0), 1e-12);
 
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.hedges_launched, 1);
-  EXPECT_EQ(stats.hedge_wins, 1);
-  EXPECT_NEAR(stats.hedge_cancelled_dollars, 0.3, 1e-12);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmHedgeLaunched), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmHedgeWins), 1);
+  EXPECT_NEAR(Count(metrics, telemetry::kMetricLlmHedgeCancelledDollars), 0.3,
+              1e-12);
 }
 
 TEST(HedgeTest, PrimaryWinCancelsTheHedgeProRata) {
@@ -309,16 +334,18 @@ TEST(HedgeTest, PrimaryWinCancelsTheHedgeProRata) {
   opts.hedge.enabled = true;
   opts.hedge.latency_threshold_seconds = 2.0;
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
 
   LlmResult result = client.Call(MakeCall());
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_EQ(result.fields["answer"], "completion-for-attempt-0");
   EXPECT_DOUBLE_EQ(result.seconds, 3.0);
   EXPECT_NEAR(result.dollars, 1.0 + 0.5 * 0.5, 1e-12);
-  const auto stats = client.resilience_stats();
-  EXPECT_EQ(stats.hedges_launched, 1);
-  EXPECT_EQ(stats.hedge_wins, 0);
-  EXPECT_NEAR(stats.hedge_cancelled_dollars, 0.25, 1e-12);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmHedgeLaunched), 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmHedgeWins), 0);
+  EXPECT_NEAR(Count(metrics, telemetry::kMetricLlmHedgeCancelledDollars), 0.25,
+              1e-12);
 }
 
 TEST(HedgeTest, HedgeRescuesAFailedStraggler) {
@@ -330,25 +357,30 @@ TEST(HedgeTest, HedgeRescuesAFailedStraggler) {
   opts.hedge.enabled = true;
   opts.hedge.latency_threshold_seconds = 2.0;
   ResilientLlmClient client(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   LlmResult result = client.Call(MakeCall());
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_DOUBLE_EQ(result.seconds, 3.0);
-  EXPECT_EQ(client.resilience_stats().retries, 0);
-  EXPECT_EQ(client.resilience_stats().hedge_wins, 1);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmRetryAttempts), 0);
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmHedgeWins), 1);
 }
 
 TEST(FaultInjectorTest, RateZeroIsAPurePassThrough) {
   ScriptedLlm base;
   FaultInjectionOptions opts;  // all rates zero
   FaultInjectingLlmClient injector(&base, opts);
+  MetricsRegistry metrics;
+  QueryScope::Installer scope({&metrics, nullptr, std::nullopt});
   LlmResult direct = base.Call(MakeCall());
   LlmResult through = injector.Call(MakeCall());
   EXPECT_TRUE(through.status.ok());
   EXPECT_EQ(through.fields, direct.fields);
   EXPECT_DOUBLE_EQ(through.seconds, direct.seconds);
   EXPECT_DOUBLE_EQ(through.dollars, direct.dollars);
-  const auto stats = injector.fault_stats();
-  EXPECT_EQ(stats.timeouts + stats.rate_limits + stats.malformed, 0);
+  // An injector with nothing to inject is not even counted as met.
+  EXPECT_TRUE(metrics.Snapshot().counters.empty());
+  EXPECT_EQ(Count(metrics, telemetry::kMetricLlmFaultAttempts), 0);
 }
 
 TEST(FaultInjectorTest, FatesAreSeededAndKeyedOnContentAndAttempt) {
@@ -364,10 +396,16 @@ TEST(FaultInjectorTest, FatesAreSeededAndKeyedOnContentAndAttempt) {
   // Same seed, same content, same attempt -> identical fates, on every
   // instance, in any order.
   std::vector<StatusCode> fates_a, fates_b;
-  for (int i = 0; i < 32; ++i) {
-    LlmCall call = MakeCall("query number " + std::to_string(i));
-    fates_a.push_back(a.Call(call).status.code());
+  MetricsRegistry metrics_a;
+  {
+    QueryScope::Installer scope({&metrics_a, nullptr, std::nullopt});
+    for (int i = 0; i < 32; ++i) {
+      LlmCall call = MakeCall("query number " + std::to_string(i));
+      fates_a.push_back(a.Call(call).status.code());
+    }
   }
+  MetricsRegistry metrics_rest;
+  QueryScope::Installer scope({&metrics_rest, nullptr, std::nullopt});
   for (int i = 31; i >= 0; --i) {
     LlmCall call = MakeCall("query number " + std::to_string(i));
     fates_b.push_back(b.Call(call).status.code());
@@ -377,11 +415,21 @@ TEST(FaultInjectorTest, FatesAreSeededAndKeyedOnContentAndAttempt) {
               fates_b[static_cast<size_t>(31 - i)])
         << i;
   }
-  // With 75% total fault rate, 32 distinct calls see every fault kind.
-  const auto stats = a.fault_stats();
-  EXPECT_GT(stats.timeouts, 0);
-  EXPECT_GT(stats.rate_limits, 0);
-  EXPECT_GT(stats.malformed, 0);
+  // Every attempt met the injector, counted under its prompt type; with
+  // 75% total fault rate, 32 distinct calls see every fault kind.
+  EXPECT_EQ(metrics_a.counter(std::string(telemetry::kMetricLlmFaultAttempts) +
+                              ".semantic_parse"),
+            32);
+  EXPECT_EQ(Count(metrics_a, telemetry::kMetricLlmFaultAttempts), 32);
+  const double timeouts = Count(metrics_a, telemetry::kMetricLlmFaultTimeouts);
+  const double rate_limits =
+      Count(metrics_a, telemetry::kMetricLlmFaultRateLimits);
+  const double malformed =
+      Count(metrics_a, telemetry::kMetricLlmFaultMalformed);
+  EXPECT_GT(timeouts, 0);
+  EXPECT_GT(rate_limits, 0);
+  EXPECT_GT(malformed, 0);
+  EXPECT_LE(timeouts + rate_limits + malformed, 32);
 
   // A retry of the same call draws a fresh fate coin via `attempt`.
   FaultInjectingLlmClient c(&base_a, opts);
@@ -456,6 +504,10 @@ TEST_F(ResilienceSystemTest, RateZeroIsByteIdenticalAtEveryParallelism) {
   armed.resilience.breaker.enabled = true;
   armed.graceful_degradation = true;
   core::UnifySystem system(corpus_, llm_, armed);
+  // Taken before Setup: calibration and SCE importance learning run with
+  // hedge and breaker armed and record into Global(), so the checks below
+  // cover them as well as the served queries.
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   ASSERT_TRUE(system.Setup().ok());
   for (int workers : {1, 4}) {
     core::UnifyService::Options sopts;
@@ -477,13 +529,15 @@ TEST_F(ResilienceSystemTest, RateZeroIsByteIdenticalAtEveryParallelism) {
           << queries[i];
     }
   }
-  // Nothing fired: no faults, no retries, no hedges, no breaker trips.
-  const auto rstats = system.resilient_client()->resilience_stats();
-  EXPECT_EQ(rstats.retries, 0);
-  EXPECT_EQ(rstats.hedges_launched, 0);
-  EXPECT_EQ(rstats.breaker_opens, 0);
-  const auto fstats = system.fault_injector()->fault_stats();
-  EXPECT_EQ(fstats.timeouts + fstats.rate_limits + fstats.malformed, 0);
+  // Nothing fired, in Setup or in serving: no attempt met the injector, no
+  // retries, no hedges, no breaker trips.
+  const MetricsSnapshot fired =
+      MetricsRegistry::Global().Snapshot().DeltaSince(before);
+  for (const char* family :
+       {telemetry::kMetricLlmFaultAttempts, telemetry::kMetricLlmRetryAttempts,
+        telemetry::kMetricLlmHedgeLaunched, telemetry::kMetricBreakerOpens}) {
+    EXPECT_EQ(fired.FamilySum(family), 0) << family;
+  }
 }
 
 TEST_F(ResilienceSystemTest, ConcurrentServingUnderInjectedFaultsIsSafe) {
@@ -533,13 +587,16 @@ TEST_F(ResilienceSystemTest, ConcurrentServingUnderInjectedFaultsIsSafe) {
   }
   EXPECT_EQ(service.stats().degraded, degraded);
   // The injector definitely fired at a 15% total rate over 16 queries.
-  const auto fstats = system.fault_injector()->fault_stats();
-  EXPECT_GT(fstats.timeouts + fstats.rate_limits + fstats.malformed, 0);
+  const MetricsSnapshot delta =
+      MetricsRegistry::Global().Snapshot().DeltaSince(before);
+  EXPECT_GT(delta.FamilySum(telemetry::kMetricLlmFaultTimeouts) +
+                delta.FamilySum(telemetry::kMetricLlmFaultRateLimits) +
+                delta.FamilySum(telemetry::kMetricLlmFaultMalformed),
+            0);
 
   // Fault, retry, hedge and breaker series included, everything the run
   // recorded has a catalog row of the kind its map holds.
-  testing::ExpectCatalogKinds(
-      MetricsRegistry::Global().Snapshot().DeltaSince(before));
+  testing::ExpectCatalogKinds(delta);
   MetricsSnapshot tenant_series;
   service.tenant_ledger().AnnotateSnapshot(&tenant_series);
   EXPECT_FALSE(tenant_series.counters.empty());

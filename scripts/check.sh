@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests (shared virtual pool, serving
-# layer, partitioned executor, fault-injected resilience path) under a
-# sanitizer and runs them. Modes:
+# layer, partitioned executor, fault-injected resilience path, and the
+# golden workload with every operator family on morsel worker threads)
+# under a sanitizer and runs them. Modes:
 #
 #   $ scripts/check.sh [repo-root]          # ThreadSanitizer (data races)
 #   $ scripts/check.sh --asan [repo-root]   # AddressSanitizer (memory)
@@ -53,7 +54,8 @@ fi
 
 TESTS=(virtual_pool_test service_test fair_scheduler_test executor_test
        partition_test flight_recorder_test resilience_test cache_test
-       reoptimize_test http_endpoint_test phrase_probes_test metrics_test)
+       reoptimize_test http_endpoint_test phrase_probes_test metrics_test
+       golden_test)
 
 # Probe: can this toolchain produce a binary under this sanitizer at all?
 probe="$(mktemp -d)"

@@ -22,94 +22,36 @@ bool IsDocProducing(const std::string& op) {
          op == "OrderBy" || op == "Join" || op == "Identity";
 }
 
-/// Implementations valid for one node: the family's candidates filtered
-/// by the semantic requirement and IndexScanFilter's corpus-head
-/// constraint. Falls back to the raw candidate list when the filters
-/// reject everything (mirrors the original selection loop).
-std::vector<PhysicalImpl> ValidImpls(const PhysicalNode& node) {
-  std::vector<PhysicalImpl> candidates =
-      CandidateImpls(node.logical.op_name, node.logical.args);
-  std::vector<PhysicalImpl> valid;
-  const bool head_is_docs = !node.logical.input_vars.empty() &&
-                            node.logical.input_vars[0] == kDocsVar;
-  for (PhysicalImpl impl : candidates) {
-    if (node.logical.requires_semantics && !ImplSemanticCapable(impl)) {
-      continue;
-    }
-    if (impl == PhysicalImpl::kIndexScanFilter && !head_is_docs) continue;
-    valid.push_back(impl);
-  }
-  if (valid.empty()) valid = candidates;
-  return valid;
-}
-
-/// Morsels the executor would split (op, impl) into: per-document LLM
-/// impls (ImplSplitsPerDoc) over flat inputs divide their per-element
+/// Morsels the executor would split a lowered node into: per-document
+/// LLM impls (ImplSplitsPerDoc) over flat inputs divide their per-element
 /// cost by up to max_intra_op_parallelism whole-batch partitions. Grouped
 /// inputs don't partition (the executor broadcasts per group instead).
 int PartitionsFor(const OptimizerOptions& opts, const PhysicalNode& node,
-                  PhysicalImpl impl, const OpArgs& args, bool in_grouped) {
+                  bool in_grouped) {
   if (opts.max_intra_op_parallelism <= 1 || in_grouped ||
-      !ImplSplitsPerDoc(impl)) {
+      !ImplSplitsPerDoc(node.impl)) {
     return 1;
   }
-  return PlanPartitionCount(
-      CostModel::EffectiveCardinality(impl, args, node.est_in_card),
-      opts.llm_batch_size, opts.max_intra_op_parallelism);
+  const double card = CostModel::EffectiveCardinality(
+      node.impl, node.logical.args, node.est_in_card);
+  return PlanPartitionCount(card, opts.llm_batch_size,
+                            opts.max_intra_op_parallelism);
 }
 
-/// Cost-based implementation choice (Section VI-C) for one non-Scan node:
-/// ranks `valid` by estimated sequential cost under `opts.objective`
-/// (sizing IndexScanFilter's candidate set from the node's estimated
-/// output cardinality) and writes the winner's impl, args, est_partitions
-/// and est_seconds onto the node. Shared by initial lowering and
-/// mid-query re-optimization, so both key the same decision off the same
-/// cardinalities.
-void ChooseNodeImpl(PhysicalNode& node, const std::vector<PhysicalImpl>& valid,
-                    const OptimizerOptions& opts, const CostModel& cost_model,
-                    double N, bool in_grouped) {
-  const std::string& op = node.logical.op_name;
-  double best_cost = -1;
-  PhysicalImpl best_impl = valid[0];
-  OpArgs best_args = node.logical.args;
-  for (PhysicalImpl impl : valid) {
-    OpArgs args = node.logical.args;
-    if (impl == PhysicalImpl::kIndexScanFilter) {
-      double cand =
-          std::min(N, node.est_out_card * opts.index_candidate_factor + 48);
-      args["index_candidates"] =
-          std::to_string(static_cast<int64_t>(std::llround(cand)));
-    }
-    // Implementation choice ranks candidates by their *sequential* cost
-    // on purpose: partitioning shortens every partitionable impl's span
-    // without changing its total work, and keeping the ranking
-    // independent of max_intra_op_parallelism is what makes answers
-    // byte-identical across parallelism settings. The parallelism
-    // speedup enters the plan-level est_makespan instead.
-    double cost =
-        opts.objective == OptimizeObjective::kDollars
-            ? cost_model.EstimateDollars(op, impl, args, node.est_in_card)
-            : cost_model.EstimateSeconds(op, impl, args, node.est_in_card);
-    if (best_cost < 0 || cost < best_cost) {
-      best_cost = cost;
-      best_impl = impl;
-      best_args = args;
-    }
-  }
-  node.impl = best_impl;
-  node.logical.args = best_args;
-  node.est_partitions = PartitionsFor(opts, node, best_impl, best_args,
-                                      in_grouped);
-  // est_seconds stays the sequential total: partitioning redistributes
-  // the work across servers, it does not reduce it.
-  node.est_seconds =
-      cost_model.EstimateSeconds(op, best_impl, best_args, node.est_in_card);
+/// IndexScanFilter's candidate budget for a filter expected to keep
+/// `out_card` documents: index_candidate_factor times that, plus slack,
+/// capped at the corpus.
+double IndexCandidates(const OptimizerOptions& opts, double out_card) {
+  return std::min(std::max<double>(1.0, opts.corpus_size),
+                  out_card * opts.index_candidate_factor + 48);
 }
 
 /// Cardinality state after propagation.
 struct CardPropagation {
   std::map<std::string, double> var_card;
   std::map<std::string, bool> var_grouped;
+  /// Per node: whether any input is grouped (such a node runs per group).
+  std::vector<bool> in_grouped;
 };
 
 /// Applies Section VI's per-operator output-cardinality rules in
@@ -130,6 +72,7 @@ CardPropagation PropagateCards(PhysicalPlan& plan,
   CardPropagation prop;
   std::map<std::string, double>& var_card = prop.var_card;
   std::map<std::string, bool>& var_grouped = prop.var_grouped;
+  prop.in_grouped.resize(plan.nodes.size());
   var_card[kDocsVar] = N;
   const double groups_est =
       std::max<double>(2.0, static_cast<double>(opts.num_categories));
@@ -143,6 +86,7 @@ CardPropagation PropagateCards(PhysicalPlan& plan,
       if (it != var_card.end()) in_card = std::max(in_card, it->second);
       grouped = grouped || var_grouped[in];
     }
+    prop.in_grouped[u] = grouped;
     if (op == "Scan") in_card = N;
     double out_card = 1;
     if (op == "Scan") {
@@ -229,7 +173,137 @@ exec::NodeCost EstimatedCost(const PhysicalNode& node, int max_parallelism) {
   return cost;
 }
 
+/// Prices every node of `plan` that `pinned` (null: none) leaves open,
+/// with its impl and args, at its propagated est_in_card: est_partitions,
+/// est_seconds and est_dollars. Returns their summed est_dollars, in plan
+/// order.
+double PriceNodes(PhysicalPlan& plan, const std::vector<bool>& in_grouped,
+                  const OptimizerOptions& opts, const CostModel& cost_model,
+                  const std::vector<bool>* pinned) {
+  double dollars = 0;
+  for (size_t u = 0; u < plan.nodes.size(); ++u) {
+    if (pinned != nullptr && (*pinned)[u]) continue;
+    PhysicalNode& node = plan.nodes[u];
+    node.est_partitions = PartitionsFor(opts, node, in_grouped[u]);
+    // est_seconds stays the sequential total: partitioning redistributes
+    // the work across servers, it does not reduce it.
+    node.est_seconds = cost_model.EstimateSeconds(
+        node.logical.op_name, node.impl, node.logical.args,
+        node.est_in_card);
+    node.est_dollars = cost_model.EstimateDollars(
+        node.logical.op_name, node.impl, node.logical.args,
+        node.est_in_card);
+    dollars += node.est_dollars;
+  }
+  return dollars;
+}
+
+/// The lowering pass (Section VI-C): in `order`, gives every node but the
+/// Scan that `pinned` (null: none) leaves open its CheapestImpl over its
+/// ValidImpls, or under kRule a seeded draw from `rule_rng`, then prices
+/// the open nodes (PriceNodes, whose summed dollars it returns).
+double LowerNodes(PhysicalPlan& plan, const std::vector<int>& order,
+                  const std::vector<bool>& in_grouped,
+                  const OptimizerOptions& opts, const CostModel& cost_model,
+                  const std::vector<bool>* pinned, Rng* rule_rng) {
+  for (int u : order) {
+    PhysicalNode& node = plan.nodes[u];
+    if ((pinned != nullptr && (*pinned)[u]) ||
+        node.logical.op_name == "Scan") {
+      continue;
+    }
+    const std::vector<PhysicalImpl> valid = ValidImpls(node.logical);
+    UNIFY_CHECK(!valid.empty()) << "no impl for " << node.logical.op_name;
+    if (opts.mode == PhysicalMode::kRule) {
+      node.impl = valid[rule_rng->NextUint64(valid.size())];
+      if (node.impl == PhysicalImpl::kIndexScanFilter) {
+        // Without cardinality knowledge there is no safe cutoff: the
+        // rule-based variant must verify everything.
+        node.logical.args["index_candidates"] = std::to_string(
+            static_cast<int64_t>(std::max<double>(1.0, opts.corpus_size)));
+      }
+    } else {
+      PricedImpl best = CheapestImpl(
+          node.logical, valid, node.est_in_card, opts.objective, cost_model,
+          IndexCandidates(opts, node.est_out_card));
+      node.impl = best.impl;
+      if (best.args.has_value()) node.logical.args = std::move(*best.args);
+    }
+  }
+  return PriceNodes(plan, in_grouped, opts, cost_model, pinned);
+}
+
+/// Predicted completion time of `plan`: the list scheduler run over each
+/// node's estimated cost (EstimatedCost at `max_parallelism`) on a fresh
+/// private pool of num_servers, never a live shared one, with every root
+/// ready at `start`. Nodes marked in `sunk` (null: none) have spent their
+/// cost already and count as zero.
+StatusOr<double> PredictMakespan(const PhysicalPlan& plan,
+                                 const OptimizerOptions& opts,
+                                 int max_parallelism,
+                                 const std::vector<bool>* sunk,
+                                 double start) {
+  std::vector<exec::NodeCost> costs(plan.nodes.size());
+  for (size_t u = 0; u < plan.nodes.size(); ++u) {
+    if (sunk == nullptr || !(*sunk)[u]) {
+      costs[u] = EstimatedCost(plan.nodes[u], max_parallelism);
+    }
+  }
+  exec::VirtualLlmPool pool(std::max(1, opts.num_servers));
+  UNIFY_ASSIGN_OR_RETURN(
+      exec::ScheduleResult sched,
+      exec::ScheduleDag(plan.dag, costs, &pool, /*sequential=*/false, start));
+  return sched.makespan;
+}
+
 }  // namespace
+
+std::vector<PhysicalImpl> ValidImpls(const LogicalNode& node) {
+  std::vector<PhysicalImpl> candidates =
+      CandidateImpls(node.op_name, node.args);
+  std::vector<PhysicalImpl> valid;
+  const bool head_is_docs =
+      !node.input_vars.empty() && node.input_vars[0] == kDocsVar;
+  for (PhysicalImpl impl : candidates) {
+    if (node.requires_semantics && !ImplSemanticCapable(impl)) continue;
+    if (impl == PhysicalImpl::kIndexScanFilter && !head_is_docs) continue;
+    valid.push_back(impl);
+  }
+  if (valid.empty()) valid = candidates;
+  return valid;
+}
+
+PricedImpl CheapestImpl(const LogicalNode& node,
+                        const std::vector<PhysicalImpl>& impls,
+                        double in_card, OptimizeObjective objective,
+                        const CostModel& cost_model,
+                        std::optional<double> index_candidates) {
+  PricedImpl best;
+  for (PhysicalImpl impl : impls) {
+    std::optional<OpArgs> sized;
+    if (impl == PhysicalImpl::kIndexScanFilter &&
+        index_candidates.has_value()) {
+      sized = node.args;
+      (*sized)["index_candidates"] = std::to_string(
+          static_cast<int64_t>(std::llround(*index_candidates)));
+    }
+    const OpArgs& args = sized.has_value() ? *sized : node.args;
+    // Candidates rank by their *sequential* cost on purpose: partitioning
+    // shortens every partitionable impl's span without changing its total
+    // work, and keeping the ranking independent of
+    // max_intra_op_parallelism is what makes answers byte-identical
+    // across parallelism settings. The parallelism speedup enters the
+    // plan-level est_makespan instead.
+    const double cost =
+        objective == OptimizeObjective::kDollars
+            ? cost_model.EstimateDollars(node.op_name, impl, args, in_card)
+            : cost_model.EstimateSeconds(node.op_name, impl, args, in_card);
+    if (best.cost < 0 || cost < best.cost) {
+      best = PricedImpl{impl, std::move(sized), cost};
+    }
+  }
+  return best;
+}
 
 std::string PhysicalPlan::Explain() const {
   std::ostringstream os;
@@ -413,7 +487,8 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
   }
 
   // --- Operator order selection (Section VI-C): permute commuting filter
-  // chains so the most selective/cheapest filters run first ---
+  // chains of up to kMaxOrderedFilterChain filters so the most
+  // selective/cheapest filters run first ---
   if (opts.mode != PhysicalMode::kRule) {
     // Consumers per variable.
     std::map<std::string, std::vector<int>> consumers;
@@ -442,15 +517,27 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
         chain.push_back(next);
         in_chain[next] = true;
       }
-      if (chain.size() < 2) continue;
+      if (chain.size() < 2 || chain.size() > kMaxOrderedFilterChain) {
+        continue;
+      }
 
-      // Cost all permutations (chains are short).
+      // Cost every order. A payload's valid impls depend only on whether
+      // it reads the chain's head input (the corpus-head rule).
       const bool head_is_docs =
           plan.nodes[chain[0]].logical.input_vars[0] == kDocsVar;
       double in_card =
           head_is_docs ? N : 0.5 * N;  // conservative for non-corpus heads
       std::vector<int> payload(chain.begin(), chain.end());
       std::sort(payload.begin(), payload.end());
+      std::map<int, std::vector<PhysicalImpl>> valid_at_head;
+      std::map<int, std::vector<PhysicalImpl>> valid_below;
+      for (int id : payload) {
+        LogicalNode placed = plan.nodes[id].logical;
+        placed.input_vars = plan.nodes[chain[0]].logical.input_vars;
+        valid_at_head[id] = ValidImpls(placed);
+        placed.input_vars = plan.nodes[chain[1]].logical.input_vars;
+        valid_below[id] = ValidImpls(placed);
+      }
       std::vector<int> best = payload;
       double best_cost = -1;
       std::vector<int> perm = payload;
@@ -458,35 +545,12 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
         double cost = 0;
         double card = in_card;
         for (size_t pos = 0; pos < perm.size(); ++pos) {
-          const auto& node = plan.nodes[perm[pos]];
-          double sel = filter_sel[perm[pos]];
-          double out = card * sel;
-          // Best implementation cost at this position.
-          double node_cost = -1;
-          for (PhysicalImpl impl :
-               CandidateImpls("Filter", node.logical.args)) {
-            if (node.logical.requires_semantics &&
-                !ImplSemanticCapable(impl)) {
-              continue;
-            }
-            if (impl == PhysicalImpl::kIndexScanFilter &&
-                !(pos == 0 && head_is_docs)) {
-              continue;
-            }
-            OpArgs args = node.logical.args;
-            if (impl == PhysicalImpl::kIndexScanFilter) {
-              args["index_candidates"] = std::to_string(
-                  std::min(N, opts.index_candidate_factor * sel * N + 48));
-            }
-            double c =
-                opts.objective == OptimizeObjective::kDollars
-                    ? cost_model_->EstimateDollars("Filter", impl, args,
-                                                   card)
-                    : cost_model_->EstimateSeconds("Filter", impl, args,
-                                                   card);
-            if (node_cost < 0 || c < node_cost) node_cost = c;
-          }
-          cost += node_cost;
+          const double out = card * filter_sel[perm[pos]];
+          const auto& valid = pos == 0 ? valid_at_head : valid_below;
+          cost += CheapestImpl(plan.nodes[perm[pos]].logical,
+                               valid.at(perm[pos]), card, opts.objective,
+                               *cost_model_, IndexCandidates(opts, out))
+                      .cost;
           card = out;
         }
         if (best_cost < 0 || cost < best_cost) {
@@ -517,73 +581,28 @@ StatusOr<PhysicalPlan> PhysicalOptimizer::OptimizeImpl(
   CardPropagation prop = PropagateCards(plan, order, opts, filter_sel,
                                         /*pinned=*/nullptr,
                                         /*observed=*/nullptr);
-  std::map<std::string, double>& var_card = prop.var_card;
-  std::map<std::string, bool>& var_grouped = prop.var_grouped;
 
   // --- Physical operator selection (Section VI-C) ---
   Rng rule_rng(HashCombine(opts.seed, StableHash64(lp.Signature())));
-  for (int u : order) {
-    PhysicalNode& node = plan.nodes[u];
-    const std::string& op = node.logical.op_name;
-    bool in_grouped = false;
-    for (const auto& in : node.logical.input_vars) {
-      in_grouped = in_grouped || var_grouped[in];
-    }
-    if (op == "Scan") {
-      node.impl = PhysicalImpl::kLinearScan;
-      node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card);
-      continue;
-    }
-    std::vector<PhysicalImpl> valid = ValidImpls(node);
-    UNIFY_CHECK(!valid.empty()) << "no impl for " << op;
-
-    if (opts.mode == PhysicalMode::kRule) {
-      node.impl = valid[rule_rng.NextUint64(valid.size())];
-      if (node.impl == PhysicalImpl::kIndexScanFilter) {
-        // Without cardinality knowledge there is no safe cutoff: the
-        // rule-based variant must verify everything.
-        node.logical.args["index_candidates"] =
-            std::to_string(static_cast<int64_t>(N));
-      }
-      node.est_partitions = PartitionsFor(opts, node, node.impl,
-                                          node.logical.args, in_grouped);
-      node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card);
-      continue;
-    }
-
-    ChooseNodeImpl(node, valid, opts, *cost_model_, N, in_grouped);
-  }
+  plan.est_total_dollars =
+      LowerNodes(plan, order, prop.in_grouped, opts, *cost_model_,
+                 /*pinned=*/nullptr, &rule_rng);
 
   // --- Predicted makespan for plan selection ---
-  auto makespan = [&](int max_parallelism) -> StatusOr<double> {
-    std::vector<exec::NodeCost> costs;
-    costs.reserve(plan.nodes.size());
-    for (const auto& node : plan.nodes) {
-      costs.push_back(EstimatedCost(node, max_parallelism));
-    }
-    UNIFY_ASSIGN_OR_RETURN(
-        exec::ScheduleResult sched,
-        exec::ScheduleDag(plan.dag, costs, opts.num_servers,
-                          /*sequential=*/false));
-    return sched.makespan;
-  };
-  UNIFY_ASSIGN_OR_RETURN(plan.est_makespan,
-                         makespan(opts.max_intra_op_parallelism));
+  UNIFY_ASSIGN_OR_RETURN(
+      plan.est_makespan,
+      PredictMakespan(plan, opts, opts.max_intra_op_parallelism,
+                      /*sunk=*/nullptr, /*start=*/0));
   // Parallelism-independent ranking key: the same schedule with every
   // node as one sequential stream.
   plan.est_seq_makespan = plan.est_makespan;
   if (opts.max_intra_op_parallelism > 1) {
-    UNIFY_ASSIGN_OR_RETURN(plan.est_seq_makespan, makespan(1));
+    UNIFY_ASSIGN_OR_RETURN(
+        plan.est_seq_makespan,
+        PredictMakespan(plan, opts, 1, /*sunk=*/nullptr, /*start=*/0));
   }
-  for (auto& node : plan.nodes) {
-    node.est_dollars = cost_model_->EstimateDollars(
-        node.logical.op_name, node.impl, node.logical.args, node.est_in_card);
-    plan.est_total_dollars += node.est_dollars;
-  }
-  plan.likely_incomplete =
-      var_card.count(plan.answer_var) == 0 || var_grouped[plan.answer_var];
+  plan.likely_incomplete = prop.var_card.count(plan.answer_var) == 0 ||
+                           prop.var_grouped[plan.answer_var];
   return plan;
 }
 
@@ -599,7 +618,6 @@ StatusOr<ReoptimizeResult> PhysicalOptimizer::Reoptimize(
   // Rule mode has no cost model to re-consult; the plan stands.
   if (opts.mode == PhysicalMode::kRule) return result;
   PhysicalPlan& next = result.plan;
-  const double N = std::max<double>(1.0, opts.corpus_size);
   UNIFY_ASSIGN_OR_RETURN(std::vector<int> order, next.dag.TopologicalOrder());
 
   // --- Systematic estimator bias from the executed prefix ---
@@ -643,71 +661,37 @@ StatusOr<ReoptimizeResult> PhysicalOptimizer::Reoptimize(
   CardPropagation prop = PropagateCards(next, order, opts, filter_sel,
                                         &executed, &observed.var_cards);
 
-  // --- Re-lower only the un-executed suffix; cost old-vs-new under the
-  // measured cardinalities ---
-  std::vector<PhysicalNode> old_nodes = next.nodes;  // post-propagation
-  for (int u : order) {
-    if (executed[u]) continue;
-    PhysicalNode& node = next.nodes[u];
-    PhysicalNode& old_node = old_nodes[u];
-    const std::string& op = node.logical.op_name;
-    bool in_grouped = false;
-    for (const auto& in : node.logical.input_vars) {
-      in_grouped = in_grouped || prop.var_grouped[in];
-    }
-    // Keeping the original impl, what would the suffix now cost?
-    old_node.est_seconds = cost_model_->EstimateSeconds(
-        op, old_node.impl, old_node.logical.args, old_node.est_in_card);
-    old_node.est_partitions = PartitionsFor(opts, old_node, old_node.impl,
-                                            old_node.logical.args, in_grouped);
-    result.old_suffix_seconds += old_node.est_seconds;
-    result.old_suffix_dollars += cost_model_->EstimateDollars(
-        op, old_node.impl, old_node.logical.args, old_node.est_in_card);
-    if (op == "Scan") {
-      node.est_seconds = cost_model_->EstimateSeconds(
-          op, node.impl, node.logical.args, node.est_in_card);
-    } else {
-      std::vector<PhysicalImpl> valid = ValidImpls(node);
-      UNIFY_CHECK(!valid.empty()) << "no impl for " << op;
-      ChooseNodeImpl(node, valid, opts, *cost_model_, N, in_grouped);
-    }
-    node.est_dollars = cost_model_->EstimateDollars(
-        op, node.impl, node.logical.args, node.est_in_card);
-    result.new_suffix_seconds += node.est_seconds;
-    result.new_suffix_dollars += node.est_dollars;
-    if (node.impl != old_node.impl ||
-        node.logical.args != old_node.logical.args) {
-      result.changed = true;
-      ++result.nodes_rechosen;
+  // --- Re-lower only the un-executed suffix, and re-price the impls in
+  // flight under the same measured cardinalities ---
+  PhysicalPlan kept = next;
+  const double kept_dollars =
+      PriceNodes(kept, prop.in_grouped, opts, *cost_model_, &executed);
+  const double new_dollars =
+      LowerNodes(next, order, prop.in_grouped, opts, *cost_model_,
+                 &executed, /*rule_rng=*/nullptr);
+  for (size_t u = 0; u < next.nodes.size(); ++u) {
+    if (next.nodes[u].impl != kept.nodes[u].impl ||
+        next.nodes[u].logical.args != kept.nodes[u].logical.args) {
+      result.relowered_nodes.push_back(static_cast<int>(u));
     }
   }
-  next.est_total_dollars = 0;
-  for (const PhysicalNode& node : next.nodes) {
-    next.est_total_dollars += node.est_dollars;
+  if (opts.objective == OptimizeObjective::kDollars) {
+    result.old_suffix_cost = kept_dollars;
+    result.new_suffix_cost = new_dollars;
+    return result;
   }
 
-  // --- Suffix makespans from the already-elapsed virtual time ---
-  // Probes run on fresh private pools, never the live shared pool:
+  // --- Suffix completion times from the already-elapsed virtual time:
   // executed nodes cost nothing (their time is sunk in
-  // `elapsed_seconds`), every root becomes ready at the elapsed clock.
-  auto probe = [&](const std::vector<PhysicalNode>& nodes)
-      -> StatusOr<double> {
-    std::vector<exec::NodeCost> costs(nodes.size());
-    for (size_t u = 0; u < nodes.size(); ++u) {
-      if (!executed[u]) {
-        costs[u] = EstimatedCost(nodes[u], opts.max_intra_op_parallelism);
-      }
-    }
-    exec::VirtualLlmPool pool(std::max(1, opts.num_servers));
-    UNIFY_ASSIGN_OR_RETURN(
-        exec::ScheduleResult sched,
-        exec::ScheduleDag(next.dag, costs, &pool, /*sequential=*/false,
-                          elapsed_seconds));
-    return sched.makespan;
-  };
-  UNIFY_ASSIGN_OR_RETURN(result.old_suffix_makespan, probe(old_nodes));
-  UNIFY_ASSIGN_OR_RETURN(result.new_suffix_makespan, probe(next.nodes));
-  next.est_makespan = result.new_suffix_makespan;
+  // `elapsed_seconds`), every root becomes ready at the elapsed clock ---
+  UNIFY_ASSIGN_OR_RETURN(
+      result.old_suffix_cost,
+      PredictMakespan(kept, opts, opts.max_intra_op_parallelism, &executed,
+                      elapsed_seconds));
+  UNIFY_ASSIGN_OR_RETURN(
+      result.new_suffix_cost,
+      PredictMakespan(next, opts, opts.max_intra_op_parallelism, &executed,
+                      elapsed_seconds));
   return result;
 }
 

@@ -2,6 +2,7 @@
 #define UNIFY_CORE_PHYSICAL_OPTIMIZER_H_
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/trace.h"
@@ -79,37 +80,63 @@ struct ReoptimizeResult {
   /// cardinalities. Executed nodes are pinned verbatim: same impl, args,
   /// and original estimates (so postmortems still show the mis-estimate).
   PhysicalPlan plan;
-  /// Any un-executed node's impl or index sizing changed.
-  bool changed = false;
-  /// How many un-executed nodes changed impl or args.
-  int nodes_rechosen = 0;
+  /// The un-executed nodes whose impl or args the re-lowering changed, in
+  /// plan-index order.
+  std::vector<int> relowered_nodes;
   /// Geometric-mean observed/estimated cardinality ratio across executed
   /// nodes — the systematic estimator bias applied to unobserved
   /// selectivities.
   double est_bias = 1.0;
-  /// Cost-to-go of the un-executed suffix re-costed with measured
-  /// cardinalities: keeping the old impls vs adopting the re-lowered ones.
-  double old_suffix_seconds = 0;
-  double new_suffix_seconds = 0;
-  double old_suffix_dollars = 0;
-  double new_suffix_dollars = 0;
-  /// Suffix completion times (absolute virtual seconds, scheduled from
-  /// `elapsed_seconds` on a fresh pool of num_servers) for old vs new.
-  double old_suffix_makespan = 0;
-  double new_suffix_makespan = 0;
+  /// Predicted cost-to-go of the un-executed suffix under the measured
+  /// cardinalities, in the objective's unit: keeping the old impls vs
+  /// adopting the re-lowered ones. Under kTime the suffix's completion
+  /// time (absolute virtual seconds, scheduled from `elapsed_seconds` on
+  /// a fresh pool of num_servers); under kDollars its predicted spend.
+  double old_suffix_cost = 0;
+  double new_suffix_cost = 0;
 };
+
+/// Implementations valid for `node`: its CandidateImpls that can meet its
+/// semantic requirement, IndexScanFilter only over the corpus head
+/// ($docs); the raw candidates when that rejects all. Implementation
+/// choice, filter ordering and the hindsight audit apply this one rule.
+std::vector<PhysicalImpl> ValidImpls(const LogicalNode& node);
+
+/// An implementation of a node and its cost; `args` is set when it runs
+/// with args other than the node's (a sized IndexScanFilter).
+struct PricedImpl {
+  PhysicalImpl impl = PhysicalImpl::kLinearScan;
+  std::optional<OpArgs> args;
+  double cost = -1;
+};
+
+/// Cost-based implementation choice (Section VI-C): the cheapest of
+/// `impls` (non-empty) for `node` at `in_card` input rows by estimated
+/// sequential seconds or dollars, per `objective`; ties go to the earlier
+/// impl. With `index_candidates`, IndexScanFilter verifies that many
+/// candidates, rounded; without, every impl runs with the node's args.
+PricedImpl CheapestImpl(const LogicalNode& node,
+                        const std::vector<PhysicalImpl>& impls,
+                        double in_card, OptimizeObjective objective,
+                        const CostModel& cost_model,
+                        std::optional<double> index_candidates = {});
 
 /// Physical plan generation (paper Section VI): lowers a logical plan by
 /// (1) estimating cardinalities (SCE), (2) reordering commuting filter
 /// chains so selective/cheap filters run first, (3) choosing each
 /// operator's physical implementation by estimated cost subject to
 /// semantic requirements, and (4) ranking whole plans by predicted
-/// makespan for plan selection.
+/// makespan for plan selection. Re-optimization re-runs (3) and (4) on
+/// the un-executed suffix through the same helpers.
 ///
 /// Thread-safe: per-call state lives on the caller's stack, so one
 /// optimizer may serve concurrent queries.
 class PhysicalOptimizer {
  public:
+  /// The longest filter chain ordered by cost: the search tries every
+  /// order (720 here). A longer chain keeps the order it was given.
+  static constexpr size_t kMaxOrderedFilterChain = 6;
+
   /// Pointers must outlive the optimizer. `estimator` may be null only in
   /// kRule mode.
   PhysicalOptimizer(const CostModel* cost_model,

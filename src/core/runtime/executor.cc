@@ -311,17 +311,7 @@ void PlanExecutor::ApplyReplan(ExecutionState& state, ReplanRecord record,
       record.suffix_nodes.push_back(static_cast<int>(i));
     }
   }
-  if (new_plan != nullptr) {
-    for (int i : record.suffix_nodes) {
-      const PhysicalNode& before = state.plan.nodes[i];
-      const PhysicalNode& after = new_plan->nodes[i];
-      if (before.impl != after.impl ||
-          before.logical.args != after.logical.args) {
-        record.relowered_nodes.push_back(i);
-      }
-    }
-    state.plan = *new_plan;
-  }
+  if (new_plan != nullptr) state.plan = *new_plan;
   ScopedSpan replan_span(state.trace, telemetry::kSpanExecReplan,
                          state.exec_span->id());
   if (state.trace != nullptr) {

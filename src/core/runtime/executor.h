@@ -139,7 +139,9 @@ struct ReplanRecord {
   /// re-lowered ones.
   double old_suffix_cost = 0;
   double new_suffix_cost = 0;
-  /// Plan nodes whose impl or args the adopted replan changed.
+  /// Plan nodes whose impl or args the adopted replan changed, in plan
+  /// order (ReoptimizeResult::relowered_nodes); empty when the plan was
+  /// kept.
   std::vector<int> relowered_nodes;
   /// Every plan node still un-executed when the trigger fired (the
   /// suffix the predicted costs above cover) — the basis of the

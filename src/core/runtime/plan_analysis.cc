@@ -16,36 +16,31 @@ namespace unify::core {
 namespace {
 
 /// Hindsight impl audit: with the measured input cardinality in hand, is
-/// the chosen implementation still the cost-model argmin among the
-/// semantically valid candidates? Index-scan alternatives are skipped
-/// unless chosen — their cost depends on an index_candidates argument the
-/// optimizer only computes when it selects them.
+/// the chosen implementation still the cost-model argmin among the valid
+/// ones (ValidImpls, priced by CheapestImpl under the query's objective)?
+/// Index-scan alternatives are skipped unless chosen — their cost depends
+/// on an index_candidates argument the optimizer only computes when it
+/// selects them.
 bool HindsightOptimal(const PhysicalNode& node, double actual_in_card,
                       const CostModel& cost_model,
                       OptimizeObjective objective) {
-  double chosen_cost = -1;
-  double best_cost = -1;
-  for (PhysicalImpl alt :
-       CandidateImpls(node.logical.op_name, node.logical.args)) {
-    if (node.logical.requires_semantics && !ImplSemanticCapable(alt)) {
-      continue;
-    }
-    if (alt == PhysicalImpl::kIndexScanFilter && alt != node.impl) {
-      continue;
-    }
-    const double cost =
-        objective == OptimizeObjective::kDollars
-            ? cost_model.EstimateDollars(node.logical.op_name, alt,
-                                         node.logical.args, actual_in_card)
-            : cost_model.EstimateSeconds(node.logical.op_name, alt,
-                                         node.logical.args, actual_in_card);
-    if (alt == node.impl) chosen_cost = cost;
-    if (best_cost < 0 || cost < best_cost) best_cost = cost;
+  std::vector<PhysicalImpl> alternatives = ValidImpls(node.logical);
+  std::erase_if(alternatives, [&node](PhysicalImpl alt) {
+    return alt == PhysicalImpl::kIndexScanFilter && alt != node.impl;
+  });
+  // Impls outside the valid list (custom operators) have no alternative
+  // to compare against.
+  if (std::find(alternatives.begin(), alternatives.end(), node.impl) ==
+      alternatives.end()) {
+    return true;
   }
-  // Impls outside the candidate list (custom operators) have no
-  // alternative to compare against.
-  if (chosen_cost < 0) return true;
-  return chosen_cost <= best_cost * (1 + 1e-9);
+  const double best = CheapestImpl(node.logical, alternatives,
+                                   actual_in_card, objective, cost_model)
+                          .cost;
+  const double chosen = CheapestImpl(node.logical, {node.impl},
+                                     actual_in_card, objective, cost_model)
+                            .cost;
+  return chosen <= best * (1 + 1e-9);
 }
 
 }  // namespace

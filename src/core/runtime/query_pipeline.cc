@@ -253,41 +253,39 @@ void QueryPipeline::ConsiderReplan(ReplanRecord record,
   record.decision_seconds = verdict.seconds;
   record.decision_dollars = verdict.dollars;
 
-  // What has run so far: which nodes finished, and every cardinality they
-  // materialized, keyed by output variable.
-  const size_t n = state.plan.nodes.size();
-  std::vector<bool> executed(n);
-  CardinalityOverrides observed;
-  for (size_t i = 0; i < n; ++i) {
-    executed[i] = state.nodes[i].executed;
-    const std::string& var = state.plan.nodes[i].logical.output_var;
-    if (executed[i] && !var.empty()) {
-      observed.var_cards[var] = state.nodes[i].actual_out_card;
-    }
-  }
-  // Suffix re-lowering under the measured cardinalities, costed from the
-  // pause's end (trigger finish + decision time) — deterministic, keyed
-  // on the observations only.
+  // A declined replan keeps the plan; an endorsed one re-lowers the
+  // suffix under the measured cardinalities, costed from the pause's end
+  // (trigger finish + decision time) — deterministic, keyed on the
+  // observations only.
   const PhysicalPlan* adopt_plan = nullptr;
-  StatusOr<ReoptimizeResult> reopt = system_.optimizer_->Reoptimize(
-      state.plan, executed, observed, ctx_.oopts,
-      record.elapsed_seconds + verdict.seconds);
-  const bool endorsed =
-      verdict.status.ok() && verdict.Get("verdict") == "reoptimize";
-  if (endorsed && reopt.ok()) {
-    record.nodes_rechosen = reopt->nodes_rechosen;
-    record.est_bias = reopt->est_bias;
-    if (ctx_.oopts.objective == OptimizeObjective::kDollars) {
-      record.old_suffix_cost = reopt->old_suffix_dollars;
-      record.new_suffix_cost = reopt->new_suffix_dollars;
-    } else {
-      record.old_suffix_cost = reopt->old_suffix_makespan;
-      record.new_suffix_cost = reopt->new_suffix_makespan;
+  StatusOr<ReoptimizeResult> reopt = Status::Aborted("replan declined");
+  if (verdict.status.ok() && verdict.Get("verdict") == "reoptimize") {
+    // What has run so far: which nodes finished, and every cardinality
+    // they materialized, keyed by output variable.
+    const size_t n = state.plan.nodes.size();
+    std::vector<bool> executed(n);
+    CardinalityOverrides observed;
+    for (size_t i = 0; i < n; ++i) {
+      executed[i] = state.nodes[i].executed;
+      const std::string& var = state.plan.nodes[i].logical.output_var;
+      if (executed[i] && !var.empty()) {
+        observed.var_cards[var] = state.nodes[i].actual_out_card;
+      }
     }
+    reopt = system_.optimizer_->Reoptimize(
+        state.plan, executed, observed, ctx_.oopts,
+        record.elapsed_seconds + verdict.seconds);
+  }
+  if (reopt.ok()) {
+    record.nodes_rechosen = static_cast<int>(reopt->relowered_nodes.size());
+    record.est_bias = reopt->est_bias;
+    record.old_suffix_cost = reopt->old_suffix_cost;
+    record.new_suffix_cost = reopt->new_suffix_cost;
     // Adopt only a strictly better predicted cost-to-go: ties keep the
     // plan in flight (re-lowering for free buys nothing but churn).
-    if (reopt->changed &&
+    if (record.nodes_rechosen > 0 &&
         record.new_suffix_cost < record.old_suffix_cost * (1 - 1e-9)) {
+      record.relowered_nodes = std::move(reopt->relowered_nodes);
       adopt_plan = &reopt->plan;
     }
   }

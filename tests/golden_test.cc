@@ -1,20 +1,24 @@
 // Golden outcomes: a reduced run over the four dataset profiles whose
-// answers, virtual seconds, dollars, LLM calls per prompt type and morsel
-// counts are pinned in tests/golden/outcomes.txt. Any change to what a
-// query computes or costs shows up as a differing line.
+// answers, virtual seconds, dollars, LLM calls per prompt type, hindsight
+// impl audit counters and morsel counts are pinned in
+// tests/golden/outcomes.txt. Any change to what a query computes or costs
+// shows up as a differing line.
 //
 // The workload renders once with morsels run one after another, and its
 // parallelism-4 half three more times on four worker threads. Every
 // rendering must match the file, and every per-query counter must be
 // bitwise equal across them: counters are virtual (calls, seconds,
 // dollars), and each morsel records into a registry of its own that is
-// merged in morsel order.
+// merged in morsel order. The sports and wiki profiles also render at
+// parallelism 1 under the other optimizer regimes (rule-based, ground-truth
+// cardinalities, the dollar objective); those lines carry the regime's tag.
 //
 // A second case pins every view of an execution in
 // tests/golden/views.txt: for the sports profile, each workload query's
-// EXPLAIN ANALYZE, timeline and per-node rows; a replanning query's replan
-// sentences and flight-recorder events; and a plan that the Section V-D
-// fallback answers.
+// EXPLAIN ANALYZE, timeline and per-node rows; replanning queries' replan
+// records and sentences, under the time and the dollar objective, and
+// their flight-recorder events; and a plan that the Section V-D fallback
+// answers.
 //
 // On a mismatch each case writes its rendering (golden_outcomes.actual.txt
 // or golden_views.actual.txt) next to the test binary and names the first
@@ -54,23 +58,40 @@ std::string Num(double v) {
   return buf;
 }
 
+/// An optimizer regime the workload renders under; the default one has
+/// no tag.
+struct Regime {
+  std::string tag;
+  PhysicalMode mode = PhysicalMode::kFull;
+  OptimizeObjective objective = OptimizeObjective::kTime;
+};
+
 /// One line per query: where it stopped, what it answered, what it cost,
-/// which LLM calls it made, and how each plan node split into morsels.
+/// which LLM calls it made, how the hindsight audit judged its impls, and
+/// how each plan node split into morsels.
 std::string RenderOutcome(const std::string& dataset, int parallelism,
-                          size_t index, const QueryResult& r) {
+                          const std::string& regime, size_t index,
+                          const QueryResult& r) {
   std::ostringstream line;
-  line << dataset << " p" << parallelism << " q" << index
-       << " phase=" << QueryPhaseName(r.phase)
+  line << dataset << " p" << parallelism;
+  if (!regime.empty()) line << " " << regime;
+  line << " q" << index << " phase=" << QueryPhaseName(r.phase)
        << " answer=" << r.answer.ToString()
        << " plan_s=" << Num(r.plan_seconds)
        << " exec_s=" << Num(r.exec_seconds)
        << " pred_s=" << Num(r.predicted_exec_seconds)
        << " exec_usd=" << Num(r.exec_dollars);
-  const std::string calls_prefix =
-      std::string(telemetry::kMetricLlmCalls) + ".";
+  const std::string prefixes[] = {
+      std::string(telemetry::kMetricLlmCalls) + ".",
+      std::string(telemetry::kMetricImplChoiceOptimal),
+      std::string(telemetry::kMetricImplChoiceSuboptimal),
+      std::string(telemetry::kMetricImplChosen) + "."};
   for (const auto& [name, value] : r.metrics.counters) {
-    if (name.compare(0, calls_prefix.size(), calls_prefix) == 0) {
-      line << " " << name << "=" << Num(value);
+    for (const std::string& prefix : prefixes) {
+      if (name.compare(0, prefix.size(), prefix) == 0) {
+        line << " " << name << "=" << Num(value);
+        break;
+      }
     }
   }
   line << " nodes=";
@@ -90,7 +111,43 @@ struct Rendering {
   std::vector<MetricMap<double>> counters;
 };
 
-Rendering RenderAll(int threads, const std::vector<int>& parallelisms) {
+/// Renders the workload of `ds` on a fresh system under one regime.
+void RenderWorkload(const bench::BenchDataset& ds, int threads,
+                    int parallelism, const Regime& regime, Rendering& out) {
+  UnifyOptions options;
+  options.exec.threads = threads;
+  UnifySystem system(ds.corpus.get(), ds.llm.get(), options);
+  const Status setup = system.Setup();
+  if (!setup.ok()) {
+    out.text += ds.name + " setup failed: " + setup.ToString() + "\n";
+    return;
+  }
+  for (size_t i = 0; i < ds.workload.size(); ++i) {
+    QueryRequest request;
+    request.text = ds.workload[i].text;
+    request.overrides.max_intra_op_parallelism = parallelism;
+    request.overrides.physical_mode = regime.mode;
+    request.overrides.objective = regime.objective;
+    const QueryResult r = system.Answer(request);
+    out.text += RenderOutcome(ds.name, parallelism, regime.tag, i, r) + "\n";
+    out.parallelism.push_back(parallelism);
+    out.counters.push_back(r.metrics.counters);
+  }
+}
+
+/// The regimes bench_physical_opt and bench_cost_objective run besides
+/// the default one.
+const Regime kOtherRegimes[] = {
+    {"rule", PhysicalMode::kRule, OptimizeObjective::kTime},
+    {"gtcards", PhysicalMode::kGroundTruthCards, OptimizeObjective::kTime},
+    {"dollars", PhysicalMode::kFull, OptimizeObjective::kDollars},
+};
+
+/// Every profile at each of `parallelisms` under the default regime; with
+/// `other_regimes`, the sports and wiki profiles at parallelism 1 under
+/// each of kOtherRegimes too.
+Rendering RenderAll(int threads, const std::vector<int>& parallelisms,
+                    bool other_regimes) {
   bench::BenchScale scale;
   scale.per_template = 1;
   scale.max_docs = 300;
@@ -98,23 +155,13 @@ Rendering RenderAll(int threads, const std::vector<int>& parallelisms) {
   for (const corpus::DatasetProfile& profile : corpus::AllProfiles()) {
     bench::BenchDataset ds = bench::MakeDataset(profile, scale);
     for (int parallelism : parallelisms) {
-      UnifyOptions options;
-      options.exec.threads = threads;
-      UnifySystem system(ds.corpus.get(), ds.llm.get(), options);
-      const Status setup = system.Setup();
-      if (!setup.ok()) {
-        out.text += ds.name + " setup failed: " + setup.ToString() + "\n";
-        continue;
-      }
-      for (size_t i = 0; i < ds.workload.size(); ++i) {
-        QueryRequest request;
-        request.text = ds.workload[i].text;
-        request.overrides.max_intra_op_parallelism = parallelism;
-        const QueryResult r = system.Answer(request);
-        out.text += RenderOutcome(ds.name, parallelism, i, r) + "\n";
-        out.parallelism.push_back(parallelism);
-        out.counters.push_back(r.metrics.counters);
-      }
+      RenderWorkload(ds, threads, parallelism, Regime{}, out);
+    }
+    if (!other_regimes || (ds.name != "sports" && ds.name != "wiki")) {
+      continue;
+    }
+    for (const Regime& regime : kOtherRegimes) {
+      RenderWorkload(ds, threads, /*parallelism=*/1, regime, out);
     }
   }
   return out;
@@ -286,6 +333,16 @@ std::string RenderAllViews() {
         system.Answer(IntersectionQuery("nutrition", "badminton")));
   }
   {
+    // Under the dollar objective the replan costs its suffix in dollars.
+    UnifySystem system(ds.corpus.get(), ds.llm.get(), replanning);
+    EXPECT_TRUE(system.Setup().ok());
+    QueryRequest request;
+    request.text = IntersectionQuery("nutrition", "hockey");
+    request.overrides.objective = OptimizeObjective::kDollars;
+    out += RenderViews("nutrition and hockey, replanning, dollars",
+                       system.Answer(request));
+  }
+  {
     UnifySystem system(ds.corpus.get(), ds.llm.get(), replanning);
     EXPECT_TRUE(system.Setup().ok());
     UnifyService::Options sopts;
@@ -311,7 +368,8 @@ std::string RenderAllViews() {
 class GoldenTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    serial_ = new Rendering(RenderAll(/*threads=*/1, {1, 4}));
+    serial_ = new Rendering(
+        RenderAll(/*threads=*/1, {1, 4}, /*other_regimes=*/true));
   }
   static void TearDownTestSuite() { delete serial_; }
   static Rendering* serial_;
@@ -336,7 +394,8 @@ TEST_F(GoldenTest, MorselWorkerThreadsChangeNoOutcomeOrCounter) {
   }
   for (int pass = 0; pass < 3; ++pass) {
     SCOPED_TRACE("pass " + std::to_string(pass));
-    const Rendering threaded = RenderAll(/*threads=*/4, {4});
+    const Rendering threaded =
+        RenderAll(/*threads=*/4, {4}, /*other_regimes=*/false);
     ExpectSameLines(want, threaded.text);
     ASSERT_EQ(threaded.counters.size(), want_counters.size());
     for (size_t q = 0; q < threaded.counters.size(); ++q) {

@@ -150,6 +150,66 @@ class OptimizerTest : public ::testing::Test {
     return plan;
   }
 
+  /// A chain of `k` commuting filters over the corpus, then a Count, in a
+  /// costly order: the semantic filters first, the cheap and selective
+  /// numeric ones last.
+  static LogicalPlan LongFilterChainPlan(int k) {
+    LogicalPlan plan;
+    plan.query_text = "how many documents pass a long chain of filters";
+    const auto& categories = corpus_->knowledge().categories();
+    const int semantic = (k + 1) / 2;
+    std::string input = kDocsVar;
+    for (int i = 0; i < k; ++i) {
+      LogicalNode filter;
+      filter.op_name = "Filter";
+      if (i < semantic) {
+        const std::string& phrase = categories[i % categories.size()];
+        filter.args = {{"kind", "semantic"},
+                       {"phrase", phrase},
+                       {"condition", "about " + phrase}};
+        filter.requires_semantics = true;
+      } else {
+        const std::string value = std::to_string(400 + 10 * (i - semantic));
+        filter.args = {{"kind", "numeric"},
+                       {"attribute", "views"},
+                       {"cmp", "gt"},
+                       {"value", value},
+                       {"condition", "with over " + value + " views"}};
+      }
+      filter.input_vars = {input};
+      filter.output_var = "V" + std::to_string(i + 1);
+      input = filter.output_var;
+      plan.nodes.push_back(filter);
+      plan.dag.AddNode();
+      if (i > 0) {
+        EXPECT_TRUE(plan.dag.AddEdge(i - 1, i).ok());
+      }
+    }
+    LogicalNode count;
+    count.op_name = "Count";
+    count.input_vars = {input};
+    count.output_var = "V" + std::to_string(k + 1);
+    plan.nodes.push_back(count);
+    plan.dag.AddNode();
+    EXPECT_TRUE(plan.dag.AddEdge(k - 1, k).ok());
+    plan.answer_var = count.output_var;
+    return plan;
+  }
+
+  /// Whether `plan`'s filters hold `given`'s conditions in the given
+  /// order (the inserted Scan shifts every node by one).
+  static bool KeepsFilterOrder(const PhysicalPlan& plan,
+                               const LogicalPlan& given) {
+    for (size_t i = 0; i < given.nodes.size(); ++i) {
+      if (given.nodes[i].op_name == "Filter" &&
+          plan.nodes[i + 1].logical.args.at("condition") !=
+              given.nodes[i].args.at("condition")) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   static corpus::Corpus* corpus_;
   static llm::SimulatedLlm* llm_;
   static embedding::TopicEmbedder* embedder_;
@@ -192,6 +252,40 @@ TEST_F(OptimizerTest, ReordersCheapSelectiveFilterFirst) {
   // Variable wiring stays intact.
   EXPECT_EQ(first_filter.output_var, "V1");
   EXPECT_EQ(plan->nodes[2].logical.input_vars[0], "V1");
+}
+
+// Every order of a chain is costed, so the search grows with the chain's
+// length factorial; chains of up to six filters are ordered, longer ones
+// keep the order they were given.
+TEST_F(OptimizerTest, SixFilterChainIsStillReorderedByCost) {
+  PhysicalOptimizer optimizer(cost_model_, estimator_,
+                              Opts(PhysicalMode::kGroundTruthCards));
+  const LogicalPlan given = LongFilterChainPlan(6);
+  auto plan = optimizer.Optimize(given);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_FALSE(KeepsFilterOrder(*plan, given)) << plan->Explain();
+  EXPECT_EQ(plan->nodes[1].logical.args.at("kind"), "numeric")
+      << plan->Explain();
+}
+
+TEST_F(OptimizerTest, SevenFilterChainKeepsItsGivenOrder) {
+  PhysicalOptimizer optimizer(cost_model_, estimator_,
+                              Opts(PhysicalMode::kGroundTruthCards));
+  const LogicalPlan given = LongFilterChainPlan(7);
+  auto plan = optimizer.Optimize(given);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(KeepsFilterOrder(*plan, given)) << plan->Explain();
+}
+
+TEST_F(OptimizerTest, TwelveFilterChainLowers) {
+  PhysicalOptimizer optimizer(cost_model_, estimator_,
+                              Opts(PhysicalMode::kGroundTruthCards));
+  const LogicalPlan given = LongFilterChainPlan(12);
+  auto plan = optimizer.Optimize(given);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->nodes.size(), 14u);  // Scan, 12 filters, Count
+  EXPECT_TRUE(KeepsFilterOrder(*plan, given));
+  EXPECT_GT(plan->est_makespan, 0);
 }
 
 TEST_F(OptimizerTest, RuleModeKeepsOriginalOrder) {
@@ -314,6 +408,34 @@ TEST_F(OptimizerTest, DollarObjectiveProducesSpendEstimate) {
   // est_seconds stays a time quantity even under the dollar objective
   // (it feeds the makespan schedule).
   EXPECT_GT(plan->est_makespan, 0);
+}
+
+// The objective decides what implementation choice minimizes: here the
+// LLM filters a numeric condition faster than the exact scan, but costs
+// money.
+TEST_F(OptimizerTest, ObjectiveDecidesImplChoice) {
+  CostModel model;
+  model.Record("Filter", PhysicalImpl::kExactFilter, 100, 0, 50.0);
+  model.Record("Filter", PhysicalImpl::kLlmFilter, 100, 1.0, 0, 0.01);
+  const LogicalPlan plan = LongFilterChainPlan(2);  // semantic, numeric
+  for (OptimizeObjective objective :
+       {OptimizeObjective::kTime, OptimizeObjective::kDollars}) {
+    OptimizerOptions options = Opts(PhysicalMode::kGroundTruthCards);
+    options.objective = objective;
+    PhysicalOptimizer optimizer(&model, estimator_, options);
+    auto optimized = optimizer.Optimize(plan);
+    ASSERT_TRUE(optimized.ok());
+    for (const PhysicalNode& node : optimized->nodes) {
+      if (node.logical.args.count("kind") == 0 ||
+          node.logical.args.at("kind") != "numeric") {
+        continue;
+      }
+      EXPECT_EQ(node.impl, objective == OptimizeObjective::kTime
+                               ? PhysicalImpl::kLlmFilter
+                               : PhysicalImpl::kExactFilter)
+          << optimized->Explain();
+    }
+  }
 }
 
 TEST_F(OptimizerTest, IndexScanGetsCandidateBudget) {
